@@ -15,13 +15,10 @@ import itertools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .action_model import (
     DocumentError,
     GroupAction,
-    LineIsotropy,
-    Su2Isotropy,
     action_from_dict,
     action_to_dict,
     line_isotropy_from_dict,
@@ -86,35 +83,17 @@ def _load_document(path: str) -> dict:
     return doc
 
 
-def _parse_action(doc: dict) -> GroupAction:
-    if "action" not in doc:
-        raise _Failure(EXIT_VALIDATION, "document has no action section")
+def _section(doc: dict, name: str, from_dict):
+    if name not in doc:
+        raise _Failure(EXIT_VALIDATION, f"document has no {name} section")
     try:
-        return action_from_dict(doc["action"])
-    except DocumentError as exc:
-        raise _Failure(EXIT_PARSE, str(exc))
-
-
-def _parse_line_isotropy(doc: dict) -> LineIsotropy:
-    if "line_isotropy" not in doc:
-        raise _Failure(EXIT_VALIDATION, "document has no line_isotropy section")
-    try:
-        return line_isotropy_from_dict(doc["line_isotropy"])
-    except DocumentError as exc:
-        raise _Failure(EXIT_PARSE, str(exc))
-
-
-def _parse_su2_isotropy(doc: dict) -> Su2Isotropy:
-    if "su2_isotropy" not in doc:
-        raise _Failure(EXIT_VALIDATION, "document has no su2_isotropy section")
-    try:
-        return su2_isotropy_from_dict(doc["su2_isotropy"])
+        return from_dict(doc[name])
     except DocumentError as exc:
         raise _Failure(EXIT_PARSE, str(exc))
 
 
 def _validated_action(args, doc: dict) -> GroupAction:
-    action = _parse_action(doc)
+    action = _section(doc, "action", action_from_dict)
     report = validate(action)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -164,23 +143,16 @@ def _cmd_check(args) -> int:
     elif args.mode == "gsign":
         report = gsignature_check(action)
     elif args.mode == "line":
-        report = check_line_bundle(action, _parse_line_isotropy(doc))
+        report = check_line_bundle(action, _section(doc, "line_isotropy", line_isotropy_from_dict))
     else:
-        report = check_su2(action, _parse_su2_isotropy(doc))
+        report = check_su2(action, _section(doc, "su2_isotropy", su2_isotropy_from_dict))
     return _finish_report(args, report, args.mode)
-
-
-def _cmd_gsign(args) -> int:
-    doc = _load_document(args.file)
-    action = _validated_action(args, doc)
-    report = gsignature_check(action)
-    return _finish_report(args, report, "gsign")
 
 
 def _cmd_solve(args) -> int:
     doc = _load_document(args.file)
     action = _validated_action(args, doc)
-    iso = _parse_line_isotropy(doc)
+    iso = _section(doc, "line_isotropy", line_isotropy_from_dict)
     if args.free is not None:
         match = _FREE_SLOT.match(args.free)
         if not match:
@@ -208,7 +180,7 @@ def _cmd_solve(args) -> int:
 def _cmd_dimension(args) -> int:
     doc = _load_document(args.file)
     action = _validated_action(args, doc)
-    iso = _parse_su2_isotropy(doc)
+    iso = _section(doc, "su2_isotropy", su2_isotropy_from_dict)
     k = args.k if args.k is not None else iso.c2
     try:
         report = dim_invariant_moduli(action, iso, k)
@@ -251,29 +223,23 @@ _EXPAND_PARAMS = {
 
 
 def _cmd_expand(args) -> int:
-    needed = _EXPAND_PARAMS[args.kind]
-    values = {}
-    for name in needed:
+    values = []  # in the expansion's argument order
+    for name in _EXPAND_PARAMS[args.kind]:
         v = getattr(args, name)
         if v is None:
-            if name in ("lam", "ell", "m"):
-                v = 0
-            else:
+            if name not in ("lam", "ell", "m"):
                 raise _Failure(EXIT_PARSE, f"expand --kind {args.kind} needs --{name}")
-        values[name] = v
+            v = 0
+        values.append(v)
     order = args.order
-    if args.kind == "point":
-        series = expand_point_term(values["a"], values["b"], values["lam"], order)
-    elif args.kind == "sphere":
-        series = expand_sphere_term(values["c"], values["alpha"], values["lam"], order)
-    elif args.kind == "boundary":
-        series = expand_boundary_term(values["c"], values["m"], values["lam"], order)
-    elif args.kind == "su2-point":
-        series = expand_su2_point_term(values["a"], values["b"], values["ell"], order)
-    else:
-        series = expand_su2_sphere_term(
-            values["c"], values["alpha"], values["m"], values["ell"], order
-        )
+    expand = {
+        "point": expand_point_term,
+        "sphere": expand_sphere_term,
+        "boundary": expand_boundary_term,
+        "su2-point": expand_su2_point_term,
+        "su2-sphere": expand_su2_sphere_term,
+    }[args.kind]
+    series = expand(*values, order)
     coeffs = [series.coeff(j) for j in range(order + 1)]
     reductions: list = []
     if args.p is not None:
@@ -350,6 +316,19 @@ def _cmd_search(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so bad values exit 2 at parse time."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equibundle",
@@ -396,15 +375,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for flag in ("a", "b", "c", "alpha", "m", "ell", "lam"):
         p_exp.add_argument(f"--{flag}", type=int, default=None)
-    p_exp.add_argument("--order", type=int, default=4)
-    p_exp.add_argument("--p", type=int, default=None, help="also print mod-p reductions")
+    p_exp.add_argument("--order", type=_int_at_least(0), default=4)
+    p_exp.add_argument(
+        "--p", type=_int_at_least(2), default=None, help="also print mod-p reductions"
+    )
     add_machine(p_exp)
     p_exp.set_defaults(handler=_cmd_expand)
 
     p_gsign = sub.add_parser("gsign", help="exact equivariant signatures of all powers")
     p_gsign.add_argument("file")
     add_machine(p_gsign)
-    p_gsign.set_defaults(handler=_cmd_gsign)
+    p_gsign.set_defaults(handler=_cmd_check, mode="gsign")
 
     p_sum = sub.add_parser("sum", help="equivariant connected sum of two documents")
     p_sum.add_argument("file_a")
@@ -424,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sign", type=int, required=True)
     p_search.add_argument("--euler", type=int, required=True)
     p_search.add_argument("--b2", type=int, required=True)
-    p_search.add_argument("--limit", type=int, default=None)
+    p_search.add_argument("--limit", type=_int_at_least(0), default=None)
     add_machine(p_search)
     p_search.set_defaults(handler=_cmd_search)
 

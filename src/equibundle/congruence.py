@@ -1,11 +1,8 @@
 """Congruence checks and solvers for rotation data and bundle isotropy.
 
 Everything here is modular arithmetic over Z/p driven by two engines:
-exact cyclotomic evaluation of the fixed-point signature sum, and a
-GF(p) copy of the Taylor expansion machinery.  The GF(p) expansions
-are legitimate because every expansion coefficient has denominator a
-product of powers of rotation numbers, which are units mod p; tests
-cross-check them against the exact rational series.
+exact cyclotomic evaluation of the fixed-point signature sum, and the
+Taylor expansions of `series` taken over GF(p).
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .action_model import (
     FixedSphere,
@@ -21,10 +18,17 @@ from .action_model import (
     IsolatedPoint,
     LineIsotropy,
     Su2Isotropy,
-    validate,
 )
 from .cyclotomic import eval_point_term, eval_sphere_term, from_rational
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
+from .series import (
+    GF,
+    expand_boundary_term,
+    expand_point_term,
+    expand_sphere_term,
+    expand_su2_point_term,
+    expand_su2_sphere_term,
+)
 
 __all__ = [
     "CongruenceReport",
@@ -135,132 +139,19 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     return CongruenceReport(tuple(records))
 
 
-# -- GF(p) expansion engine ------------------------------------------------
-# Series live as int lists of fixed length order+1 with entries in [0, p).
-
-
-def _gf_inv(p: int, x: int) -> int:
-    x %= p
-    if x == 0:
-        raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return pow(x, p - 2, p)
-
-
-def _gf_mul(p: int, a: list[int], b: list[int]) -> list[int]:
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(n - i):
-                if b[j]:
-                    out[i + j] = (out[i + j] + ai * b[j]) % p
-    return out
-
-
-def _gf_invert(p: int, a: list[int]) -> list[int]:
-    b0 = _gf_inv(p, a[0])
-    out = [b0]
-    for k in range(1, len(a)):
-        acc = 0
-        for j in range(1, k + 1):
-            if a[j]:
-                acc += a[j] * out[k - j]
-        out.append((-b0 * acc) % p)
-    return out
-
-
-def _gf_binpow(p: int, e: int, n: int) -> list[int]:
-    """(1+s)^e mod p through s^n; needs n <= p-2 so k stays invertible."""
-    if e < 0:
-        return _gf_invert(p, _gf_binpow(p, -e, n))
-    out = [1]
-    c = 1
-    for k in range(1, n + 1):
-        c = c * ((e - k + 1) % p) % p * _gf_inv(p, k) % p
-        out.append(c)
-    return out
-
-
-def _gf_unit(p: int, a: int, n: int) -> list[int]:
-    """(t^a - 1)/s mod p: coefficients C(a, k+1) for k = 0..n."""
-    out = []
-    c = 1
-    for k in range(1, n + 2):
-        c = c * ((a - k + 1) % p) % p * _gf_inv(p, k) % p
-        out.append(c)
-    return out
-
-
-def _gf_add(p: int, a: list[int], b: list[int]) -> list[int]:
-    return [(x + y) % p for x, y in zip(a, b)]
-
-
-def _gf_scale(p: int, a: list[int], q: int) -> list[int]:
-    q %= p
-    return [x * q % p for x in a]
-
-
-def _gf_shift(a: list[int], k: int) -> list[int]:
-    return [0] * k + a[: len(a) - k]
-
-
-def _gf_plus_one(p: int, a: list[int]) -> list[int]:
-    out = list(a)
-    out[0] = (out[0] + 1) % p
-    return out
-
-
-def _gf_point(p: int, a: int, b: int, lam: int, n: int) -> list[int]:
-    num = _gf_mul(
-        p,
-        _gf_add(p, _gf_binpow(p, a + lam, n), _gf_binpow(p, lam, n)),
-        _gf_plus_one(p, _gf_binpow(p, b, n)),
-    )
-    invs = _gf_mul(p, _gf_invert(p, _gf_unit(p, a, n)), _gf_invert(p, _gf_unit(p, b, n)))
-    return _gf_mul(p, num, invs)
-
-
-def _gf_sphere(p: int, c: int, alpha: int, lam: int, n: int) -> list[int]:
-    inv = _gf_invert(p, _gf_unit(p, c, n))
-    core = _gf_mul(p, _gf_binpow(p, c + lam, n), _gf_mul(p, inv, inv))
-    return _gf_scale(p, core, -4 * alpha)
-
-
-def _gf_boundary(p: int, c: int, m: int, lam: int, n: int) -> list[int]:
-    inv = _gf_invert(p, _gf_unit(p, c, n))
-    inner = _gf_mul(
-        p, _gf_plus_one(p, _gf_binpow(p, c, n)), _gf_mul(p, _gf_binpow(p, lam, n), inv)
-    )
-    return _gf_shift(_gf_scale(p, inner, 2 * m), 1)
-
-
-def _gf_su2_point(p: int, a: int, b: int, ell: int, n: int) -> list[int]:
-    wts = _gf_add(p, _gf_binpow(p, ell, n), _gf_binpow(p, -ell, n))
-    num = _gf_mul(p, _gf_plus_one(p, _gf_binpow(p, a, n)), _gf_plus_one(p, _gf_binpow(p, b, n)))
-    invs = _gf_mul(p, _gf_invert(p, _gf_unit(p, a, n)), _gf_invert(p, _gf_unit(p, b, n)))
-    return _gf_mul(p, _gf_mul(p, num, wts), invs)
-
-
-def _gf_su2_sphere(p: int, c: int, alpha: int, m: int, ell: int, n: int) -> list[int]:
-    inv = _gf_invert(p, _gf_unit(p, c, n))
-    total = [0] * (n + 1)
-    if alpha % p:
-        wts = _gf_add(p, _gf_binpow(p, c + ell, n), _gf_binpow(p, c - ell, n))
-        total = _gf_add(p, total, _gf_scale(p, _gf_mul(p, wts, _gf_mul(p, inv, inv)), -4 * alpha))
-    if m % p and ell % p:
-        diff = [(x - y) % p for x, y in zip(_gf_unit(p, ell, n), _gf_unit(p, -ell, n))]
-        inner = _gf_mul(p, _gf_plus_one(p, _gf_binpow(p, c, n)), _gf_mul(p, diff, inv))
-        total = _gf_add(p, total, _gf_shift(_gf_scale(p, inner, 2 * m), 2))
-    return total
-
-
 def _series_records(
-    p: int, total: list[int], required: list[int], prefix: str
+    p: int, terms: list[list[int]], n: int, s2_target: int
 ) -> list[RelationRecord]:
-    out = []
-    for k, (lhs, req) in enumerate(zip(total, required)):
-        out.append(RelationRecord(f"{prefix}_order_{k}", lhs, req, lhs == req))
-    return out
+    """Sum the GF(p) expansions of the fixed-point terms through s^n;
+    the total must reduce to s2_target * s^2 and nothing else."""
+    total = [sum(col) % p for col in zip(*terms)] if terms else [0] * (n + 1)
+    required = [0] * (n + 1)
+    if n >= 2:
+        required[2] = s2_target % p
+    return [
+        RelationRecord(f"series_order_{k}", lhs, req, lhs == req)
+        for k, (lhs, req) in enumerate(zip(total, required))
+    ]
 
 
 # -- rotation data congruences ---------------------------------------------
@@ -271,7 +162,7 @@ def _relation_residues(action: GroupAction) -> list[int]:
     r = [0, 0, 0, 0]
     for pt in action.points:
         a, b = pt.a, pt.b
-        iv = _gf_inv(p, a * b)
+        iv = pow(a * b, -1, p)
         a2, b2 = a * a, b * b
         r[0] += iv
         r[1] += (a2 + b2) * iv
@@ -279,7 +170,7 @@ def _relation_residues(action: GroupAction) -> list[int]:
         r[3] += (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv
     for s in action.spheres:
         c2 = s.c * s.c
-        ivc2 = _gf_inv(p, c2)
+        ivc2 = pow(c2, -1, p)
         r[0] -= s.alpha * ivc2
         r[1] += s.alpha
         r[2] += 3 * s.alpha * c2
@@ -303,16 +194,10 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     records = [
         RelationRecord(f"relation_{i + 1}", rel[i], req[i], rel[i] == req[i]) for i in range(4)
     ]
-    n = p - 2
-    total = [0] * (n + 1)
-    for pt in action.points:
-        total = _gf_add(p, total, _gf_point(p, pt.a, pt.b, 0, n))
-    for s in action.spheres:
-        total = _gf_add(p, total, _gf_sphere(p, s.c, s.alpha, 0, n))
-    required = [0] * (n + 1)
-    if n >= 2:
-        required[2] = action.signature % p
-    records += _series_records(p, total, required, "series")
+    n, gf = p - 2, GF(p)
+    terms = [expand_point_term(pt.a, pt.b, 0, n, gf) for pt in action.points]
+    terms += [expand_sphere_term(s.c, s.alpha, 0, n, gf) for s in action.spheres]
+    records += _series_records(p, terms, n, action.signature)
     return CongruenceReport(tuple(records))
 
 
@@ -323,9 +208,9 @@ def _line_lhs(action: GroupAction, iso: LineIsotropy) -> int:
     p = action.p
     lhs = 0
     for pt, lam in zip(action.points, iso.lambda_points):
-        lhs += lam * _gf_inv(p, pt.a * pt.b)
+        lhs += lam * pow(pt.a * pt.b, -1, p)
     for s, lam, m in zip(action.spheres, iso.lambda_spheres, iso.m_spheres):
-        lhs += (s.c * m - lam * s.alpha) * _gf_inv(p, s.c * s.c)
+        lhs += (s.c * m - lam * s.alpha) * pow(s.c * s.c, -1, p)
     return lhs % p
 
 
@@ -364,19 +249,19 @@ def solve_theorem_a(action: GroupAction, partial: LineIsotropy) -> LineIsotropy:
     residual = _line_lhs(action, base)
     if kind == "lambda":
         pt = action.points[idx]
-        coeff = _gf_inv(p, pt.a * pt.b)
+        coeff = pow(pt.a * pt.b, -1, p)
     elif kind == "lambda_sphere":
         s = action.spheres[idx]
-        coeff = (-s.alpha) * _gf_inv(p, s.c * s.c) % p
+        coeff = (-s.alpha) * pow(s.c * s.c, -1, p) % p
     else:
-        coeff = _gf_inv(p, action.spheres[idx].c)
+        coeff = pow(action.spheres[idx].c, -1, p)
     if coeff % p == 0:
         if residual == 0:
             return base  # any value satisfies the congruence; keep 0
         raise NotSolvable(
             f"slot {kind}[{idx}] has zero coefficient mod {p} and residual {residual}"
         )
-    value = (-residual) * _gf_inv(p, coeff) % p
+    value = (-residual) * pow(coeff, -1, p) % p
     return base.with_slot(kind, idx, signed_rep(value, p))
 
 
@@ -394,9 +279,9 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
     first = _line_lhs(action, isotropy)
     second = 0
     for pt, lam in zip(action.points, isotropy.lambda_points):
-        second += lam * lam * _gf_inv(p, pt.a * pt.b)
+        second += lam * lam * pow(pt.a * pt.b, -1, p)
     for s, lam, m in zip(action.spheres, isotropy.lambda_spheres, isotropy.m_spheres):
-        second += (-lam * lam * s.alpha) * _gf_inv(p, s.c * s.c) + 2 * lam * m * _gf_inv(p, s.c)
+        second += (-lam * lam * s.alpha) * pow(s.c * s.c, -1, p) + 2 * lam * m * pow(s.c, -1, p)
     second %= p
     records = [
         RelationRecord("first_order", first, 0, first == 0),
@@ -405,17 +290,15 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
         ),
     ]
     # Twisted characters only pin the expansion through order 2.
-    n = min(2, p - 2)
-    total = [0] * (n + 1)
-    for pt, lam in zip(action.points, isotropy.lambda_points):
-        total = _gf_add(p, total, _gf_point(p, pt.a, pt.b, lam, n))
+    n, gf = min(2, p - 2), GF(p)
+    terms = [
+        expand_point_term(pt.a, pt.b, lam, n, gf)
+        for pt, lam in zip(action.points, isotropy.lambda_points)
+    ]
     for s, lam, m in zip(action.spheres, isotropy.lambda_spheres, isotropy.m_spheres):
-        total = _gf_add(p, total, _gf_sphere(p, s.c, s.alpha, lam, n))
-        total = _gf_add(p, total, _gf_boundary(p, s.c, m, lam, n))
-    required = [0] * (n + 1)
-    if n >= 2:
-        required[2] = (action.signature + 2 * isotropy.c1_squared) % p
-    records += _series_records(p, total, required, "series")
+        terms.append(expand_sphere_term(s.c, s.alpha, lam, n, gf))
+        terms.append(expand_boundary_term(s.c, m, lam, n, gf))
+    records += _series_records(p, terms, n, action.signature + 2 * isotropy.c1_squared)
     return CongruenceReport(tuple(records))
 
 
@@ -428,22 +311,22 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     isotropy.check_shape(action)
     lhs = 0
     for pt, ell in zip(action.points, isotropy.ell_points):
-        lhs += ell * ell * _gf_inv(p, pt.a * pt.b)
+        lhs += ell * ell * pow(pt.a * pt.b, -1, p)
     for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres):
-        lhs += (-ell * ell * s.alpha) * _gf_inv(p, s.c * s.c) + 2 * ell * m * _gf_inv(p, s.c)
+        lhs += (-ell * ell * s.alpha) * pow(s.c * s.c, -1, p) + 2 * ell * m * pow(s.c, -1, p)
     lhs %= p
     want = (-isotropy.c2) % p
     records = [RelationRecord("su2_weight_sum", lhs, want, lhs == want)]
-    n = min(2, p - 2)
-    total = [0] * (n + 1)
-    for pt, ell in zip(action.points, isotropy.ell_points):
-        total = _gf_add(p, total, _gf_su2_point(p, pt.a, pt.b, ell, n))
-    for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres):
-        total = _gf_add(p, total, _gf_su2_sphere(p, s.c, s.alpha, m, ell, n))
-    required = [0] * (n + 1)
-    if n >= 2:
-        required[2] = (2 * action.signature - 4 * isotropy.c2) % p
-    records += _series_records(p, total, required, "series")
+    n, gf = min(2, p - 2), GF(p)
+    terms = [
+        expand_su2_point_term(pt.a, pt.b, ell, n, gf)
+        for pt, ell in zip(action.points, isotropy.ell_points)
+    ]
+    terms += [
+        expand_su2_sphere_term(s.c, s.alpha, m, ell, n, gf)
+        for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres)
+    ]
+    records += _series_records(p, terms, n, 2 * action.signature - 4 * isotropy.c2)
     return CongruenceReport(tuple(records))
 
 
@@ -467,13 +350,7 @@ def flat_chern_class(n: int, a: int, b: int, lam: int) -> Residue:
 
     if gcd(a * b, n) != 1:
         raise NotCoprimeRotation(f"a*b = {a * b} must be coprime to {n}")
-    return Residue(lam * _inv_mod(a * b, n), n)
-
-
-def _inv_mod(x: int, n: int) -> int:
-    from .exact_arith import mod_inverse
-
-    return mod_inverse(x, n).value
+    return Residue(lam * pow(a * b, -1, n), n)
 
 
 def boundary_chern_data(sphere: FixedSphere, lam: int, m: int, p: int) -> Residue:
@@ -547,10 +424,10 @@ def search_realizable(
         seen_spheres.add(key)
         sphere_choices.append(ws)
     for pts in itertools.combinations_with_replacement(classes, n_points):
-        base_r1 = sum(_gf_inv(p, a * b) for a, b in pts)
+        base_r1 = sum(pow(a * b, -1, p) for a, b in pts)
         for ws in sphere_choices:
             r1 = base_r1 - sum(
-                alpha * _gf_inv(p, w * w) for w, alpha in zip(ws, sphere_alphas)
+                alpha * pow(w * w, -1, p) for w, alpha in zip(ws, sphere_alphas)
             )
             if r1 % p != 0:
                 continue

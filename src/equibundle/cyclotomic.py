@@ -27,10 +27,6 @@ __all__ = [
     "ZeroRotation",
     "NotRational",
     "zeta_pow",
-    "cyclo_add",
-    "cyclo_mul",
-    "cyclo_neg",
-    "cyclo_inv",
     "zeta_minus_one_inv",
     "eval_point_term",
     "eval_sphere_term",
@@ -141,15 +137,6 @@ class CycloNum:
         return " + ".join(parts) if parts else "0"
 
 
-def _from_exponents(p: int, raw: list) -> CycloNum:
-    """Reduce an arbitrary-degree coefficient list into canonical form."""
-    folded = [Fraction(0)] * p
-    for i, v in enumerate(raw):
-        folded[i % p] += v
-    top = folded[p - 1]
-    return CycloNum(p, tuple(folded[i] - top for i in range(p - 1)))
-
-
 def from_rational(p: int, q) -> CycloNum:
     coeffs = [Fraction(0)] * (p - 1)
     coeffs[0] = Fraction(q)
@@ -166,86 +153,12 @@ def zeta_pow(p: int, e: int) -> CycloNum:
     return CycloNum(p, tuple(coeffs))
 
 
-def cyclo_add(x: CycloNum, y: CycloNum) -> CycloNum:
-    return x + y
-
-
-def cyclo_mul(x: CycloNum, y: CycloNum) -> CycloNum:
-    return x * y
-
-
-def cyclo_neg(x: CycloNum) -> CycloNum:
-    return -x
-
-
-# -- inversion ---------------------------------------------------------
-
-
-def _pdeg(f: list[Fraction]) -> int:
-    for i in range(len(f) - 1, -1, -1):
-        if f[i] != 0:
-            return i
-    return -1
-
-
-def _pdivmod(f: list[Fraction], g: list[Fraction]):
-    dg = _pdeg(g)
-    r = list(f)
-    q = [Fraction(0)] * max(len(f) - dg, 1)
-    lead = g[dg]
-    for i in range(_pdeg(r), dg - 1, -1):
-        if r[i] == 0:
-            continue
-        c = r[i] / lead
-        q[i - dg] = c
-        for j in range(dg + 1):
-            r[i - dg + j] -= c * g[j]
-    return q, r
-
-
-def _pmul(f, g):
-    out = [Fraction(0)] * (max(_pdeg(f), 0) + max(_pdeg(g), 0) + 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
-def _psub(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else Fraction(0)) - (g[i] if i < len(g) else Fraction(0)) for i in range(n)]
-
-
-def cyclo_inv(x: CycloNum) -> CycloNum:
-    """Multiplicative inverse via the extended Euclidean algorithm on
-    representatives in Q[t] against Phi_p.
-
-    Phi_p is irreducible over Q, so any nonzero x of degree < p-1 is
-    coprime to it and the last nonzero remainder is a constant.
-    """
-    if x.is_zero:
-        raise ZeroDivisionError("inverse of zero cyclotomic element")
-    p = x.p
-    phi = [Fraction(1)] * p
-    r0, r1 = phi, list(x.coeffs)
-    s0, s1 = [Fraction(0)], [Fraction(1)]  # invariant: r_i == s_i * x mod Phi_p
-    while _pdeg(r1) > 0:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    c = r1[_pdeg(r1)]
-    return _from_exponents(p, [si / c for si in s1])
-
-
 def zeta_minus_one_inv(p: int, e: int) -> CycloNum:
     """(zeta^e - 1)^(-1) in closed form: (1/p) * sum_j j * zeta^(e*j).
 
     The identity (zeta^e - 1) * sum_{j=0}^{p-1} j*zeta^(ej) = p holds
     because the shifted sum telescopes and sum_j zeta^(ej) = 0 for
-    e != 0 mod p.  This avoids the Euclidean algorithm in hot paths.
+    e != 0 mod p.
     """
     if e % p == 0:
         raise ZeroRotation(f"exponent {e} is divisible by {p}")

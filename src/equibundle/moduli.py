@@ -27,7 +27,6 @@ from .exact_arith import Rational
 __all__ = [
     "FloatMismatch",
     "NonIntegerDimension",
-    "HasSpheres",
     "NotInvolution",
     "ParityError",
     "RhoValue",
@@ -38,7 +37,6 @@ __all__ = [
     "quotient_invariants",
     "dim_nonequivariant",
     "dim_invariant_moduli",
-    "dim_isolated_only",
     "dim_involution",
 ]
 
@@ -60,10 +58,6 @@ class NonIntegerDimension(ArithmeticError):
         super().__init__(f"dimension formula gave non-integer value {total}")
         self.total = total
         self.terms = terms
-
-
-class HasSpheres(ValueError):
-    """The isolated-points-only entry point got an action with spheres."""
 
 
 class NotInvolution(ValueError):
@@ -254,14 +248,6 @@ def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy, k: int) -> 
     if total.denominator != 1:
         raise NonIntegerDimension(total, terms)
     return DimensionReport(int(total), terms, chi_q, sign_q)
-
-
-def dim_isolated_only(action: GroupAction, isotropy: Su2Isotropy, k: int) -> DimensionReport:
-    """Same as dim_invariant_moduli but only for actions whose fixed
-    set is a finite set of points."""
-    if action.spheres:
-        raise HasSpheres(f"action has {len(action.spheres)} fixed spheres")
-    return dim_invariant_moduli(action, isotropy, k)
 
 
 def dim_involution(action: GroupAction, k: int) -> DimensionReport:

@@ -1,16 +1,21 @@
-"""Truncated formal power series in s = t - 1 with exact coefficients.
+"""Truncated power series in s = t - 1 over Q or GF(p).
 
 Every signature integrand, multiplied by (t-1)^2 to clear its pole,
 expands here.  The factor t^a - 1 is handled as s * u_a where u_a is a
 unit with constant term a, so each expansion is a product of binomial
-series and unit inverses; no closed-form coefficient tables are used.
+series divided by units; no closed-form coefficient tables are used.
+
+Each expansion is written once, over a coefficient ring the caller
+picks: ``QQ`` (exact rationals, returned as a PowerSeries) or ``GF(p)``
+(ints in [0, p), returned as a list).  Reducing mod p is legitimate
+because every coefficient is an integer divided by a product of powers
+of the rotation numbers, which are units mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from ._poly import cleared, convolve
 from .cyclotomic import ZeroRotation
@@ -18,6 +23,8 @@ from .cyclotomic import ZeroRotation
 __all__ = [
     "PowerSeries",
     "NotAUnit",
+    "QQ",
+    "GF",
     "series_add",
     "series_sub",
     "series_mul",
@@ -81,6 +88,134 @@ class PowerSeries:
         return f"{body} + O(s^{self.order + 1})"
 
 
+# -- coefficient rings -------------------------------------------------------
+# A series is a list of order+1 coefficients.  A ring reduces integer
+# combinations of its elements, multiplies truncated series, divides a
+# series by a unit, and wraps a finished expansion for the caller.
+# Division runs the recurrence y_0 q_k = x_k - sum_{j=1..k} y_j q_(k-j);
+# only j <= deg(y) contributes.
+
+
+def _degree(coeffs) -> int:
+    d = len(coeffs) - 1
+    while d > 0 and not coeffs[d]:
+        d -= 1
+    return d
+
+
+class _Rationals:
+    """Q: coefficients are Fractions or ints; expansions are PowerSeries."""
+
+    def reduce(self, xs: list) -> list:
+        return xs
+
+    def mul(self, x, y) -> list:
+        ax, da = cleared(x)
+        bx, db = cleared(y)
+        den = da * db
+        return [Fraction(v, den) for v in convolve(ax, bx, upto=len(x) - 1)]
+
+    def div(self, x, y) -> list:
+        """Runs the recurrence on denominator-cleared copies X, Y; with
+        B_k = (X/Y)_k * Y_0^(k+1) every intermediate is an integer."""
+        if y[0] == 0:
+            raise NotAUnit("constant term is zero")
+        ax, dx = cleared(x)
+        ay, dy = cleared(y)
+        y0, d = ay[0], _degree(ay)
+        big = []
+        top = 1  # y0^k
+        for k in range(len(ax)):
+            acc = ax[k] * top
+            pw = 1  # y0^(j-1)
+            for j in range(1, min(k, d) + 1):
+                if ay[j]:
+                    acc -= ay[j] * big[k - j] * pw
+                pw *= y0
+            big.append(acc)
+            top *= y0
+        out = []
+        pw = dx * y0
+        for b in big:
+            out.append(Fraction(dy * b, pw))
+            pw *= y0
+        return out
+
+    def series(self, coeffs: list, order: int) -> PowerSeries:
+        return PowerSeries(tuple(coeffs), order)
+
+
+class GF:
+    """GF(p): coefficients are ints in [0, p); expansions are lists."""
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+
+    def reduce(self, xs: list) -> list:
+        p = self.p
+        return [c % p for c in xs]
+
+    def mul(self, x, y) -> list:
+        return self.reduce(convolve(x, y, upto=len(x) - 1))
+
+    def div(self, x, y) -> list:
+        p = self.p
+        if y[0] % p == 0:
+            raise NotAUnit(f"constant term is zero mod {p}")
+        inv0, d = pow(y[0], -1, p), _degree(y)
+        q = []
+        for k, acc in enumerate(x):
+            for j in range(1, min(k, d) + 1):
+                acc -= y[j] * q[k - j]
+            q.append(acc * inv0 % p)
+        return q
+
+    def series(self, coeffs: list, order: int) -> list:
+        return coeffs
+
+
+QQ = _Rationals()
+
+
+def _binomial(ring, e: int, count: int) -> list:
+    """C(e, k) for k < count, the coefficients of (1 + s)^e.
+
+    C(e, k) = C(e, k-1) * (e-k+1) / k divides exactly in Z for every
+    integer e, negative ones included.
+    """
+    out = [1]
+    c = 1
+    for k in range(1, count):
+        c = c * (e - k + 1) // k
+        out.append(c)
+    return ring.reduce(out)
+
+
+def _unit(ring, a: int, n: int) -> list:
+    """u_a with t^a - 1 = s * u_a; coefficients C(a, k+1).  u_0 is zero."""
+    return _binomial(ring, a, n + 2)[1:]
+
+
+def _add(ring, x: list, y: list) -> list:
+    return ring.reduce([u + v for u, v in zip(x, y)])
+
+
+def _scale(ring, x: list, q) -> list:
+    return ring.reduce([c * q for c in x])
+
+
+def _plus_one(ring, x: list) -> list:
+    return ring.reduce([x[0] + 1, *x[1:]])
+
+
+def _shift(x: list, k: int) -> list:
+    """Multiply by s^k, truncating at the original order."""
+    return [0] * k + x[: len(x) - k]
+
+
+# -- exact series over Q -----------------------------------------------------
+
+
 def zero_series(order: int) -> PowerSeries:
     return PowerSeries((), order)
 
@@ -106,76 +241,23 @@ def series_scale(x: PowerSeries, q) -> PowerSeries:
 
 def series_mul(x: PowerSeries, y: PowerSeries) -> PowerSeries:
     n = min(x.order, y.order)
-    ax, da = cleared(x.coeffs)
-    bx, db = cleared(y.coeffs)
-    raw = convolve(ax, bx, upto=n)
-    den = da * db
-    out = [Fraction(v, den) for v in raw]
-    return PowerSeries(tuple(out), n)
+    return PowerSeries(tuple(QQ.mul(x.coeffs[: n + 1], y.coeffs[: n + 1])), n)
 
 
 def series_invert_unit(x: PowerSeries) -> PowerSeries:
-    """Inverse of a unit series: x * result = 1 + O(s^(order+1)).
-
-    Runs the standard recurrence on a denominator-cleared copy; with
-    B_k = b_k * a0^(k+1) every intermediate is an integer.
-    """
-    if x.coeffs[0] == 0:
-        raise NotAUnit("constant term is zero")
-    n = x.order
-    ax, d = cleared(x.coeffs)
-    a0 = ax[0]
-    big = [1]
-    for k in range(1, n + 1):
-        acc = 0
-        pw = 1  # a0^(j-1)
-        for j in range(1, k + 1):
-            aj = ax[j] if j < len(ax) else 0
-            if aj:
-                acc += aj * big[k - j] * pw
-            pw *= a0
-        big.append(-acc)
-    out = []
-    pw = a0
-    for k in range(n + 1):
-        out.append(Fraction(d * big[k], pw))
-        pw *= a0
-    return PowerSeries(tuple(out), n)
+    """Inverse of a unit series: x * result = 1 + O(s^(order+1))."""
+    return PowerSeries(tuple(QQ.div([1] + [0] * x.order, x.coeffs)), x.order)
 
 
-def _shift(x: PowerSeries, k: int) -> PowerSeries:
-    """Multiply by s^k, truncating at the original order."""
-    return PowerSeries((Fraction(0),) * k + x.coeffs[: x.order + 1 - k], x.order)
+# -- the fixed-point expansions, over the caller's ring ----------------------
 
 
-def _plus_const(x: PowerSeries, q) -> PowerSeries:
-    cs = list(x.coeffs)
-    cs[0] += Fraction(q)
-    return PowerSeries(tuple(cs), x.order)
+def expand_binomial_power(exponent: int, order: int, ring=QQ):
+    """(1 + s)^exponent for any integer exponent."""
+    return ring.series(_binomial(ring, exponent, order + 1), order)
 
 
-def expand_binomial_power(exponent: int, order: int) -> PowerSeries:
-    """(1 + s)^exponent; negative exponents invert the positive power."""
-    if exponent < 0:
-        return series_invert_unit(expand_binomial_power(-exponent, order))
-    return PowerSeries(tuple(Fraction(comb(exponent, k)) for k in range(order + 1)), order)
-
-
-def _unit_factor(a: int, order: int) -> PowerSeries:
-    """u_a with t^a - 1 = s * u_a; coefficients are C(a, k+1).
-
-    The generalized binomial recurrence keeps exact integer values for
-    negative a as well.  u_0 is the zero series.
-    """
-    c = Fraction(a)
-    out = [c]
-    for k in range(2, order + 2):
-        c = c * (a - k + 1) / k
-        out.append(c)
-    return PowerSeries(tuple(out), order)
-
-
-def expand_point_term(a: int, b: int, lam: int, order: int) -> PowerSeries:
+def expand_point_term(a: int, b: int, lam: int, order: int, ring=QQ):
     """(t^a+1)(t^b+1) / ((t^a-1)(t^b-1)) * (t-1)^2 * t^lam.
 
     The two s factors cancel the pole, so the result is a genuine
@@ -183,29 +265,27 @@ def expand_point_term(a: int, b: int, lam: int, order: int) -> PowerSeries:
     """
     if a == 0 or b == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
-    num = series_mul(
-        series_add(expand_binomial_power(a + lam, order), expand_binomial_power(lam, order)),
-        _plus_const(expand_binomial_power(b, order), 1),
+    n = order + 1
+    num = ring.mul(
+        _add(ring, _binomial(ring, a + lam, n), _binomial(ring, lam, n)),
+        _plus_one(ring, _binomial(ring, b, n)),
     )
-    invs = series_mul(
-        series_invert_unit(_unit_factor(a, order)),
-        series_invert_unit(_unit_factor(b, order)),
-    )
-    return series_mul(num, invs)
+    den = ring.mul(_unit(ring, a, order), _unit(ring, b, order))
+    return ring.series(ring.div(num, den), order)
 
 
-def expand_sphere_term(c: int, alpha: int, lam: int, order: int) -> PowerSeries:
+def expand_sphere_term(c: int, alpha: int, lam: int, order: int, ring=QQ):
     """-4*alpha*t^c / (t^c-1)^2 * (t-1)^2 * t^lam; constant -4*alpha/c^2."""
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
     if alpha == 0:
-        return zero_series(order)
-    inv = series_invert_unit(_unit_factor(c, order))
-    core = series_mul(expand_binomial_power(c + lam, order), series_mul(inv, inv))
-    return series_scale(core, -4 * alpha)
+        return ring.series([0] * (order + 1), order)
+    u = _unit(ring, c, order)
+    core = ring.div(_binomial(ring, c + lam, order + 1), ring.mul(u, u))
+    return ring.series(_scale(ring, core, -4 * alpha), order)
 
 
-def expand_boundary_term(c: int, m: int, lam: int, order: int) -> PowerSeries:
+def expand_boundary_term(c: int, m: int, lam: int, order: int, ring=QQ):
     """2m(t^c+1)/(t^c-1) * (t-1)^2 * t^lam.
 
     One s factor survives, so the constant term is always zero and the
@@ -214,32 +294,27 @@ def expand_boundary_term(c: int, m: int, lam: int, order: int) -> PowerSeries:
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
     if m == 0:
-        return zero_series(order)
-    inv = series_invert_unit(_unit_factor(c, order))
-    inner = series_mul(
-        _plus_const(expand_binomial_power(c, order), 1),
-        series_mul(expand_binomial_power(lam, order), inv),
-    )
-    return _shift(series_scale(inner, 2 * m), 1)
+        return ring.series([0] * (order + 1), order)
+    n = order + 1
+    num = ring.mul(_plus_one(ring, _binomial(ring, c, n)), _binomial(ring, lam, n))
+    inner = ring.div(num, _unit(ring, c, order))
+    return ring.series(_shift(_scale(ring, inner, 2 * m), 1), order)
 
 
-def expand_su2_point_term(a: int, b: int, ell: int, order: int) -> PowerSeries:
+def expand_su2_point_term(a: int, b: int, ell: int, order: int, ring=QQ):
     """Point term times the rank-two character t^ell + t^(-ell)."""
     if a == 0 or b == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
-    wts = series_add(expand_binomial_power(ell, order), expand_binomial_power(-ell, order))
-    num = series_mul(
-        _plus_const(expand_binomial_power(a, order), 1),
-        _plus_const(expand_binomial_power(b, order), 1),
+    n = order + 1
+    wts = _add(ring, _binomial(ring, ell, n), _binomial(ring, -ell, n))
+    num = ring.mul(
+        _plus_one(ring, _binomial(ring, a, n)), _plus_one(ring, _binomial(ring, b, n))
     )
-    invs = series_mul(
-        series_invert_unit(_unit_factor(a, order)),
-        series_invert_unit(_unit_factor(b, order)),
-    )
-    return series_mul(series_mul(num, wts), invs)
+    den = ring.mul(_unit(ring, a, order), _unit(ring, b, order))
+    return ring.series(ring.div(ring.mul(num, wts), den), order)
 
 
-def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int) -> PowerSeries:
+def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int, ring=QQ):
     """Sphere contribution for a rank-two bundle:
 
         [-4*alpha*t^c/(t^c-1)^2 * (t^ell + t^-ell)
@@ -250,17 +325,16 @@ def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int) -> 
     """
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
-    total = zero_series(order)
-    inv = series_invert_unit(_unit_factor(c, order))
+    n = order + 1
+    total = [0] * n
+    u = _unit(ring, c, order)
     if alpha:
-        wts = series_add(
-            expand_binomial_power(c + ell, order), expand_binomial_power(c - ell, order)
-        )
-        total = series_add(total, series_scale(series_mul(wts, series_mul(inv, inv)), -4 * alpha))
+        wts = _add(ring, _binomial(ring, c + ell, n), _binomial(ring, c - ell, n))
+        total = _scale(ring, ring.div(wts, ring.mul(u, u)), -4 * alpha)
     if m and ell:
-        diff = series_sub(_unit_factor(ell, order), _unit_factor(-ell, order))
-        inner = series_mul(
-            _plus_const(expand_binomial_power(c, order), 1), series_mul(diff, inv)
+        diff = ring.reduce(
+            [x - y for x, y in zip(_unit(ring, ell, order), _unit(ring, -ell, order))]
         )
-        total = series_add(total, _shift(series_scale(inner, 2 * m), 2))
-    return total
+        inner = ring.div(ring.mul(_plus_one(ring, _binomial(ring, c, n)), diff), u)
+        total = _add(ring, total, _shift(_scale(ring, inner, 2 * m), 2))
+    return ring.series(total, order)

@@ -222,6 +222,33 @@ def test_expand_defaults_twist_to_zero(capsys):
     assert payload["coefficients"][0] == "8"
 
 
+def test_expand_zero_modulus_is_parse_error(capsys):
+    argv = ["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", "3", "--p", "0"]
+    assert main(argv) == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def test_expand_modulus_one_is_parse_error(capsys):
+    argv = ["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", "3", "--p", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_expand_negative_order_is_parse_error(capsys):
+    assert main(["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", "-1"]) == 2
+    assert "--order" in capsys.readouterr().err
+
+
+def test_search_negative_limit_is_parse_error(capsys):
+    argv = [
+        "search", "--p", "5", "--points", "1", "--spheres", "1", "--alphas", "1",
+        "--sign", "1", "--euler", "3", "--b2", "1", "--limit", "-1",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--limit" in err and "islice" not in err
+
+
 def test_unknown_arguments_are_parse_errors(triple_doc):
     assert main(["frobnicate"]) == 2
     assert main(["check", triple_doc, "--mode", "bogus"]) == 2

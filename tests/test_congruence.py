@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equibundle.action_model import (
     FixedSphere,
@@ -23,11 +25,6 @@ from equibundle.congruence import (
     Overdetermined,
     Underdetermined,
     ZeroSelfIntersection,
-    _gf_boundary,
-    _gf_point,
-    _gf_sphere,
-    _gf_su2_point,
-    _gf_su2_sphere,
     boundary_chern_data,
     check_line_bundle,
     check_rotation_relations,
@@ -42,6 +39,8 @@ from equibundle.congruence import (
 )
 from equibundle.exact_arith import rational_mod
 from equibundle.series import (
+    GF,
+    expand_binomial_power,
     expand_boundary_term,
     expand_point_term,
     expand_sphere_term,
@@ -50,6 +49,7 @@ from equibundle.series import (
 )
 
 PRIMES = [3, 5, 7, 11, 13]
+PRIMES_TO_31 = PRIMES + [17, 19, 23, 29, 31]
 
 
 def _model_pool(p, rng, count=4):
@@ -106,12 +106,24 @@ def _exact_mod_p(series, p, order):
     return out
 
 
-def test_gf_expansions_match_exact_series():
-    # the GF(p) fast path must agree with the exact rational expansion
+def _assert_gf_matches_exact(p, a, b, c, alpha, m, lam, ell):
+    # every expansion over GF(p) equals its exact rational expansion
     # reduced mod p, coefficient by coefficient, through order p-2
+    n, gf = p - 2, GF(p)
+    kinds = [
+        (expand_point_term, (a, b, lam)),
+        (expand_sphere_term, (c, alpha, lam)),
+        (expand_boundary_term, (c, m, lam)),
+        (expand_su2_point_term, (a, b, ell)),
+        (expand_su2_sphere_term, (c, alpha, m, ell)),
+    ]
+    for expand, params in kinds:
+        assert expand(*params, n, gf) == _exact_mod_p(expand(*params, n), p, n)
+
+
+def test_gf_expansions_match_exact_series():
     rng = random.Random(8302)
     for p in PRIMES:
-        n = p - 2
         for _ in range(6):
             a = rng.randrange(1, p)
             b = rng.randrange(1, p)
@@ -120,18 +132,31 @@ def test_gf_expansions_match_exact_series():
             m = rng.randrange(-4, 5)
             lam = rng.randrange(0, p)
             ell = rng.randrange(0, p)
-            pairs = [
-                (_gf_point(p, a, b, lam, n), expand_point_term(a, b, lam, n)),
-                (_gf_sphere(p, c, alpha, lam, n), expand_sphere_term(c, alpha, lam, n)),
-                (_gf_boundary(p, c, m, lam, n), expand_boundary_term(c, m, lam, n)),
-                (_gf_su2_point(p, a, b, ell, n), expand_su2_point_term(a, b, ell, n)),
-                (
-                    _gf_su2_sphere(p, c, alpha, m, ell, n),
-                    expand_su2_sphere_term(c, alpha, m, ell, n),
-                ),
-            ]
-            for got, exact in pairs:
-                assert got == _exact_mod_p(exact, p, n)
+            _assert_gf_matches_exact(p, a, b, c, alpha, m, lam, ell)
+
+
+@st.composite
+def _gf_cases(draw):
+    p = draw(st.sampled_from(PRIMES_TO_31))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda x: x % p)
+    small = st.integers(-3 * p, 3 * p)
+    a, b, c = (draw(unit) for _ in range(3))
+    alpha, m, lam, ell = (draw(small) for _ in range(4))
+    return p, a, b, c, alpha, m, lam, ell
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gf_cases())
+def test_gf_ring_is_rational_ring_mod_p(case):
+    _assert_gf_matches_exact(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES_TO_31), st.integers(-200, 200))
+def test_gf_binomial_is_rational_binomial_mod_p(p, e):
+    n = p - 2
+    got = expand_binomial_power(e, n, GF(p))
+    assert got == _exact_mod_p(expand_binomial_power(e, n), p, n)
 
 
 def test_rotation_relations_pass_on_linear_models():

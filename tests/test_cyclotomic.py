@@ -8,10 +8,6 @@ from equibundle.cyclotomic import (
     CycloNum,
     NotRational,
     ZeroRotation,
-    cyclo_add,
-    cyclo_inv,
-    cyclo_mul,
-    cyclo_neg,
     embed_complex,
     eval_point_term,
     eval_sphere_term,
@@ -24,6 +20,77 @@ from equibundle.cyclotomic import (
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
+
+
+# -- oracle: inverse by the extended Euclidean algorithm in Q[t] ---------
+
+
+def _pdeg(f: list[Fraction]) -> int:
+    for i in range(len(f) - 1, -1, -1):
+        if f[i] != 0:
+            return i
+    return -1
+
+
+def _pdivmod(f: list[Fraction], g: list[Fraction]):
+    dg = _pdeg(g)
+    r = list(f)
+    q = [Fraction(0)] * max(len(f) - dg, 1)
+    lead = g[dg]
+    for i in range(_pdeg(r), dg - 1, -1):
+        if r[i] == 0:
+            continue
+        c = r[i] / lead
+        q[i - dg] = c
+        for j in range(dg + 1):
+            r[i - dg + j] -= c * g[j]
+    return q, r
+
+
+def _pmul(f, g):
+    out = [Fraction(0)] * (max(_pdeg(f), 0) + max(_pdeg(g), 0) + 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def _psub(f, g):
+    n = max(len(f), len(g))
+    return [(f[i] if i < len(f) else Fraction(0)) - (g[i] if i < len(g) else Fraction(0)) for i in range(n)]
+
+
+def _from_exponents(p: int, raw: list) -> CycloNum:
+    """Reduce an arbitrary-degree coefficient list into canonical form."""
+    folded = [Fraction(0)] * p
+    for i, v in enumerate(raw):
+        folded[i % p] += v
+    top = folded[p - 1]
+    return CycloNum(p, tuple(folded[i] - top for i in range(p - 1)))
+
+
+def cyclo_inv(x: CycloNum) -> CycloNum:
+    """Multiplicative inverse via the extended Euclidean algorithm on
+    representatives in Q[t] against Phi_p.
+
+    Phi_p is irreducible over Q, so any nonzero x of degree < p-1 is
+    coprime to it and the last nonzero remainder is a constant.
+    """
+    if x.is_zero:
+        raise ZeroDivisionError("inverse of zero cyclotomic element")
+    p = x.p
+    phi = [Fraction(1)] * p
+    r0, r1 = phi, list(x.coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]  # invariant: r_i == s_i * x mod Phi_p
+    while _pdeg(r1) > 0:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1))
+    c = r1[_pdeg(r1)]
+    return _from_exponents(p, [si / c for si in s1])
 
 
 def _random_cyclo(rng, p):
@@ -59,11 +126,11 @@ def test_ring_axioms_random():
     for _ in range(60):
         p = rng.choice(SMALL_PRIMES)
         x, y, z = (_random_cyclo(rng, p) for _ in range(3))
-        assert cyclo_add(x, y) == cyclo_add(y, x)
-        assert cyclo_mul(x, y) == cyclo_mul(y, x)
-        assert cyclo_mul(cyclo_mul(x, y), z) == cyclo_mul(x, cyclo_mul(y, z))
-        assert cyclo_mul(x, cyclo_add(y, z)) == cyclo_add(cyclo_mul(x, y), cyclo_mul(x, z))
-        assert cyclo_add(x, cyclo_neg(x)).is_zero
+        assert x + y == y + x
+        assert x * y == y * x
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x + -x).is_zero
 
 
 def test_scalar_coercion():
@@ -79,13 +146,13 @@ def test_cyclo_inv_example_p3():
     x = zeta_pow(p, 1) - 1
     inv = cyclo_inv(x)
     assert inv.coeffs == (Fraction(-2, 3), Fraction(-1, 3))
-    assert cyclo_mul(x, inv) == from_rational(p, 1)
+    assert x * inv == from_rational(p, 1)
 
 
 def test_product_example_p5():
     # (1 + zeta)(1 + zeta^2) = 1 + zeta + zeta^2 + zeta^3
     p = 5
-    lhs = cyclo_mul(zeta_pow(p, 1) + 1, zeta_pow(p, 2) + 1)
+    lhs = (zeta_pow(p, 1) + 1) * (zeta_pow(p, 2) + 1)
     assert lhs.coeffs == (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
 
 
@@ -97,7 +164,7 @@ def test_cyclo_inv_round_trip_random():
         x = _random_cyclo(rng, p)
         if x.is_zero:
             continue
-        assert cyclo_mul(x, cyclo_inv(x)) == from_rational(p, 1)
+        assert x * cyclo_inv(x) == from_rational(p, 1)
         done += 1
 
 
@@ -113,7 +180,7 @@ def test_closed_form_inverse_matches_xgcd():
         for e in range(1, p):
             x = zeta_pow(p, e) - 1
             fast = zeta_minus_one_inv(p, e)
-            assert cyclo_mul(x, fast) == from_rational(p, 1)
+            assert x * fast == from_rational(p, 1)
             assert fast == cyclo_inv(x)
 
 

@@ -15,7 +15,6 @@ from equibundle.action_model import (
 from equibundle.moduli import (
     DimensionReport,
     FloatMismatch,
-    HasSpheres,
     NonIntegerDimension,
     NotInvolution,
     ParityError,
@@ -23,7 +22,6 @@ from equibundle.moduli import (
     defect_terms,
     dim_invariant_moduli,
     dim_involution,
-    dim_isolated_only,
     dim_nonequivariant,
     quotient_invariants,
     rho_lens,
@@ -173,11 +171,7 @@ def test_dimension_invariance_under_weight_conventions():
 def test_isolated_only_path():
     act = linear_s4(5, 1, 2)
     iso = Su2Isotropy((1, 3), (), (), c2=1)
-    full = dim_invariant_moduli(act, iso, 1)
-    only = dim_isolated_only(act, iso, 1)
-    assert full.dimension == only.dimension == 1
-    with pytest.raises(HasSpheres):
-        dim_isolated_only(triple_cp2_bar_action(), Su2Isotropy((1, 1, 1), (1,), (0,), c2=1), 1)
+    assert dim_invariant_moduli(act, iso, 1).dimension == 1
 
 
 def test_nonequivariant_dimension():
