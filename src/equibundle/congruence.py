@@ -2,7 +2,9 @@
 
 Everything here is modular arithmetic over Z/p driven by two engines:
 exact cyclotomic evaluation of the fixed-point signature sum, and the
-Taylor expansions of `series` taken over GF(p).
+Taylor expansions of `series` taken over GF(p).  The checks and the
+solver first make sure that p is an odd prime and that every rotation
+number is a unit mod p, since the relations divide by them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .action_model import (
     LineIsotropy,
     Su2Isotropy,
 )
-from .cyclotomic import eval_point_term, eval_sphere_term, from_rational
+from .cyclotomic import ZeroRotation, eval_point_term, eval_sphere_term, from_rational
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
 from .series import (
     GF,
@@ -113,6 +115,21 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"congruence checks need an odd prime, got p = {p}")
 
 
+def _require_units(action: GroupAction) -> None:
+    """Odd prime p and every rotation number a unit mod p; names the
+    first offending point or sphere by its index."""
+    p = action.p
+    _require_odd_prime(p)
+    for i, pt in enumerate(action.points):
+        if pt.degenerate:
+            raise ZeroRotation(
+                f"point {i}: rotation numbers ({pt.a}, {pt.b}) must be nonzero mod {p}"
+            )
+    for j, s in enumerate(action.spheres):
+        if s.degenerate:
+            raise ZeroRotation(f"sphere {j}: normal rotation {s.c} must be nonzero mod {p}")
+
+
 # -- exact signature sums ------------------------------------------------
 
 
@@ -129,14 +146,21 @@ def gsign_value(action: GroupAction, k: int) -> Rational:
 
 def gsignature_check(action: GroupAction) -> CongruenceReport:
     """For a homologically trivial action every equivariant signature
-    equals the ordinary signature; verify this exactly for each power."""
-    _require_odd_prime(action.p)
+    equals the ordinary signature; verify this exactly for each power.
+
+    The value at g^k is sigma_k (zeta -> zeta^k) applied to the value
+    at g, and sigma_k fixes a rational, so one evaluation at k = 1
+    gives every record; an irrational value raises NotRational there.
+    """
+    _require_units(action)
     want = Fraction(action.signature)
-    records = []
-    for k in range(1, action.p):
-        got = gsign_value(action, k)
-        records.append(RelationRecord(f"signature_power_{k}", got, want, got == want))
-    return CongruenceReport(tuple(records))
+    got = gsign_value(action, 1)
+    return CongruenceReport(
+        tuple(
+            RelationRecord(f"signature_power_{k}", got, want, got == want)
+            for k in range(1, action.p)
+        )
+    )
 
 
 def _series_records(
@@ -188,7 +212,7 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     invisible to the congruence.
     """
     p = action.p
-    _require_odd_prime(p)
+    _require_units(action)
     rel = _relation_residues(action)
     req = [0, 3 * action.signature % p, 0, 0]
     records = [
@@ -218,7 +242,7 @@ def theorem_a_condition(action: GroupAction, isotropy: LineIsotropy) -> Congruen
     """The single realizability congruence for fiber weights on a
     circle bundle: sum of lambda/(ab) over points plus
     (c*m - lambda*alpha)/c^2 over spheres vanishes mod p."""
-    _require_odd_prime(action.p)
+    _require_units(action)
     isotropy.check_shape(action)
     if isotropy.free_slots():
         raise Underdetermined("condition check needs a fully specified isotropy record")
@@ -237,7 +261,7 @@ def solve_theorem_a(action: GroupAction, partial: LineIsotropy) -> LineIsotropy:
     nothing works otherwise (NotSolvable).
     """
     p = action.p
-    _require_odd_prime(p)
+    _require_units(action)
     partial.check_shape(action)
     slots = partial.free_slots()
     if not slots:
@@ -270,7 +294,7 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
     bundle, plus the expansion check through order min(2, p-2) whose
     second-order target is Sign(X) + 2*c1^2."""
     p = action.p
-    _require_odd_prime(p)
+    _require_units(action)
     isotropy.check_shape(action)
     if isotropy.free_slots():
         raise Underdetermined("bundle check needs a fully specified isotropy record")
@@ -307,7 +331,7 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     fiber character t^ell + t^(-ell), target -c2; the expansion check
     through order min(2, p-2) targets 2*Sign(X) - 4*c2 at order 2."""
     p = action.p
-    _require_odd_prime(p)
+    _require_units(action)
     isotropy.check_shape(action)
     lhs = 0
     for pt, ell in zip(action.points, isotropy.ell_points):

@@ -32,6 +32,7 @@ __all__ = [
     "eval_sphere_term",
     "sin2_term",
     "sin_cot_term",
+    "field_trace",
     "galois_sum",
     "embed_complex",
 ]
@@ -220,13 +221,24 @@ def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
     return diff * (zeta_pow(p, c) + 1) * zeta_minus_one_inv(p, c) * Fraction(1, 2)
 
 
+def field_trace(x: CycloNum) -> Rational:
+    """Trace of x from Q(zeta_p) down to Q: the sum of its p-1 Galois
+    conjugates sigma_k(x), k = 1..p-1, where sigma_k sends zeta to zeta^k.
+
+    Tr(1) = p-1 and Tr(zeta^i) = -1 for 0 < i < p, so over the power
+    basis Tr(x) = p*c_0 - (c_0 + ... + c_(p-2)).  At p = 2 the field
+    is Q and the trace is the identity.
+    """
+    return x.p * x.coeffs[0] - sum(x.coeffs)
+
+
 def galois_sum(p: int, f: Callable[[int], CycloNum]) -> Rational:
     """Sum f(k) over k = 1..p-1 and return the rational value.
 
-    For Galois-stable families (f(k) obtained by substituting zeta^k
-    into one fixed expression) the sum is the field trace up to the
-    rational part, hence rational; a nonzero zeta part signals a bug
-    or invalid input and raises NotRational.
+    This is the p-fold oracle kept for tests; request paths use
+    `field_trace`.  For a Galois-stable family (f(k) = sigma_k(f(1)))
+    the sum is Tr(f(1)), hence rational; a nonzero zeta part signals a
+    family that is not stable and raises NotRational.
     """
     total = from_rational(p, 0)
     for k in range(1, p):

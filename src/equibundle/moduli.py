@@ -1,10 +1,12 @@
 """Rho invariants of lens spaces and equivariant instanton dimensions.
 
-All rho values are computed twice: exactly, as a Galois-stable
-cyclotomic sum collapsing to a rational, and in floating point from
-the trigonometric form of the same sum.  A disagreement beyond 1e-9
-is a hard error, not a warning; it would mean the exact encodings
-drifted from the analytic definitions.
+All rho values are computed twice: exactly, as the trace of one
+evaluation, and in floating point from the trigonometric form of the
+sum over k = 1..p-1.  Each summand at power k is sigma_k (zeta -> zeta^k)
+applied to the summand at k = 1, so the exact sum is the field trace
+of that single Q(zeta_p) element.  A disagreement beyond 1e-9 is a
+hard error, not a warning; it would mean the exact encodings drifted
+from the analytic definitions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .congruence import gsign_value
 from .cyclotomic import (
     eval_point_term,
     eval_sphere_term,
-    galois_sum,
+    field_trace,
     sin2_term,
     sin_cot_term,
 )
@@ -92,15 +94,13 @@ def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
         (2/p) * sum_{k=1}^{p-1} cot(pi a k / p) cot(pi b k / p)
                                 * sin^2(pi k ell / p)
 
-    computed exactly through the cyclotomic encodings of cot and sin^2.
-    Depends only on the residues of a, b, ell; vanishes at ell = 0.
+    computed exactly as (2/p) * Tr(x), x the k = 1 summand encoded in
+    Q(zeta_p) (the point term encodes -cot * cot).  Depends only on the
+    residues of a, b, ell; vanishes at ell = 0.
     """
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
-    exact = Fraction(2, p) * galois_sum(
-        p,
-        lambda k: -(eval_point_term(p, k, a, b) * sin2_term(p, k * ell)),
-    )
+    exact = Fraction(-2, p) * field_trace(eval_point_term(p, 1, a, b) * sin2_term(p, ell))
     approx = (2.0 / p) * sum(
         (math.cos(math.pi * a * k / p) / math.sin(math.pi * a * k / p))
         * (math.cos(math.pi * b * k / p) / math.sin(math.pi * b * k / p))
@@ -117,22 +117,17 @@ def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
         (2 alpha / p) * sum_k csc^2(pi c k / p) sin^2(pi k ell / p)
       - (4 m / p)     * sum_k sin(2 pi k ell / p) cot(pi c k / p)
 
-    with both sums exact; everything vanishes when ell = 0.
+    with both sums exact, each the trace of its k = 1 summand;
+    everything vanishes when ell = 0.
     """
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
     part1 = (
-        Fraction(2, p)
-        * galois_sum(p, lambda k: eval_sphere_term(p, k, c, alpha) * sin2_term(p, k * ell))
+        Fraction(2, p) * field_trace(eval_sphere_term(p, 1, c, alpha) * sin2_term(p, ell))
         if alpha
         else Fraction(0)
     )
-    part2 = (
-        Fraction(-4 * m, p)
-        * galois_sum(p, lambda k: sin_cot_term(p, k * ell, k * c))
-        if m
-        else Fraction(0)
-    )
+    part2 = Fraction(-4 * m, p) * field_trace(sin_cot_term(p, ell, c)) if m else Fraction(0)
     exact = part1 + part2
     approx1 = (
         (2.0 * alpha / p)
@@ -162,14 +157,15 @@ def defect_terms(action: GroupAction) -> tuple[Rational, Rational]:
     fixed point data corrects chi and sign when passing to the quotient.
 
     d_chi = (p-1) * (|points| + 2 |spheres|); d_sign sums the
-    equivariant signatures of the nontrivial powers.
+    equivariant signatures of the nontrivial powers g^k.  The value at
+    g^k is sigma_k of the value at g, and sigma_k fixes a rational, so
+    d_sign = (p-1) * Sign(g, X) from one evaluation; an irrational
+    value raises NotRational at k = 1.
     """
     n = len(action.points)
     s = len(action.spheres)
     d_chi = Fraction((action.p - 1) * (n + 2 * s))
-    d_sign = Fraction(0)
-    for k in range(1, action.p):
-        d_sign += gsign_value(action, k)
+    d_sign = (action.p - 1) * gsign_value(action, 1)
     return d_chi, d_sign
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from equibundle.congruence import (
     solve_theorem_a,
     theorem_a_condition,
 )
+from equibundle.cyclotomic import ZeroRotation
 from equibundle.exact_arith import rational_mod
 from equibundle.series import (
     GF,
@@ -91,6 +93,22 @@ def test_gsignature_check_on_connected_sums():
     ab = connected_sum_spheres(a, 0, linear_cp2_bar(5, 1), 0)
     assert gsignature_check(ab).ok
     assert gsignature_check(triple_cp2_bar_action()).ok
+
+
+def test_gsignature_records_equal_every_power():
+    # one evaluation at k = 1 stands for all p-1 records; each must
+    # equal the value evaluated at its own power, wrong signature too
+    rng = random.Random(8303)
+    for p in PRIMES_TO_31:
+        for act in _model_pool(p, rng):
+            values = [gsign_value(act, k) for k in range(1, p)]
+            for claimed in (act, replace(act, signature=0)):
+                report = gsignature_check(claimed)
+                assert [r.name for r in report.records] == [
+                    f"signature_power_{k}" for k in range(1, p)
+                ]
+                assert [r.lhs for r in report.records] == values
+                assert report.ok == all(v == claimed.signature for v in values)
 
 
 def test_gsignature_check_requires_odd_prime():
@@ -188,6 +206,48 @@ def test_rotation_relations_need_odd_prime():
     act = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (), 0, 2, 0)
     with pytest.raises(ValueError):
         check_rotation_relations(act)
+
+
+# (0, 1) at p = 5 and a sphere with c = 0: data validation would reject
+# both, but the library entry points must still name the culprit
+DEGENERATE = [
+    (
+        GroupAction(5, (IsolatedPoint(5, 1, 2), IsolatedPoint(5, 0, 1)), (), 0, 2, 0),
+        r"point 1: rotation numbers \(0, 1\) must be nonzero mod 5",
+    ),
+    (
+        GroupAction(5, (IsolatedPoint(5, 1, 2),), (FixedSphere(5, 0, 1),), 1, 3, 1),
+        "sphere 0: normal rotation 0 must be nonzero mod 5",
+    ),
+]
+
+
+def _line_iso(act, free=False):
+    n, s = len(act.points), len(act.spheres)
+    lam = (None if free else 1,) + (1,) * (n - 1)
+    return LineIsotropy(lam, (1,) * s, (0,) * s, c1_squared=1)
+
+
+def _su2_iso(act):
+    s = len(act.spheres)
+    return Su2Isotropy((1,) * len(act.points), (1,) * s, (0,) * s, c2=1)
+
+
+UNIT_CHECKED = {
+    "gsignature_check": gsignature_check,
+    "check_rotation_relations": check_rotation_relations,
+    "theorem_a_condition": lambda act: theorem_a_condition(act, _line_iso(act)),
+    "solve_theorem_a": lambda act: solve_theorem_a(act, _line_iso(act, free=True)),
+    "check_line_bundle": lambda act: check_line_bundle(act, _line_iso(act)),
+    "check_su2": lambda act: check_su2(act, _su2_iso(act)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNIT_CHECKED))
+@pytest.mark.parametrize("act, message", DEGENERATE, ids=["point", "sphere"])
+def test_non_unit_rotation_names_the_component(entry, act, message):
+    with pytest.raises(ZeroRotation, match=message):
+        UNIT_CHECKED[entry](act)
 
 
 def test_relation_two_is_implied_by_relation_one_and_series():

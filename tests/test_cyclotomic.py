@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equibundle.cyclotomic import (
     CycloNum,
@@ -11,6 +13,7 @@ from equibundle.cyclotomic import (
     embed_complex,
     eval_point_term,
     eval_sphere_term,
+    field_trace,
     from_rational,
     galois_sum,
     sin2_term,
@@ -278,3 +281,26 @@ def test_galois_sum_point_terms_rational():
             s = galois_sum(p, lambda k: eval_point_term(p, k, a, -a))
             t = galois_sum(p, lambda k: eval_sphere_term(p, k, a, 1))
             assert s - t == Fraction(-(p - 1))
+
+
+@st.composite
+def _cyclo_nums(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+    return CycloNum(p, tuple(draw(coeff) for _ in range(p - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cyclo_nums())
+def test_field_trace_is_sum_of_conjugates(x):
+    # sigma_k(x) = sum_i c_i zeta^(k*i); the trace sums these p-fold
+    p = x.p
+
+    def conjugate(k):
+        raw = [Fraction(0)] * p
+        for i, c in enumerate(x.coeffs):
+            raw[k * i % p] += c
+        # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+        return CycloNum(p, tuple(r - raw[p - 1] for r in raw[: p - 1]))
+
+    assert field_trace(x) == galois_sum(p, conjugate)

@@ -3,14 +3,27 @@ from fractions import Fraction
 
 import pytest
 
+from equibundle import congruence, cyclotomic, moduli
 from equibundle.action_model import (
     FixedSphere,
     GroupAction,
     IsolatedPoint,
     Su2Isotropy,
+    connected_sum_spheres,
+    linear_cp2,
     linear_cp2_bar,
     linear_s4,
+    reverse_orientation,
     triple_cp2_bar_action,
+)
+from equibundle.congruence import gsign_value, gsignature_check
+from equibundle.cyclotomic import (
+    NotRational,
+    eval_point_term,
+    eval_sphere_term,
+    galois_sum,
+    sin2_term,
+    sin_cot_term,
 )
 from equibundle.moduli import (
     DimensionReport,
@@ -38,6 +51,35 @@ PINNED_SURFACE = [
     ((5, 1, 1, -2, 0), Fraction(-16, 5)),
     ((5, 1, 1, -2, -1), Fraction(-4, 5)),
 ]
+
+ORACLE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+# -- oracles: the p-fold sums, one field evaluation per group power k ------
+
+
+def _rho_lens_p_fold(p, a, b, ell):
+    return Fraction(2, p) * galois_sum(
+        p, lambda k: -(eval_point_term(p, k, a, b) * sin2_term(p, k * ell))
+    )
+
+
+def _rho_surface_p_fold(p, c, ell, alpha, m):
+    part1 = Fraction(2, p) * galois_sum(
+        p, lambda k: eval_sphere_term(p, k, c, alpha) * sin2_term(p, k * ell)
+    )
+    part2 = Fraction(-4 * m, p) * galois_sum(p, lambda k: sin_cot_term(p, k * ell, k * c))
+    return part1 + part2
+
+
+def _action_pool(p, rng):
+    a = rng.randrange(1, p)
+    pool = [linear_cp2(p, a, 0), linear_cp2_bar(p, a), linear_s4(p, a, rng.randrange(1, p))]
+    pool.append(connected_sum_spheres(pool[1], 0, linear_cp2_bar(p, a), 0))
+    b = rng.randrange(1, p)
+    if b != a and (a + b) % p:
+        pool.append(reverse_orientation(linear_cp2(p, a, b)))
+    return pool
 
 
 def test_pinned_lens_values():
@@ -199,3 +241,67 @@ def test_invariant_moduli_validates_action():
     bad = GroupAction(5, (IsolatedPoint(5, 1, 2),), (), 1, 3, 1)
     with pytest.raises(ValueError):
         dim_invariant_moduli(bad, Su2Isotropy((1,), (), (), c2=1), 1)
+
+
+def test_rho_equals_p_fold_galois_sum():
+    # one evaluation and a field trace give the p-fold sum exactly,
+    # including p = 2, where the trace is the identity
+    rng = random.Random(9103)
+    for p in ORACLE_PRIMES:
+        for _ in range(2):
+            a, b, c, ell = (rng.randrange(1, p) for _ in range(4))
+            alpha = rng.choice([x for x in range(-5, 6) if x])
+            m = rng.choice([x for x in range(-3, 4) if x])
+            assert rho_lens(p, a, b, ell).exact == _rho_lens_p_fold(p, a, b, ell)
+            got = rho_surface(p, c, ell, alpha, m).exact
+            assert got == _rho_surface_p_fold(p, c, ell, alpha, m)
+
+
+def test_signature_defect_equals_sum_over_powers():
+    rng = random.Random(9104)
+    for p in ORACLE_PRIMES[1:]:
+        for act in _action_pool(p, rng):
+            want = sum(gsign_value(act, k) for k in range(1, p))
+            assert defect_terms(act)[1] == want
+    inv = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2)
+    assert defect_terms(inv)[1] == gsign_value(inv, 1)
+
+
+def test_irrational_signature_still_raises_at_the_first_power():
+    # a lone point (1, 2) at p = 5 gives -cot(pi/5) cot(2 pi/5) = -1/sqrt(5)
+    bad = GroupAction(5, (IsolatedPoint(5, 1, 2),), (), 1, 3, 1)
+    with pytest.raises(NotRational):
+        defect_terms(bad)
+    with pytest.raises(NotRational):
+        gsignature_check(bad)
+
+
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    for mod in modules:
+        if hasattr(mod, name):
+            original = getattr(mod, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_signature_paths_evaluate_once_per_fixed_point(monkeypatch):
+    # O(#points) field evaluations at p = 31, not O(p * #points), and no
+    # p-fold Galois sum on any request path
+    modules = (cyclotomic, congruence, moduli)
+    point_calls = _count_calls(monkeypatch, "eval_point_term", modules)
+    galois_calls = _count_calls(monkeypatch, "galois_sum", modules)
+    act = linear_cp2(31, 1, 2)
+    assert gsignature_check(act).ok
+    assert len(point_calls) == len(act.points)
+    del point_calls[:]
+    s4 = linear_s4(31, 1, 2)
+    assert dim_invariant_moduli(s4, Su2Isotropy((1, 3), (), (), c2=1), 1).dimension == 1
+    # one signature evaluation and one rho_lens per point
+    assert len(point_calls) == 2 * len(s4.points)
+    assert galois_calls == []
