@@ -397,14 +397,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="enumerate realizable rotation data")
     p_search.add_argument("--p", type=int, required=True)
-    p_search.add_argument("--points", type=int, required=True, help="number of isolated points")
-    p_search.add_argument("--spheres", type=int, default=0, help="number of fixed spheres")
+    p_search.add_argument(
+        "--points", type=_int_at_least(0), required=True, help="number of isolated points"
+    )
+    p_search.add_argument(
+        "--spheres", type=_int_at_least(0), default=0, help="number of fixed spheres"
+    )
     p_search.add_argument(
         "--alphas", default="", help="comma-separated self-intersections, one per sphere"
     )
     p_search.add_argument("--sign", type=int, required=True)
     p_search.add_argument("--euler", type=int, required=True)
-    p_search.add_argument("--b2", type=int, required=True)
+    p_search.add_argument("--b2", type=_int_at_least(0), required=True)
     p_search.add_argument("--limit", type=_int_at_least(0), default=None)
     add_machine(p_search)
     p_search.set_defaults(handler=_cmd_search)

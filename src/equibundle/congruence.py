@@ -9,6 +9,7 @@ number is a unit mod p, since the relations divide by them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,27 +180,41 @@ def _series_records(
 
 
 # -- rotation data congruences ---------------------------------------------
+# Each fixed component contributes one GF(p) vector: its four relation
+# residues, then its expansion through s^n.  The battery holds iff the
+# vectors of all components sum to the target vector.
 
 
-def _relation_residues(action: GroupAction) -> list[int]:
-    p = action.p
-    r = [0, 0, 0, 0]
-    for pt in action.points:
-        a, b = pt.a, pt.b
-        iv = pow(a * b, -1, p)
-        a2, b2 = a * a, b * b
-        r[0] += iv
-        r[1] += (a2 + b2) * iv
-        r[2] += (a2 * a2 + b2 * b2 - 5 * a2 * b2) * iv
-        r[3] += (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv
-    for s in action.spheres:
-        c2 = s.c * s.c
-        ivc2 = pow(c2, -1, p)
-        r[0] -= s.alpha * ivc2
-        r[1] += s.alpha
-        r[2] += 3 * s.alpha * c2
-        r[3] += 10 * s.alpha * c2 * c2
-    return [x % p for x in r]
+def _point_vector(p: int, n: int, a: int, b: int) -> list[int]:
+    """Relation residues and order-n expansion of an isolated point (a, b)."""
+    iv = pow(a * b, -1, p)
+    a2, b2 = a * a, b * b
+    rel = [
+        iv,
+        (a2 + b2) * iv,
+        (a2 * a2 + b2 * b2 - 5 * a2 * b2) * iv,
+        (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv,
+    ]
+    return [x % p for x in rel] + expand_point_term(a, b, 0, n, GF(p))
+
+
+def _sphere_vector(p: int, n: int, c: int, alpha: int) -> list[int]:
+    """Relation residues and order-n expansion of a fixed sphere (c, alpha)."""
+    c2 = c * c
+    rel = [-alpha * pow(c2, -1, p), alpha, 3 * alpha * c2, 10 * alpha * c2 * c2]
+    return [x % p for x in rel] + expand_sphere_term(c, alpha, 0, n, GF(p))
+
+
+def _rotation_target(p: int, n: int, sign: int) -> list[int]:
+    """[0, 3*Sign, 0, 0] followed by the series Sign * s^2 through s^n."""
+    target = [0, 3 * sign % p, 0, 0] + [0] * (n + 1)
+    if n >= 2:
+        target[6] = sign % p
+    return target
+
+
+def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
+    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * length
 
 
 def check_rotation_relations(action: GroupAction) -> CongruenceReport:
@@ -213,16 +228,15 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     """
     p = action.p
     _require_units(action)
-    rel = _relation_residues(action)
-    req = [0, 3 * action.signature % p, 0, 0]
-    records = [
-        RelationRecord(f"relation_{i + 1}", rel[i], req[i], rel[i] == req[i]) for i in range(4)
-    ]
-    n, gf = p - 2, GF(p)
-    terms = [expand_point_term(pt.a, pt.b, 0, n, gf) for pt in action.points]
-    terms += [expand_sphere_term(s.c, s.alpha, 0, n, gf) for s in action.spheres]
-    records += _series_records(p, terms, n, action.signature)
-    return CongruenceReport(tuple(records))
+    n = p - 2
+    vectors = [_point_vector(p, n, pt.a, pt.b) for pt in action.points]
+    vectors += [_sphere_vector(p, n, s.c, s.alpha) for s in action.spheres]
+    total = _vector_sum(p, vectors, n + 5)
+    target = _rotation_target(p, n, action.signature)
+    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(n + 1)]
+    return CongruenceReport(
+        tuple(RelationRecord(nm, x, y, x == y) for nm, x, y in zip(names, total, target))
+    )
 
 
 # -- circle bundle relations -------------------------------------------------
@@ -411,6 +425,22 @@ def _point_classes(p: int) -> list[tuple[int, int]]:
     return sorted(seen)
 
 
+def _sphere_choices(
+    p: int, n: int, sphere_alphas: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each distinct assignment of weights 1..(p-1)/2 to the spheres,
+    with the summed vector of its spheres."""
+    weights = range(1, (p - 1) // 2 + 1)
+    seen = set()
+    for ws in itertools.product(weights, repeat=len(sphere_alphas)):
+        key = tuple(sorted(zip(ws, sphere_alphas)))
+        if key in seen:
+            continue
+        seen.add(key)
+        vecs = [_sphere_vector(p, n, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        yield ws, _vector_sum(p, vecs, n + 5)
+
+
 def search_realizable(
     p: int,
     n_points: int,
@@ -421,12 +451,21 @@ def search_realizable(
     b2: int,
 ) -> Iterator[GroupAction]:
     """Enumerate canonical rotation data passing every rotation-number
-    congruence, in deterministic lexicographic order.
+    congruence, in deterministic lexicographic order: point classes as
+    sorted multisets, then sphere weights.
 
-    The cheap linear congruence prunes candidates before the full
-    relation battery runs.
+    Every point class and every sphere-weight choice gets its vector
+    (see `check_rotation_relations`) once per call.  For each multiset
+    of all but the last point and each sphere choice, relation 1 fixes
+    the last point's residue 1/(ab), so its candidates are read from a
+    bucket keyed by that residue.  A candidate is accepted iff the one
+    summed vector equals the target, which is exactly
+    `check_rotation_relations(...).ok`.
     """
     _require_odd_prime(p)
+    for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):
+        if count < 0:
+            raise InconsistentCounts(f"{name} = {count} must be >= 0")
     if euler != b2 + 2:
         raise InconsistentCounts(f"chi = {euler} but b2 + 2 = {b2 + 2}")
     if n_points + 2 * n_spheres != b2 + 2:
@@ -437,31 +476,48 @@ def search_realizable(
         raise InconsistentCounts(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"
         )
+    n = p - 2
     classes = _point_classes(p)
-    weights = range(1, (p - 1) // 2 + 1)
-    seen_spheres: set = set()
-    sphere_choices = []
-    for ws in itertools.product(weights, repeat=n_spheres):
-        key = tuple(sorted(zip(ws, sphere_alphas)))
-        if key in seen_spheres:
-            continue
-        seen_spheres.add(key)
-        sphere_choices.append(ws)
-    for pts in itertools.combinations_with_replacement(classes, n_points):
-        base_r1 = sum(pow(a * b, -1, p) for a, b in pts)
-        for ws in sphere_choices:
-            r1 = base_r1 - sum(
-                alpha * pow(w * w, -1, p) for w, alpha in zip(ws, sphere_alphas)
-            )
-            if r1 % p != 0:
+    target = _rotation_target(p, n, sign)
+    # what the points must sum to, for each sphere choice
+    choices = [
+        (ws, [(t - v) % p for t, v in zip(target, vec)])
+        for ws, vec in _sphere_choices(p, n, sphere_alphas)
+    ]
+
+    def action(idx, ws):
+        return GroupAction(
+            p,
+            tuple(IsolatedPoint(p, *classes[i]) for i in idx),
+            tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
+            sign,
+            euler,
+            b2,
+        )
+
+    if n_points == 0:
+        for ws, need in choices:
+            if not any(need):
+                yield action((), ws)
+        return
+    vectors = [_point_vector(p, n, a, b) for a, b in classes]
+    buckets: dict[int, list[int]] = {}  # relation-1 residue -> ascending class indices
+    for i, vec in enumerate(vectors):
+        buckets.setdefault(vec[0], []).append(i)
+    for prefix in itertools.combinations_with_replacement(range(len(classes)), n_points - 1):
+        low = prefix[-1] if prefix else 0
+        r1 = sum(vectors[i][0] for i in prefix)
+        partial = None
+        hits = []
+        for k, (_, need) in enumerate(choices):
+            bucket = buckets.get((need[0] - r1) % p, [])
+            start = bisect.bisect_left(bucket, low)
+            if start == len(bucket):
                 continue
-            action = GroupAction(
-                p,
-                tuple(IsolatedPoint(p, a, b) for a, b in pts),
-                tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
-                sign,
-                euler,
-                b2,
-            )
-            if check_rotation_relations(action).ok:
-                yield action
+            if partial is None:
+                partial = _vector_sum(p, [vectors[i] for i in prefix], n + 5)
+            last = [(x - y) % p for x, y in zip(need, partial)]
+            hits += [(j, k) for j in bucket[start:] if vectors[j] == last]
+        hits.sort()
+        for j, k in hits:
+            yield action((*prefix, j), choices[k][0])

@@ -249,6 +249,23 @@ def test_search_negative_limit_is_parse_error(capsys):
     assert "--limit" in err and "islice" not in err
 
 
+def test_search_negative_points_is_parse_error(capsys):
+    argv = [
+        "search", "--p", "5", "--points", "-1", "--spheres", "1", "--alphas", "1",
+        "--sign", "1", "--euler", "1", "--b2", "-1",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--points" in err and "non-negative" not in err
+
+
+def test_search_negative_b2_is_parse_error(capsys):
+    argv = ["search", "--p", "5", "--points", "0", "--sign", "0", "--euler", "0", "--b2", "-2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--b2" in captured.err
+
+
 def test_unknown_arguments_are_parse_errors(triple_doc):
     assert main(["frobnicate"]) == 2
     assert main(["check", triple_doc, "--mode", "bogus"]) == 2

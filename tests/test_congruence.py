@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,6 +19,7 @@ from equibundle.action_model import (
     reverse_orientation,
     triple_cp2_bar_action,
 )
+from equibundle import congruence
 from equibundle.congruence import (
     InconsistentCounts,
     MissingChernSquare,
@@ -26,6 +28,7 @@ from equibundle.congruence import (
     Overdetermined,
     Underdetermined,
     ZeroSelfIntersection,
+    _point_classes,
     boundary_chern_data,
     check_line_bundle,
     check_rotation_relations,
@@ -563,6 +566,13 @@ def test_search_inconsistent_counts():
         list(search_realizable(5, 1, 0, [], 0, 2, 0))  # 1 point != b2 + 2
     with pytest.raises(InconsistentCounts):
         list(search_realizable(5, 1, 1, [], 1, 3, 1))  # missing alpha
+    for args, name in [
+        ((5, -1, 1, [1], 1, 1, -1), "points = -1"),
+        ((5, 2, -1, [], 0, 2, 0), "spheres = -1"),
+        ((5, 0, 0, [], 0, 0, -2), "b2 = -2"),
+    ]:
+        with pytest.raises(InconsistentCounts, match=name):
+            list(search_realizable(*args))
 
 
 def test_search_results_canonical_and_valid():
@@ -575,3 +585,115 @@ def test_search_results_canonical_and_valid():
         assert check_rotation_relations(act).ok
     triple = triple_cp2_bar_action()
     assert any(act.same_data(triple) for act in found)
+
+
+def _search_by_filtering(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
+    """The filter-then-battery search: every multiset of point classes
+    times every sphere choice, relation 1 as a prefilter, then the full
+    `check_rotation_relations` battery on each survivor."""
+    classes = _point_classes(p)
+    weights = range(1, (p - 1) // 2 + 1)
+    seen_spheres: set = set()
+    sphere_choices = []
+    for ws in itertools.product(weights, repeat=n_spheres):
+        key = tuple(sorted(zip(ws, sphere_alphas)))
+        if key in seen_spheres:
+            continue
+        seen_spheres.add(key)
+        sphere_choices.append(ws)
+    for pts in itertools.combinations_with_replacement(classes, n_points):
+        base_r1 = sum(pow(a * b, -1, p) for a, b in pts)
+        for ws in sphere_choices:
+            r1 = base_r1 - sum(
+                alpha * pow(w * w, -1, p) for w, alpha in zip(ws, sphere_alphas)
+            )
+            if r1 % p != 0:
+                continue
+            action = GroupAction(
+                p,
+                tuple(IsolatedPoint(p, a, b) for a, b in pts),
+                tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
+                sign,
+                euler,
+                b2,
+            )
+            if check_rotation_relations(action).ok:
+                yield action
+
+
+# (points, sphere self-intersections, largest p); the filtering oracle
+# takes seconds for 4 points above p = 7
+SEARCH_PROFILES = [
+    (3, (), 13),
+    (1, (-1,), 13),
+    (1, (0,), 13),
+    (1, (1,), 13),
+    (0, (1, -2), 13),
+    (2, (1,), 13),
+    (4, (), 7),
+]
+
+
+@pytest.mark.parametrize("n_points, alphas, top", SEARCH_PROFILES)
+def test_search_equals_filtering_in_order(n_points, alphas, top):
+    b2 = n_points + 2 * len(alphas) - 2
+    for p in [q for q in PRIMES if q <= top]:
+        for sign in (-1, 0, 1, 2):
+            args = (p, n_points, len(alphas), list(alphas), sign, b2 + 2, b2)
+            assert list(search_realizable(*args)) == list(_search_by_filtering(*args))
+
+
+def _point_class(p, a, b):
+    pt = IsolatedPoint(p, a, b)
+    return pt.a, pt.b
+
+
+@st.composite
+def _search_profiles(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n_spheres = draw(st.integers(0, 2))
+    n_points = draw(st.integers(max(0, 2 - 2 * n_spheres), 4 if p <= 7 else 3))
+    alphas = draw(st.lists(st.integers(-3, 3), min_size=n_spheres, max_size=n_spheres))
+    sign = draw(st.integers(-2, 2))
+    return p, n_points, alphas, sign
+
+
+@settings(max_examples=40, deadline=None)
+@given(_search_profiles())
+def test_search_results_are_sound(profile):
+    p, n_points, alphas, sign = profile
+    b2 = n_points + 2 * len(alphas) - 2
+    found = list(search_realizable(p, n_points, len(alphas), alphas, sign, b2 + 2, b2))
+    for act in found:
+        assert check_rotation_relations(act).ok
+        assert (act.p, act.signature, act.euler, act.b2) == (p, sign, b2 + 2, b2)
+        assert len(act.points) == n_points
+        assert [s.alpha for s in act.spheres] == alphas
+        # canonical: each point its class representative, points sorted,
+        # each sphere weight in 1..(p-1)/2
+        assert all((pt.a, pt.b) == _point_class(p, pt.a, pt.b) for pt in act.points)
+        assert list(act.points) == sorted(act.points, key=lambda pt: (pt.a, pt.b))
+        assert all(1 <= s.c <= (p - 1) // 2 for s in act.spheres)
+    keys = [act.data_key() for act in found]
+    assert len(keys) == len(set(keys))
+
+
+def test_search_expands_each_point_class_once(monkeypatch):
+    counts = {"battery": 0, "points": 0}
+    battery, expand = congruence.check_rotation_relations, congruence.expand_point_term
+
+    def counted_battery(*args):
+        counts["battery"] += 1
+        return battery(*args)
+
+    def counted_expand(*args):
+        counts["points"] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(congruence, "check_rotation_relations", counted_battery)
+    monkeypatch.setattr(congruence, "expand_point_term", counted_expand)
+    found = list(search_realizable(11, 3, 0, [], 1, 3, 1))
+    assert found
+    assert counts["battery"] == 0
+    classes = {_point_class(11, a, b) for a in range(1, 11) for b in range(1, 11)}
+    assert counts["points"] <= len(classes)
