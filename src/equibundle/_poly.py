@@ -1,9 +1,9 @@
 """Integer-cleared convolution used by the cyclotomic and series rings.
 
 Fraction-by-Fraction convolution spends most of its time normalizing
-gcds.  Clearing denominators once, convolving over plain ints, and
-rebuilding Fractions at the end is an order of magnitude faster at the
-vector lengths we use (up to ~100).
+gcds.  Cyclotomic elements are stored as ints over one denominator and
+series are cleared once; convolving over plain ints is an order of
+magnitude faster at the vector lengths we use (up to ~100).
 """
 
 from __future__ import annotations

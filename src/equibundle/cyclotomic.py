@@ -1,14 +1,14 @@
 """Exact arithmetic in the prime cyclotomic field Q(zeta_p).
 
-Elements are coefficient vectors over the power basis 1, zeta, ...,
-zeta^(p-2), reduced modulo Phi_p(t) = 1 + t + ... + t^(p-1).  The case
-p = 2 is allowed (zeta = -1, vectors of length 1); it is needed by the
-involution dimension formulas only.
+Elements are integer vectors over the power basis 1, zeta, ...,
+zeta^(p-2), reduced modulo Phi_p(t) = 1 + t + ... + t^(p-1), over one
+common denominator.  The case p = 2 is allowed (zeta = -1, length 1);
+it is needed by the involution dimension formulas only.
 
-The fixed-point contributions to equivariant signatures are assembled
-here as exact field elements.  A double-precision embedding
-(zeta -> exp(2*pi*i*k/p)) exists purely to cross-check results against
-trigonometry; nothing is ever computed from floats.
+Every fixed-point term is built from cot_e = (zeta^e+1)/(zeta^e-1).  A
+double-precision embedding (zeta -> exp(2*pi*i*k/p)) exists purely to
+cross-check results against trigonometry; nothing is ever computed from
+floats.
 """
 
 from __future__ import annotations
@@ -46,27 +46,37 @@ class NotRational(ArithmeticError):
     """A value expected to be rational has a nonzero zeta part."""
 
 
-@dataclass(frozen=True)
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+@dataclass(frozen=True, init=False)
 class CycloNum:
-    """Element of Q(zeta_p); coeffs[i] multiplies zeta^i, length p-1."""
+    """sum_i num[i] * zeta^i / den in Q(zeta_p), built from the p-1 rationals
+    that `coeffs` reads back.  Lowest terms (den > 0, gcd(den, *num) == 1)
+    make the generated == and hash exact."""
 
     p: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if len(self.coeffs) != self.p - 1:
-            raise ValueError(
-                f"need {self.p - 1} coefficients for p = {self.p}, got {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    def __init__(self, p: int, coeffs) -> None:
+        _require_prime(p)
+        num, den = cleared([Fraction(c) for c in coeffs])  # lowest terms: den is an lcm
+        if len(num) != p - 1:
+            raise ValueError(f"need {p - 1} coefficients for p = {p}, got {len(num)}")
+        self.__dict__.update(p=p, num=tuple(num), den=den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- ring structure ------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return from_rational(self.p, Fraction(other))
+            return _reduce(self.p, (other.numerator,), other.denominator)
         if not isinstance(other, CycloNum):
             return NotImplemented
         if other.p != self.p:
@@ -77,40 +87,26 @@ class CycloNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNum(self.p, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        return _reduce(self.p, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycloNum":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycloNum(self.p, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __rsub__(self, other) -> "CycloNum":
         return (-self) + other
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.p, tuple(-x for x in self.coeffs))
+        return _reduce(self.p, [-x for x in self.num], self.den)
 
     def __mul__(self, other) -> "CycloNum":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNum(self.p, tuple(x * q for x in self.coeffs))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.p
-        ax, da = cleared(self.coeffs)
-        bx, db = cleared(other.coeffs)
-        raw = convolve(ax, bx)
-        folded = [0] * p
-        for i, v in enumerate(raw):
-            folded[i % p] += v
-        # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        top = folded[p - 1]
-        den = da * db
-        return CycloNum(p, tuple(Fraction(folded[i] - top, den) for i in range(p - 1)))
+        # other first: convolve skips its zeros, and a coerced scalar has one nonzero
+        return _reduce(self.p, convolve(other.num, self.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -118,16 +114,16 @@ class CycloNum:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_part(self) -> Rational:
         if not self.is_rational:
             raise NotRational(f"nonzero zeta part in {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __str__(self) -> str:
         parts = []
@@ -138,87 +134,101 @@ class CycloNum:
         return " + ".join(parts) if parts else "0"
 
 
+def _reduce(p: int, raw, den: int) -> CycloNum:
+    """sum_i raw[i] * zeta^i / den in lowest terms, any len(raw), den > 0:
+    fold by zeta^p = 1, then zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    folded = [0] * p
+    for i, v in enumerate(raw):
+        folded[i % p] += v
+    top = folded.pop()
+    num = [v - top for v in folded]
+    g = math.gcd(den, *num)
+    x = object.__new__(CycloNum)
+    x.__dict__.update(p=p, num=tuple(v // g for v in num), den=den // g)
+    return x
+
+
 def from_rational(p: int, q) -> CycloNum:
-    coeffs = [Fraction(0)] * (p - 1)
-    coeffs[0] = Fraction(q)
-    return CycloNum(p, tuple(coeffs))
+    return CycloNum(p, [q] + [0] * (p - 2))
+
+
+def _zeta(p: int, e: int) -> CycloNum:
+    return _reduce(p, [0] * (e % p) + [1], 1)
 
 
 def zeta_pow(p: int, e: int) -> CycloNum:
     """zeta^e as a canonical field element."""
-    e %= p
-    if e == p - 1:
-        return CycloNum(p, tuple([Fraction(-1)] * (p - 1)))
-    coeffs = [Fraction(0)] * (p - 1)
-    coeffs[e] = Fraction(1)
-    return CycloNum(p, tuple(coeffs))
+    _require_prime(p)
+    return _zeta(p, e)
+
+
+def _cot(p: int, e: int) -> CycloNum:
+    """cot_e = (zeta^e + 1)/(zeta^e - 1) = 1 + (2/p) * sum_j j * zeta^(e*j)
+    for e != 0 mod p; embeds to -i*cot(pi*e/p).
+
+    The identity (zeta^e - 1) * sum_{j=0}^{p-1} j*zeta^(ej) = p holds
+    because the shifted sum telescopes and sum_j zeta^(ej) = 0.
+    """
+    raw = [0] * p
+    for j in range(p):
+        raw[e * j % p] += 2 * j
+    raw[0] += p
+    return _reduce(p, raw, p)
 
 
 def zeta_minus_one_inv(p: int, e: int) -> CycloNum:
-    """(zeta^e - 1)^(-1) in closed form: (1/p) * sum_j j * zeta^(e*j).
-
-    The identity (zeta^e - 1) * sum_{j=0}^{p-1} j*zeta^(ej) = p holds
-    because the shifted sum telescopes and sum_j zeta^(ej) = 0 for
-    e != 0 mod p.
-    """
+    """(zeta^e - 1)^(-1) = (cot_e - 1) / 2."""
+    _require_prime(p)
     if e % p == 0:
         raise ZeroRotation(f"exponent {e} is divisible by {p}")
-    raw = [0] * p
-    for j in range(p):
-        raw[(e * j) % p] += j
-    top = raw[p - 1]
-    return CycloNum(p, tuple(Fraction(raw[i] - top, p) for i in range(p - 1)))
+    return (_cot(p, e) - 1) * Fraction(1, 2)
 
 
 # -- fixed-point terms -------------------------------------------------
 
 
 def eval_point_term(p: int, k: int, a: int, b: int) -> CycloNum:
-    """(zeta^(ka)+1)(zeta^(kb)+1) / ((zeta^(ka)-1)(zeta^(kb)-1)).
+    """(zeta^(ka)+1)(zeta^(kb)+1) / ((zeta^(ka)-1)(zeta^(kb)-1)) = cot_{ka} * cot_{kb}.
 
     Under the embedding zeta -> exp(2*pi*i/p) this is the isolated
     fixed point contribution -cot(pi*a*k/p) * cot(pi*b*k/p).
     """
+    _require_prime(p)
     if a % p == 0 or b % p == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero mod {p}")
     if k % p == 0:
         raise ZeroRotation(f"group element power {k} must be nonzero mod {p}")
-    za = zeta_pow(p, k * a)
-    zb = zeta_pow(p, k * b)
-    num = (za + 1) * (zb + 1)
-    return num * zeta_minus_one_inv(p, k * a) * zeta_minus_one_inv(p, k * b)
+    return _cot(p, k * a) * _cot(p, k * b)
 
 
 def eval_sphere_term(p: int, k: int, c: int, alpha: int) -> CycloNum:
-    """-4*alpha*zeta^(kc) / (zeta^(kc)-1)^2, the fixed sphere
-    contribution; embeds to alpha * csc^2(pi*c*k/p)."""
+    """-4*alpha*zeta^(kc) / (zeta^(kc)-1)^2 = -alpha * (cot_{kc}^2 - 1),
+    the fixed sphere contribution; embeds to alpha * csc^2(pi*c*k/p)."""
+    _require_prime(p)
     if c % p == 0:
         raise ZeroRotation(f"normal rotation {c} must be nonzero mod {p}")
     if k % p == 0:
         raise ZeroRotation(f"group element power {k} must be nonzero mod {p}")
-    if alpha == 0:
-        return from_rational(p, 0)
-    inv = zeta_minus_one_inv(p, k * c)
-    return zeta_pow(p, k * c) * inv * inv * Fraction(-4 * alpha)
+    cot = _cot(p, k * c)
+    return (cot * cot - 1) * -alpha
 
 
 def sin2_term(p: int, e: int) -> CycloNum:
     """(2 - zeta^e - zeta^(-e)) / 4; embeds to sin^2(pi*e/p)."""
-    return (from_rational(p, 2) - zeta_pow(p, e) - zeta_pow(p, -e)) * Fraction(1, 4)
+    _require_prime(p)
+    return (2 - _zeta(p, e) - _zeta(p, -e)) * Fraction(1, 4)
 
 
 def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
-    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)).
+    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)) = (zeta^l - zeta^(-l)) * cot_c / 2.
 
     Embeds to sin(2*pi*l/p) * cot(pi*c/p); the two imaginary factors
     cancel, so the value is real under every embedding.
     """
+    _require_prime(p)
     if c % p == 0:
         raise ZeroRotation(f"normal rotation {c} must be nonzero mod {p}")
-    if l % p == 0:
-        return from_rational(p, 0)
-    diff = zeta_pow(p, l) - zeta_pow(p, -l)
-    return diff * (zeta_pow(p, c) + 1) * zeta_minus_one_inv(p, c) * Fraction(1, 2)
+    return (_zeta(p, l) - _zeta(p, -l)) * _cot(p, c) * Fraction(1, 2)
 
 
 def field_trace(x: CycloNum) -> Rational:
@@ -229,7 +239,7 @@ def field_trace(x: CycloNum) -> Rational:
     basis Tr(x) = p*c_0 - (c_0 + ... + c_(p-2)).  At p = 2 the field
     is Q and the trace is the identity.
     """
-    return x.p * x.coeffs[0] - sum(x.coeffs)
+    return Fraction(x.p * x.num[0] - sum(x.num), x.den)
 
 
 def galois_sum(p: int, f: Callable[[int], CycloNum]) -> Rational:

@@ -62,16 +62,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y == g
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 @dataclass(frozen=True)
 class Residue:
     """An element of Z/n, stored with value in [0, n) and modulus n >= 2."""
@@ -139,10 +129,10 @@ def mod_inverse(a: int, n: int) -> Residue:
     """Inverse of a modulo n; raises NotInvertible when gcd(a, n) != 1."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    g, x, _ = _xgcd(a % n, n)
-    if g != 1:
-        raise NotInvertible(f"{a} is not invertible mod {n} (gcd={g})")
-    return Residue(x, n)
+    try:
+        return Residue(pow(a, -1, n), n)
+    except ValueError:
+        raise NotInvertible(f"{a} is not invertible mod {n} (gcd={gcd(a, n)})") from None
 
 
 def rational_mod(q: Fraction | int, p: int) -> Residue:
@@ -173,10 +163,5 @@ def crt_solve(r1: int, m1: int, r2: int, m2: int) -> Residue:
     if m1 * m2 < 2:
         raise ValueError("product modulus must be >= 2")
     # x = r1 + m1 * t with m1 * t == r2 - r1 (mod m2)
-    if m2 == 1:
-        return Residue(r1, m1)
-    if m1 == 1:
-        return Residue(r2, m2)
-    g, inv_m1, _ = _xgcd(m1 % m2, m2)
-    t = (inv_m1 * (r2 - r1)) % m2
+    t = (pow(m1, -1, m2) * (r2 - r1)) % m2
     return Residue(r1 + m1 * t, m1 * m2)

@@ -96,6 +96,75 @@ def cyclo_inv(x: CycloNum) -> CycloNum:
     return _from_exponents(p, [si / c for si in s1])
 
 
+# -- oracle: Fraction-coefficient arithmetic and three-factor terms ------
+
+
+def _oracle_add(x: CycloNum, y: CycloNum) -> CycloNum:
+    return CycloNum(x.p, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def _oracle_sub(x: CycloNum, y: CycloNum) -> CycloNum:
+    return CycloNum(x.p, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def _oracle_mul(x: CycloNum, y) -> CycloNum:
+    if isinstance(y, (int, Fraction)):
+        return CycloNum(x.p, tuple(c * y for c in x.coeffs))
+    return _from_exponents(x.p, _pmul(list(x.coeffs), list(y.coeffs)))
+
+
+def _oracle_zeta(p: int, e: int) -> CycloNum:
+    return _from_exponents(p, [Fraction(0)] * (e % p) + [Fraction(1)])
+
+
+def _oracle_inv(p: int, e: int) -> CycloNum:
+    return cyclo_inv(_oracle_sub(_oracle_zeta(p, e), from_rational(p, 1)))
+
+
+def _oracle_point(p: int, ea: int, eb: int) -> CycloNum:
+    """(zeta^a + 1)(zeta^b + 1) * inv(a) * inv(b), inv(e) = 1/(zeta^e - 1)."""
+    one = from_rational(p, 1)
+    num = _oracle_mul(_oracle_add(_oracle_zeta(p, ea), one), _oracle_add(_oracle_zeta(p, eb), one))
+    return _oracle_mul(_oracle_mul(num, _oracle_inv(p, ea)), _oracle_inv(p, eb))
+
+
+def _oracle_sphere(p: int, ec: int, alpha: int) -> CycloNum:
+    """-4 * alpha * zeta^c * inv(c)^2."""
+    inv = _oracle_inv(p, ec)
+    return _oracle_mul(_oracle_mul(_oracle_mul(_oracle_zeta(p, ec), inv), inv), -4 * alpha)
+
+
+def _oracle_sin_cot(p: int, l: int, c: int) -> CycloNum:
+    """(zeta^l - zeta^-l) * (zeta^c + 1) * inv(c) / 2."""
+    diff = _oracle_sub(_oracle_zeta(p, l), _oracle_zeta(p, -l))
+    cot_num = _oracle_add(_oracle_zeta(p, c), from_rational(p, 1))
+    return _oracle_mul(_oracle_mul(_oracle_mul(diff, cot_num), _oracle_inv(p, c)), Fraction(1, 2))
+
+
+ORACLE_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_terms_match_three_factor_oracle(p):
+    # the oracle depends on the exponents mod p only, so it is built once
+    # per exponent and every (a, b, c, k) is checked against it
+    units = range(1, p)
+    inv = {e: _oracle_inv(p, e) for e in units}
+    point = {(ea, eb): _oracle_point(p, ea, eb) for ea in units for eb in units}
+    sphere = {(e, alpha): _oracle_sphere(p, e, alpha) for e in units for alpha in (-2, 0, 1, 3)}
+    for e in units:
+        assert zeta_minus_one_inv(p, e) == inv[e]
+    for k in units:
+        for a in units:
+            for b in units:
+                assert eval_point_term(p, k, a, b) == point[k * a % p, k * b % p]
+            for alpha in (-2, 0, 1, 3):
+                assert eval_sphere_term(p, k, a, alpha) == sphere[k * a % p, alpha]
+    for l in range(p):
+        for c in units:
+            assert sin_cot_term(p, l, c) == _oracle_sin_cot(p, l, c)
+
+
 def _random_cyclo(rng, p):
     return CycloNum(p, tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(p - 1)))
 
@@ -105,6 +174,27 @@ def test_constructor_validation():
         CycloNum(4, (1, 2, 3))  # 4 is not prime
     with pytest.raises(ValueError):
         CycloNum(5, (1, 2, 3))  # wrong length
+
+
+NON_PRIME_BUILDERS = {
+    "CycloNum": lambda p: CycloNum(p, [0] * (p - 1)),
+    "from_rational": lambda p: from_rational(p, 1),
+    "zeta_pow": lambda p: zeta_pow(p, 1),
+    "zeta_minus_one_inv": lambda p: zeta_minus_one_inv(p, 1),
+    "eval_point_term": lambda p: eval_point_term(p, 1, 1, 2),
+    "eval_sphere_term": lambda p: eval_sphere_term(p, 1, 1, 3),
+    "eval_sphere_term_alpha_0": lambda p: eval_sphere_term(p, 1, 1, 0),
+    "sin2_term": lambda p: sin2_term(p, 1),
+    "sin_cot_term": lambda p: sin_cot_term(p, 1, 1),
+    "sin_cot_term_l_0": lambda p: sin_cot_term(p, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p", [4, 9])
+@pytest.mark.parametrize("builder", sorted(NON_PRIME_BUILDERS))
+def test_every_public_builder_rejects_non_prime_p(builder, p):
+    with pytest.raises(ValueError, match="must be prime"):
+        NON_PRIME_BUILDERS[builder](p)
 
 
 def test_zeta_power_reduction():
@@ -304,3 +394,36 @@ def test_field_trace_is_sum_of_conjugates(x):
         return CycloNum(p, tuple(r - raw[p - 1] for r in raw[: p - 1]))
 
     assert field_trace(x) == galois_sum(p, conjugate)
+
+
+def _elements(draw, p, n):
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+    return [CycloNum(p, tuple(draw(coeff) for _ in range(p - 1))) for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_fraction_oracle(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    x, y = _elements(data.draw, p, 2)
+    q = data.draw(st.one_of(st.integers(-30, 30), st.fractions(max_denominator=30)))
+    assert x + y == _oracle_add(x, y)
+    assert x - y == _oracle_sub(x, y)
+    assert x * y == _oracle_mul(x, y)
+    assert x * q == q * x == _oracle_mul(x, q)
+    assert x + q == _oracle_add(x, from_rational(p, q))
+    assert -x == _oracle_mul(x, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equal_elements_have_equal_fields(data):
+    # lowest terms: however an element is reached, num, den and hash agree
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    (x,) = _elements(data.draw, p, 1)
+    m = data.draw(st.integers(1, 40)) * data.draw(st.sampled_from([-1, 1]))
+    scaled = CycloNum(p, tuple(c * m for c in x.coeffs)) * Fraction(1, m)
+    shifted = (x + m * x) - m * x
+    for other in (scaled, shifted, CycloNum(p, x.coeffs)):
+        assert (other.num, other.den, hash(other)) == (x.num, x.den, hash(x))
+        assert other.den > 0 and math.gcd(other.den, *other.num) == 1
