@@ -1,10 +1,13 @@
 """Congruence checks and solvers for rotation data and bundle isotropy.
 
-Everything here is modular arithmetic over Z/p driven by two engines:
-exact cyclotomic evaluation of the fixed-point signature sum, and the
-Taylor expansions of `series` taken over GF(p).  The checks and the
-solver first make sure that p is an odd prime and that every rotation
-number is a unit mod p, since the relations divide by them.
+The G-signature check evaluates the fixed-point signature sum exactly
+in Q(zeta_p).  The rotation battery and the search read the same
+fixed-point terms mod p, as elements of Z[zeta]/p = F_p[t]/Phi_p(t) in
+the basis of zeta powers, at O(p) cost per fixed component.  The bundle
+checks expand their twisted terms with `series` over GF(p) through
+order 2.  The checks and the solver first make sure that p is an odd
+prime and that every rotation number is a unit mod p, since the
+relations divide by them.
 """
 
 from __future__ import annotations
@@ -181,12 +184,68 @@ def _series_records(
 
 # -- rotation data congruences ---------------------------------------------
 # Each fixed component contributes one GF(p) vector: its four relation
-# residues, then its expansion through s^n.  The battery holds iff the
-# vectors of all components sum to the target vector.
+# residues, then its signature integrand times (t-1)^2 read in
+# Z[zeta]/p = F_p[t]/Phi_p(t), written in the basis 1, t, ..., t^(p-2).
+# The battery holds iff the vectors of all components sum to the target
+# vector.  Since Phi_p(t) = (t-1)^(p-1) mod p, the same ring is
+# F_p[s]/s^(p-1) with s = t - 1, and `_to_s_basis` turns a vector into
+# the order-(p-2) expansion that `series` computes over GF(p).
 
 
-def _point_vector(p: int, n: int, a: int, b: int) -> list[int]:
-    """Relation residues and order-n expansion of an isolated point (a, b)."""
+def _over_units(p: int, v: list[int], *rotations: int) -> list[int]:
+    """v / (u_r * ...) in F_p[t]/Phi_p(t), where u_r = (t^r - 1)/(t - 1)
+    and v holds p coefficients of an element of F_p[t]/(t^p - 1).
+
+    Mod Phi_p, 1/u_r = sum_{i < 1/r} t^(r*i), so w = v/u_r obeys
+    w_(m+r) = w_m + v_(m+r) - v_(m+r-1): a sliding window along the
+    cycle m -> m + r.  The window fixes w up to a multiple of
+    1 + t + ... + t^(p-1) = Phi_p, so w_0 = 0 will do.  The result
+    folds t^(p-1) = -(1 + t + ... + t^(p-2)) away.
+    """
+    for r in rotations:
+        r %= p
+        w = [0] * p
+        acc = m = 0
+        for _ in range(p - 1):
+            m += r
+            if m >= p:
+                m -= p
+            acc += v[m] - v[m - 1]
+            w[m] = acc
+        v = w
+    top = v[-1]
+    return [(x - top) % p for x in v[:-1]]
+
+
+def _to_s_basis(p: int, v: list[int]) -> list[int]:
+    """Coefficients of sum_m v_m t^m in powers of s = t - 1, mod p.
+
+    [s^k] = sum_m C(m, k) v_m = (1/k!) sum_m (m! v_m) / (m-k)!, a
+    correlation; it is read off one product of two packed integers,
+    one slot per coefficient, wide enough that no slot overflows.
+    """
+    n = len(v)
+    fact = [1] * n
+    for m in range(1, n):
+        fact[m] = fact[m - 1] * m % p
+    inv = [1] * n
+    inv[-1] = pow(fact[-1], -1, p)
+    for m in range(n - 1, 0, -1):
+        inv[m - 1] = inv[m] * m % p
+    width = ((n * (p - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
+    x = b"".join((f * c % p).to_bytes(width, "little") for f, c in zip(fact, v))
+    y = b"".join(i.to_bytes(width, "little") for i in reversed(inv))
+    prod = int.from_bytes(x, "little") * int.from_bytes(y, "little")
+    out = prod.to_bytes(2 * n * width, "little")
+    # the coefficient of s^k sits in slot n - 1 + k
+    return [
+        int.from_bytes(out[(n - 1 + k) * width : (n + k) * width], "little") * inv[k] % p
+        for k in range(n)
+    ]
+
+
+def _point_vector(p: int, a: int, b: int) -> list[int]:
+    """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
     iv = pow(a * b, -1, p)
     a2, b2 = a * a, b * b
     rel = [
@@ -195,22 +254,25 @@ def _point_vector(p: int, n: int, a: int, b: int) -> list[int]:
         (a2 * a2 + b2 * b2 - 5 * a2 * b2) * iv,
         (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv,
     ]
-    return [x % p for x in rel] + expand_point_term(a, b, 0, n, GF(p))
+    num = [0] * p
+    for e in (0, a, b, a + b):
+        num[e % p] += 1
+    return [x % p for x in rel] + _over_units(p, num, a, b)
 
 
-def _sphere_vector(p: int, n: int, c: int, alpha: int) -> list[int]:
-    """Relation residues and order-n expansion of a fixed sphere (c, alpha)."""
+def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
+    """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
     c2 = c * c
     rel = [-alpha * pow(c2, -1, p), alpha, 3 * alpha * c2, 10 * alpha * c2 * c2]
-    return [x % p for x in rel] + expand_sphere_term(c, alpha, 0, n, GF(p))
+    num = [0] * p
+    num[c % p] = -4 * alpha % p
+    return [x % p for x in rel] + _over_units(p, num, c, c)
 
 
-def _rotation_target(p: int, n: int, sign: int) -> list[int]:
-    """[0, 3*Sign, 0, 0] followed by the series Sign * s^2 through s^n."""
-    target = [0, 3 * sign % p, 0, 0] + [0] * (n + 1)
-    if n >= 2:
-        target[6] = sign % p
-    return target
+def _rotation_target(p: int, sign: int) -> list[int]:
+    """[0, 3*Sign, 0, 0] followed by Sign * s^2 = Sign * (1 - 2t + t^2),
+    which is zero when p = 3."""
+    return [0, 3 * sign % p, 0, 0] + _over_units(p, [sign, -2 * sign, sign] + [0] * (p - 3))
 
 
 def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
@@ -224,16 +286,20 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     The expansion of the summed signature integrand times (t-1)^2 must
     reduce, mod p, to Sign(X) * s^2 and nothing else through s^(p-2):
     (t-1)^(p-1) is congruent to Phi_p(t) mod p, so higher terms are
-    invisible to the congruence.
+    invisible to the congruence.  Each component's term is built in
+    the zeta-power basis of Z[zeta]/p at O(p) cost; the sum is turned
+    into s coefficients once, for the records.
     """
     p = action.p
     _require_units(action)
-    n = p - 2
-    vectors = [_point_vector(p, n, pt.a, pt.b) for pt in action.points]
-    vectors += [_sphere_vector(p, n, s.c, s.alpha) for s in action.spheres]
-    total = _vector_sum(p, vectors, n + 5)
-    target = _rotation_target(p, n, action.signature)
-    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(n + 1)]
+    vectors = [_point_vector(p, pt.a, pt.b) for pt in action.points]
+    vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
+    total = _vector_sum(p, vectors, p + 3)
+    total[4:] = _to_s_basis(p, total[4:])
+    target = _rotation_target(p, action.signature)[:4] + [0] * (p - 1)
+    if p > 3:  # Sign * s^2 in the s basis; at p = 3 the series stops at s^1
+        target[6] = action.signature % p
+    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(p - 1)]
     return CongruenceReport(
         tuple(RelationRecord(nm, x, y, x == y) for nm, x, y in zip(names, total, target))
     )
@@ -426,7 +492,7 @@ def _point_classes(p: int) -> list[tuple[int, int]]:
 
 
 def _sphere_choices(
-    p: int, n: int, sphere_alphas: Sequence[int]
+    p: int, sphere_alphas: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Each distinct assignment of weights 1..(p-1)/2 to the spheres,
     with the summed vector of its spheres."""
@@ -437,8 +503,8 @@ def _sphere_choices(
         if key in seen:
             continue
         seen.add(key)
-        vecs = [_sphere_vector(p, n, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-        yield ws, _vector_sum(p, vecs, n + 5)
+        vecs = [_sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        yield ws, _vector_sum(p, vecs, p + 3)
 
 
 def search_realizable(
@@ -455,12 +521,14 @@ def search_realizable(
     sorted multisets, then sphere weights.
 
     Every point class and every sphere-weight choice gets its vector
-    (see `check_rotation_relations`) once per call.  For each multiset
-    of all but the last point and each sphere choice, relation 1 fixes
-    the last point's residue 1/(ab), so its candidates are read from a
-    bucket keyed by that residue.  A candidate is accepted iff the one
-    summed vector equals the target, which is exactly
-    `check_rotation_relations(...).ok`.
+    (see `check_rotation_relations`) once per call, at O(p) cost.  For
+    each multiset of all but the last point and each sphere choice,
+    relation 1 fixes the last point's residue 1/(ab), so its candidates
+    are read from a bucket keyed by that residue.  A candidate is
+    accepted iff the one summed vector equals the target.  The sums are
+    compared in the basis of zeta powers: the change to powers of
+    s = t - 1 is a bijection, so this is exactly
+    `check_rotation_relations(...).ok`, with no change of basis.
     """
     _require_odd_prime(p)
     for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):
@@ -476,13 +544,12 @@ def search_realizable(
         raise InconsistentCounts(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"
         )
-    n = p - 2
     classes = _point_classes(p)
-    target = _rotation_target(p, n, sign)
+    target = _rotation_target(p, sign)
     # what the points must sum to, for each sphere choice
     choices = [
         (ws, [(t - v) % p for t, v in zip(target, vec)])
-        for ws, vec in _sphere_choices(p, n, sphere_alphas)
+        for ws, vec in _sphere_choices(p, sphere_alphas)
     ]
 
     def action(idx, ws):
@@ -500,7 +567,7 @@ def search_realizable(
             if not any(need):
                 yield action((), ws)
         return
-    vectors = [_point_vector(p, n, a, b) for a, b in classes]
+    vectors = [_point_vector(p, a, b) for a, b in classes]
     buckets: dict[int, list[int]] = {}  # relation-1 residue -> ascending class indices
     for i, vec in enumerate(vectors):
         buckets.setdefault(vec[0], []).append(i)
@@ -515,7 +582,7 @@ def search_realizable(
             if start == len(bucket):
                 continue
             if partial is None:
-                partial = _vector_sum(p, [vectors[i] for i in prefix], n + 5)
+                partial = _vector_sum(p, [vectors[i] for i in prefix], p + 3)
             last = [(x - y) % p for x, y in zip(need, partial)]
             hits += [(j, k) for j in bucket[start:] if vectors[j] == last]
         hits.sort()

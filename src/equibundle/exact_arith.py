@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 __all__ = [
     "Rational",
@@ -45,20 +45,43 @@ class ModulusMismatch(ValueError):
     """Arithmetic between residues with different moduli."""
 
 
+# Sorenson and Webster (2017): no composite below this bound is a strong
+# probable prime to all of the first thirteen prime bases, 2 through 41.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; intended range n <= 10**6."""
+    """Deterministic Miller-Rabin primality for n < 3317044064679887385961981
+    (about 3.3e24), using the prime bases 2 through 41.
+
+    Raises ValueError for a larger n with no prime factor up to 41,
+    where these bases no longer decide primality; the CLI reports it
+    with exit code 3.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # a composite this small has a prime factor up to 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    top = isqrt(n)
-    while d <= top:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of n = {n} is only decided below {_MR_BOUND}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

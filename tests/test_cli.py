@@ -337,6 +337,16 @@ def test_search_limit_and_determinism(capsys):
     assert again == full
 
 
+def test_search_composite_p_is_validation_error(capsys):
+    # 1000000007 * 998244353, too large to factor by trial division
+    argv = [
+        "search", "--p", "998244359987710471", "--points", "3", "--sign", "1",
+        "--euler", "3", "--b2", "1", "--limit", "1",
+    ]
+    assert main(argv) == 3
+    assert "odd prime" in capsys.readouterr().err
+
+
 def test_search_inconsistent_profile():
     args = [
         "search", "--p", "5", "--points", "1", "--sign", "0",

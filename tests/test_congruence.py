@@ -19,13 +19,14 @@ from equibundle.action_model import (
     reverse_orientation,
     triple_cp2_bar_action,
 )
-from equibundle import congruence
+from equibundle import _poly, congruence, series
 from equibundle.congruence import (
     InconsistentCounts,
     MissingChernSquare,
     NotCoprimeRotation,
     NotSolvable,
     Overdetermined,
+    RelationRecord,
     Underdetermined,
     ZeroSelfIntersection,
     _point_classes,
@@ -41,7 +42,7 @@ from equibundle.congruence import (
     solve_theorem_a,
     theorem_a_condition,
 )
-from equibundle.cyclotomic import ZeroRotation
+from equibundle.cyclotomic import ZeroRotation, eval_point_term, eval_sphere_term, zeta_pow
 from equibundle.exact_arith import rational_mod
 from equibundle.series import (
     GF,
@@ -209,6 +210,128 @@ def test_rotation_relations_need_odd_prime():
     act = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (), 0, 2, 0)
     with pytest.raises(ValueError):
         check_rotation_relations(act)
+
+
+# -- the battery in the zeta-power basis ------------------------------------
+# Each component's vector holds its term in Z[zeta]/p in the basis
+# 1, t, ..., t^(p-2); the Pascal transform to s = t - 1 must give the
+# GF(p) expansion through s^(p-2) that `series` computes.
+
+SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
+
+
+def _point_series(p, a, b):
+    return congruence._to_s_basis(p, congruence._point_vector(p, a, b)[4:])
+
+
+def _sphere_series(p, c, alpha):
+    return congruence._to_s_basis(p, congruence._sphere_vector(p, c, alpha)[4:])
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_zeta_basis_vectors_are_the_gf_expansions(p):
+    n, gf = p - 2, GF(p)
+    for a in range(1, p):
+        for b in range(1, p):
+            assert _point_series(p, a, b) == expand_point_term(a, b, 0, n, gf), (a, b)
+        for alpha in (-2, 0, 1, 3):
+            assert _sphere_series(p, a, alpha) == expand_sphere_term(a, alpha, 0, n, gf)
+
+
+@st.composite
+def _component_cases(draw):
+    p = draw(st.sampled_from(PRIMES_TO_31))
+    unit = st.integers(-5 * p, 5 * p).filter(lambda x: x % p)
+    return p, draw(unit), draw(unit), draw(st.integers(-4 * p, 4 * p))
+
+
+def _field_mod_p(x):
+    # a p-integral element of Q(zeta_p) reduced mod p, in the basis of zeta powers
+    inv = pow(x.den, -1, x.p)
+    return [c * inv % x.p for c in x.num]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_component_cases())
+def test_zeta_basis_is_a_ring_homomorphism_image(case):
+    # each vector is the reduction mod p of (zeta-1)^2 * (field term),
+    # and reads in s as the GF(p) expansion
+    p, a, b, alpha = case
+    n, gf = p - 2, GF(p)
+    square = zeta_pow(p, 2) - zeta_pow(p, 1) * 2 + 1
+    point = congruence._point_vector(p, a, b)[4:]
+    sphere = congruence._sphere_vector(p, a, alpha)[4:]
+    assert point == _field_mod_p(square * eval_point_term(p, 1, a, b))
+    assert sphere == _field_mod_p(square * eval_sphere_term(p, 1, a, alpha))
+    assert congruence._to_s_basis(p, point) == expand_point_term(a, b, 0, n, gf)
+    assert congruence._to_s_basis(p, sphere) == expand_sphere_term(a, alpha, 0, n, gf)
+
+
+def _binomial_sums(p, v):
+    # sum_m v_m * C(m, k) mod p, row by row of Pascal's triangle
+    out, row = [0] * len(v), [1]
+    for x in v:
+        for k, c in enumerate(row):
+            out[k] += x * c
+        row = [1] + [(u + w) % p for u, w in zip(row, row[1:])] + [1]
+    return [y % p for y in out]
+
+
+def test_pascal_transform_matches_binomial_sums():
+    rng = random.Random(8310)
+    for p in SMALL_PRIMES + [31, 97, 401, 1009]:
+        v = [rng.randrange(p) for _ in range(p - 1)]
+        assert congruence._to_s_basis(p, v) == _binomial_sums(p, v)
+    assert _binomial_sums(7, [1, 2, 3]) == [6, 8 % 7, 3]  # 1 + 2(1+s) + 3(1+s)^2
+    assert congruence._to_s_basis(5, [0, 0, 0, 4]) == [4, 2, 2, 4]  # 4(1+s)^3 mod 5
+
+
+def _battery_by_expansion(action):
+    """The records of `check_rotation_relations`, with the series part
+    summed from the GF(p) expansions through s^(p-2)."""
+    p, n, gf = action.p, action.p - 2, GF(action.p)
+    vectors = [
+        congruence._point_vector(p, pt.a, pt.b)[:4] + expand_point_term(pt.a, pt.b, 0, n, gf)
+        for pt in action.points
+    ]
+    vectors += [
+        congruence._sphere_vector(p, s.c, s.alpha)[:4] + expand_sphere_term(s.c, s.alpha, 0, n, gf)
+        for s in action.spheres
+    ]
+    total = [sum(col) % p for col in zip(*vectors)]
+    target = [0, 3 * action.signature % p, 0, 0] + [0] * (n + 1)
+    target[6] = action.signature % p
+    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(n + 1)]
+    return tuple(RelationRecord(*r, r[1] == r[2]) for r in zip(names, total, target))
+
+
+def test_battery_at_large_p_equals_expansion_oracle():
+    p, third = 1009, 1009 // 3
+    acts = [
+        linear_cp2(p, third, 2 * third + 1),
+        linear_cp2(p, third + 1, 0),  # a fixed point and a fixed sphere
+        linear_s4(p, third, third + 2),
+        replace(linear_s4(p, third + 3, 2 * third), signature=1),  # fails
+    ]
+    for act in acts:
+        assert check_rotation_relations(act).records == _battery_by_expansion(act)
+    assert [check_rotation_relations(act).ok for act in acts] == [True, True, True, False]
+
+
+def test_battery_and_search_use_no_series_division(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series expansion or convolution on the battery path")
+
+    for module in (series, congruence):
+        for name in dir(series):
+            if name.startswith("expand_") and hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(_poly, "convolve", forbidden)
+    monkeypatch.setattr(series, "convolve", forbidden)
+    for act in (linear_cp2(31, 10, 21), linear_cp2_bar(31, 10), triple_cp2_bar_action()):
+        assert check_rotation_relations(act).ok
+    assert list(search_realizable(7, 3, 0, [], 1, 3, 1))
+    assert list(search_realizable(7, 1, 1, [1], 1, 3, 1))
 
 
 # (0, 1) at p = 5 and a sphere with c = 0: data validation would reject

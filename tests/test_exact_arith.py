@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -24,6 +24,63 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes)
     assert is_prime(997)
     assert not is_prime(1001)  # 7 * 11 * 13
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_equals_trial_division_below_1e5():
+    assert [is_prime(n) for n in range(-3, 10**5)] == [
+        _trial_division(n) for n in range(-3, 10**5)
+    ]
+
+
+# strong pseudoprimes to the first 4, 11 and 12 prime bases, the
+# smallest such (Jaeschke 1993; Sorenson and Webster 2017)
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+def _is_carmichael(n, factors):
+    # Korselt: n square-free and q - 1 | n - 1 for every prime q | n
+    return (
+        len(set(factors)) == len(factors) >= 3
+        and all(_trial_division(q) and (n - 1) % (q - 1) == 0 for q in factors)
+    )
+
+
+def _chernick(k):
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three are prime
+    return [6 * k + 1, 12 * k + 1, 18 * k + 1]
+
+
+def test_is_prime_rejects_pseudoprimes_and_carmichael_numbers():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n)
+    small = {561: [3, 11, 17], 1105: [5, 13, 17], 1729: [7, 13, 19], 41041: [7, 11, 13, 41]}
+    big = [f for k in range(10**5, 10**5 + 400) if all(map(_trial_division, f := _chernick(k)))]
+    assert len(big) >= 2
+    cases = list(small.items()) + [(f[0] * f[1] * f[2], f) for f in big]
+    for n, factors in cases:
+        assert _is_carmichael(n, factors)
+        assert not is_prime(n), n
+
+
+def test_is_prime_accepts_large_primes():
+    assert is_prime(10**18 + 3)
+    assert is_prime(10**18 + 9)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(998244359987710471)  # 1000000007 * 998244353
+
+
+def test_is_prime_raises_beyond_its_bound():
+    bound = 3317044064679887385961981  # a strong pseudoprime to bases 2..41
+    for n in (bound, 2**89 - 1):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)
+    # a small factor still decides
+    assert not is_prime(2**90)
+    assert not is_prime(41 * (2**89 - 1))
 
 
 def test_mod_inverse_dense():
