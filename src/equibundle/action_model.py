@@ -226,6 +226,16 @@ def _as_slot_tuple(values: Iterable) -> tuple:
     return tuple(out)
 
 
+def _check_shape(action: GroupAction, points: tuple, spheres: tuple, ms: tuple) -> None:
+    """One weight per point, and one weight and one degree per sphere."""
+    if len(points) != len(action.points):
+        raise ShapeMismatch(f"{len(points)} point weights for {len(action.points)} points")
+    if len(spheres) != len(action.spheres) or len(ms) != len(action.spheres):
+        raise ShapeMismatch(
+            f"sphere data lengths ({len(spheres)}, {len(ms)}) for {len(action.spheres)} spheres"
+        )
+
+
 @dataclass(frozen=True)
 class LineIsotropy:
     """Circle-bundle isotropy data: fiber weight lambda at each fixed
@@ -246,17 +256,7 @@ class LineIsotropy:
         object.__setattr__(self, "m_spheres", _as_slot_tuple(self.m_spheres))
 
     def check_shape(self, action: GroupAction) -> None:
-        if len(self.lambda_points) != len(action.points):
-            raise ShapeMismatch(
-                f"{len(self.lambda_points)} point weights for {len(action.points)} points"
-            )
-        if len(self.lambda_spheres) != len(action.spheres) or len(self.m_spheres) != len(
-            action.spheres
-        ):
-            raise ShapeMismatch(
-                f"sphere data lengths ({len(self.lambda_spheres)}, {len(self.m_spheres)}) "
-                f"for {len(action.spheres)} spheres"
-            )
+        _check_shape(action, self.lambda_points, self.lambda_spheres, self.m_spheres)
 
     def free_slots(self) -> list[tuple[str, int]]:
         out = []
@@ -295,17 +295,7 @@ class Su2Isotropy:
         object.__setattr__(self, "m_spheres", tuple(int(v) for v in self.m_spheres))
 
     def check_shape(self, action: GroupAction) -> None:
-        if len(self.ell_points) != len(action.points):
-            raise ShapeMismatch(
-                f"{len(self.ell_points)} point weights for {len(action.points)} points"
-            )
-        if len(self.ell_spheres) != len(action.spheres) or len(self.m_spheres) != len(
-            action.spheres
-        ):
-            raise ShapeMismatch(
-                f"sphere data lengths ({len(self.ell_spheres)}, {len(self.m_spheres)}) "
-                f"for {len(action.spheres)} spheres"
-            )
+        _check_shape(action, self.ell_points, self.ell_spheres, self.m_spheres)
 
     def canonical(self, p: int) -> "Su2Isotropy":
         """Fold every ell into [0, p/2]; sphere m flips sign with its ell."""

@@ -110,25 +110,23 @@ def _emit(args, machine_obj: dict, human_text: str) -> None:
         print(human_text)
 
 
-def _report_payload(report: CongruenceReport) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "lhs": str(r.lhs),
-            "required": str(r.required),
-            "passed": r.passed,
-        }
-        for r in report.records
-    ]
+def _emit_document(args, doc: dict) -> int:
+    """Print a document that `solve` or `sum` produced, indented for reading."""
+    if args.machine:
+        print(json.dumps({"ok": True, "document": doc}, sort_keys=True))
+    else:
+        print(json.dumps(doc, indent=2))
+    return EXIT_OK
 
 
 def _finish_report(args, report: CongruenceReport, mode: str) -> int:
     verdict = "all relations hold" if report.ok else f"{len(report.failures())} relation(s) failed"
-    _emit(
-        args,
-        {"mode": mode, "ok": report.ok, "records": _report_payload(report)},
-        report.display() + "\n" + verdict,
-    )
+    records = [
+        {"name": r.name, "lhs": str(r.lhs), "required": str(r.required), "passed": r.passed}
+        for r in report.records
+    ]
+    machine = {"mode": mode, "ok": report.ok, "records": records}
+    _emit(args, machine, report.display() + "\n" + verdict)
     return EXIT_OK if report.ok else EXIT_RELATION
 
 
@@ -166,15 +164,8 @@ def _cmd_solve(args) -> int:
         except IndexError:
             raise _Failure(EXIT_PARSE, f"slot {args.free} is out of range")
     completed = solve_theorem_a(action, iso)
-    out = {
-        "action": action_to_dict(action),
-        "line_isotropy": line_isotropy_to_dict(completed),
-    }
-    if args.machine:
-        print(json.dumps({"ok": True, "document": out}, sort_keys=True))
-    else:
-        print(json.dumps(out, indent=2))
-    return EXIT_OK
+    out = {"action": action_to_dict(action), "line_isotropy": line_isotropy_to_dict(completed)}
+    return _emit_document(args, out)
 
 
 def _cmd_dimension(args) -> int:
@@ -213,18 +204,20 @@ def _cmd_dimension(args) -> int:
     return EXIT_OK
 
 
-_EXPAND_PARAMS = {
-    "point": ("a", "b", "lam"),
-    "sphere": ("c", "alpha", "lam"),
-    "boundary": ("c", "m", "lam"),
-    "su2-point": ("a", "b", "ell"),
-    "su2-sphere": ("c", "alpha", "m", "ell"),
+# kind -> (expansion, its parameters in argument order)
+_EXPAND = {
+    "point": (expand_point_term, ("a", "b", "lam")),
+    "sphere": (expand_sphere_term, ("c", "alpha", "lam")),
+    "boundary": (expand_boundary_term, ("c", "m", "lam")),
+    "su2-point": (expand_su2_point_term, ("a", "b", "ell")),
+    "su2-sphere": (expand_su2_sphere_term, ("c", "alpha", "m", "ell")),
 }
 
 
 def _cmd_expand(args) -> int:
-    values = []  # in the expansion's argument order
-    for name in _EXPAND_PARAMS[args.kind]:
+    expand, params = _EXPAND[args.kind]
+    values = []
+    for name in params:
         v = getattr(args, name)
         if v is None:
             if name not in ("lam", "ell", "m"):
@@ -232,13 +225,6 @@ def _cmd_expand(args) -> int:
             v = 0
         values.append(v)
     order = args.order
-    expand = {
-        "point": expand_point_term,
-        "sphere": expand_sphere_term,
-        "boundary": expand_boundary_term,
-        "su2-point": expand_su2_point_term,
-        "su2-sphere": expand_su2_sphere_term,
-    }[args.kind]
     series = expand(*values, order)
     coeffs = [series.coeff(j) for j in range(order + 1)]
     reductions: list = []
@@ -281,12 +267,7 @@ def _cmd_sum(args) -> int:
             merged = connected_sum_spheres(action_a, i, action_b, j)
     except IndexError:
         raise _Failure(EXIT_PARSE, "fixed set index out of range")
-    out = {"action": action_to_dict(merged)}
-    if args.machine:
-        print(json.dumps({"ok": True, "document": out}, sort_keys=True))
-    else:
-        print(json.dumps(out, indent=2))
-    return EXIT_OK
+    return _emit_document(args, {"action": action_to_dict(merged)})
 
 
 def _cmd_search(args) -> int:
@@ -371,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--kind",
         required=True,
-        choices=sorted(_EXPAND_PARAMS),
+        choices=sorted(_EXPAND),
     )
     for flag in ("a", "b", "c", "alpha", "m", "ell", "lam"):
         p_exp.add_argument(f"--{flag}", type=int, default=None)

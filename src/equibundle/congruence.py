@@ -3,11 +3,12 @@
 The G-signature check evaluates the fixed-point signature sum exactly
 in Q(zeta_p).  The rotation battery and the search read the same
 fixed-point terms mod p, as elements of Z[zeta]/p = F_p[t]/Phi_p(t) in
-the basis of zeta powers, at O(p) cost per fixed component.  The bundle
-checks expand their twisted terms with `series` over GF(p) through
-order 2.  The checks and the solver first make sure that p is an odd
-prime and that every rotation number is a unit mod p, since the
-relations divide by them.
+the basis of zeta powers, by the sliding window of `cyclotomic` read
+mod p, at O(p) cost per fixed component.  The bundle checks expand
+their twisted terms with `series` over GF(p) through order 2.  The
+checks and the solver first make sure that p is an odd prime and that
+every rotation number is a unit mod p, since the relations divide by
+them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .action_model import (
     LineIsotropy,
     Su2Isotropy,
 )
-from .cyclotomic import ZeroRotation, eval_point_term, eval_sphere_term, from_rational
+from .cyclotomic import ZeroRotation, _over_units, eval_point_term, eval_sphere_term, from_rational
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
 from .series import (
     GF,
@@ -167,12 +168,16 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     )
 
 
+def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
+    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * length
+
+
 def _series_records(
     p: int, terms: list[list[int]], n: int, s2_target: int
 ) -> list[RelationRecord]:
     """Sum the GF(p) expansions of the fixed-point terms through s^n;
     the total must reduce to s2_target * s^2 and nothing else."""
-    total = [sum(col) % p for col in zip(*terms)] if terms else [0] * (n + 1)
+    total = _vector_sum(p, terms, n + 1)
     required = [0] * (n + 1)
     if n >= 2:
         required[2] = s2_target % p
@@ -192,27 +197,10 @@ def _series_records(
 # the order-(p-2) expansion that `series` computes over GF(p).
 
 
-def _over_units(p: int, v: list[int], *rotations: int) -> list[int]:
-    """v / (u_r * ...) in F_p[t]/Phi_p(t), where u_r = (t^r - 1)/(t - 1)
-    and v holds p coefficients of an element of F_p[t]/(t^p - 1).
-
-    Mod Phi_p, 1/u_r = sum_{i < 1/r} t^(r*i), so w = v/u_r obeys
-    w_(m+r) = w_m + v_(m+r) - v_(m+r-1): a sliding window along the
-    cycle m -> m + r.  The window fixes w up to a multiple of
-    1 + t + ... + t^(p-1) = Phi_p, so w_0 = 0 will do.  The result
-    folds t^(p-1) = -(1 + t + ... + t^(p-2)) away.
-    """
-    for r in rotations:
-        r %= p
-        w = [0] * p
-        acc = m = 0
-        for _ in range(p - 1):
-            m += r
-            if m >= p:
-                m -= p
-            acc += v[m] - v[m - 1]
-            w[m] = acc
-        v = w
+def _residues(p: int, num, units=()) -> list[int]:
+    """num / (u_r * ...) in F_p[t]/Phi_p(t), in the basis 1, t, ..., t^(p-2):
+    the shared window over Z, then t^(p-1) = -(1 + t + ... + t^(p-2)) mod p."""
+    v = _over_units(p, num, units)
     top = v[-1]
     return [(x - top) % p for x in v[:-1]]
 
@@ -254,29 +242,21 @@ def _point_vector(p: int, a: int, b: int) -> list[int]:
         (a2 * a2 + b2 * b2 - 5 * a2 * b2) * iv,
         (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv,
     ]
-    num = [0] * p
-    for e in (0, a, b, a + b):
-        num[e % p] += 1
-    return [x % p for x in rel] + _over_units(p, num, a, b)
+    num = [(0, 1), (a, 1), (b, 1), (a + b, 1)]
+    return [x % p for x in rel] + _residues(p, num, (a, b))
 
 
 def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
     """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
     c2 = c * c
     rel = [-alpha * pow(c2, -1, p), alpha, 3 * alpha * c2, 10 * alpha * c2 * c2]
-    num = [0] * p
-    num[c % p] = -4 * alpha % p
-    return [x % p for x in rel] + _over_units(p, num, c, c)
+    return [x % p for x in rel] + _residues(p, [(c, -4 * alpha)], (c, c))
 
 
 def _rotation_target(p: int, sign: int) -> list[int]:
     """[0, 3*Sign, 0, 0] followed by Sign * s^2 = Sign * (1 - 2t + t^2),
     which is zero when p = 3."""
-    return [0, 3 * sign % p, 0, 0] + _over_units(p, [sign, -2 * sign, sign] + [0] * (p - 3))
-
-
-def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
-    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * length
+    return [0, 3 * sign % p, 0, 0] + _residues(p, [(0, sign), (1, -2 * sign), (2, sign)])
 
 
 def check_rotation_relations(action: GroupAction) -> CongruenceReport:
@@ -308,14 +288,20 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
 # -- circle bundle relations -------------------------------------------------
 
 
-def _line_lhs(action: GroupAction, iso: LineIsotropy) -> int:
+def _weight_sum(action: GroupAction, points, spheres, ms, n: int) -> int:
+    """The order-n weight relation mod p: w^n/(ab) summed over the points
+    plus (n*w^(n-1)*m*c - w^n*alpha)/c^2 over the spheres."""
     p = action.p
     lhs = 0
-    for pt, lam in zip(action.points, iso.lambda_points):
-        lhs += lam * pow(pt.a * pt.b, -1, p)
-    for s, lam, m in zip(action.spheres, iso.lambda_spheres, iso.m_spheres):
-        lhs += (s.c * m - lam * s.alpha) * pow(s.c * s.c, -1, p)
+    for pt, w in zip(action.points, points):
+        lhs += w**n * pow(pt.a * pt.b, -1, p)
+    for s, w, m in zip(action.spheres, spheres, ms):
+        lhs += (n * w ** (n - 1) * m * s.c - w**n * s.alpha) * pow(s.c * s.c, -1, p)
     return lhs % p
+
+
+def _line_lhs(action: GroupAction, iso: LineIsotropy, n: int = 1) -> int:
+    return _weight_sum(action, iso.lambda_points, iso.lambda_spheres, iso.m_spheres, n)
 
 
 def theorem_a_condition(action: GroupAction, isotropy: LineIsotropy) -> CongruenceReport:
@@ -380,13 +366,7 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
         raise Underdetermined("bundle check needs a fully specified isotropy record")
     if isotropy.c1_squared is None:
         raise MissingChernSquare("c1_squared is required for the quadratic relation")
-    first = _line_lhs(action, isotropy)
-    second = 0
-    for pt, lam in zip(action.points, isotropy.lambda_points):
-        second += lam * lam * pow(pt.a * pt.b, -1, p)
-    for s, lam, m in zip(action.spheres, isotropy.lambda_spheres, isotropy.m_spheres):
-        second += (-lam * lam * s.alpha) * pow(s.c * s.c, -1, p) + 2 * lam * m * pow(s.c, -1, p)
-    second %= p
+    first, second = _line_lhs(action, isotropy), _line_lhs(action, isotropy, 2)
     records = [
         RelationRecord("first_order", first, 0, first == 0),
         RelationRecord(
@@ -413,12 +393,7 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     p = action.p
     _require_units(action)
     isotropy.check_shape(action)
-    lhs = 0
-    for pt, ell in zip(action.points, isotropy.ell_points):
-        lhs += ell * ell * pow(pt.a * pt.b, -1, p)
-    for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres):
-        lhs += (-ell * ell * s.alpha) * pow(s.c * s.c, -1, p) + 2 * ell * m * pow(s.c, -1, p)
-    lhs %= p
+    lhs = _weight_sum(action, isotropy.ell_points, isotropy.ell_spheres, isotropy.m_spheres, 2)
     want = (-isotropy.c2) % p
     records = [RelationRecord("su2_weight_sum", lhs, want, lhs == want)]
     n, gf = min(2, p - 2), GF(p)

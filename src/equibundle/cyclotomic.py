@@ -5,10 +5,13 @@ zeta^(p-2), reduced modulo Phi_p(t) = 1 + t + ... + t^(p-1), over one
 common denominator.  The case p = 2 is allowed (zeta = -1, length 1);
 it is needed by the involution dimension formulas only.
 
-Every fixed-point term is built from cot_e = (zeta^e+1)/(zeta^e-1).  A
-double-precision embedding (zeta -> exp(2*pi*i*k/p)) exists purely to
-cross-check results against trigonometry; nothing is ever computed from
-floats.
+Every fixed-point term is a sparse Laurent polynomial in zeta divided
+by prod_r u_r * (zeta - 1)^k, where u_r = (zeta^r - 1)/(zeta - 1).
+`_term` builds it at O(p) per factor: a sliding window, exact over Z,
+divides by the units, and running sums divide by zeta - 1.  The rotation
+battery in `congruence` reads the same window mod p.  A double-precision
+embedding (zeta -> exp(2*pi*i*k/p)) exists purely to cross-check results
+against trigonometry; nothing is ever computed from floats.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from ._poly import cleared, convolve
@@ -152,83 +156,103 @@ def from_rational(p: int, q) -> CycloNum:
     return CycloNum(p, [q] + [0] * (p - 2))
 
 
-def _zeta(p: int, e: int) -> CycloNum:
-    return _reduce(p, [0] * (e % p) + [1], 1)
+def _over_units(p: int, num, units) -> list[int]:
+    """num / prod_r u_r as p integers over t^0..t^(p-1), exact mod Phi_p(t),
+    for a sparse num of (exponent, coefficient) and units r nonzero mod p.
+
+    Mod Phi_p, 1/u_r = sum_{i < 1/r} t^(r*i) is integral, and w = v/u_r
+    obeys w_m = w_(m-r) + v_m - v_(m-1): a sliding window along m -> m + r.
+    It fixes w up to a multiple of Phi_p, so w_0 = 0 will do.
+    """
+    v = [0] * p
+    for e, c in num:
+        v[e % p] += c
+    for r in units:
+        r %= p
+        w = [0] * p
+        acc = m = 0
+        for _ in range(p - 1):
+            m += r
+            if m >= p:
+                m -= p
+            acc += v[m] - v[m - 1]
+            w[m] = acc
+        v = w
+    return v
+
+
+def _term(p: int, num, units, k: int, den: int = 1) -> CycloNum:
+    """num / (den * prod_r u_r * (zeta - 1)^k), num sparse as in `_over_units`.
+    Each division by zeta - 1 subtracts v(1)/p * Phi_p, so that v(1) = 0,
+    then divides by t - 1 with one running sum."""
+    v = _over_units(p, num, units)
+    for _ in range(k):
+        s = sum(v)
+        v = [-x for x in accumulate(p * x - s for x in v)]
+        den *= p
+    return _reduce(p, v, den)
 
 
 def zeta_pow(p: int, e: int) -> CycloNum:
     """zeta^e as a canonical field element."""
     _require_prime(p)
-    return _zeta(p, e)
-
-
-def _cot(p: int, e: int) -> CycloNum:
-    """cot_e = (zeta^e + 1)/(zeta^e - 1) = 1 + (2/p) * sum_j j * zeta^(e*j)
-    for e != 0 mod p; embeds to -i*cot(pi*e/p).
-
-    The identity (zeta^e - 1) * sum_{j=0}^{p-1} j*zeta^(ej) = p holds
-    because the shifted sum telescopes and sum_j zeta^(ej) = 0.
-    """
-    raw = [0] * p
-    for j in range(p):
-        raw[e * j % p] += 2 * j
-    raw[0] += p
-    return _reduce(p, raw, p)
+    return _term(p, [(e, 1)], (), 0)
 
 
 def zeta_minus_one_inv(p: int, e: int) -> CycloNum:
-    """(zeta^e - 1)^(-1) = (cot_e - 1) / 2."""
+    """(zeta^e - 1)^(-1) = 1 / (u_e * (zeta - 1))."""
     _require_prime(p)
     if e % p == 0:
         raise ZeroRotation(f"exponent {e} is divisible by {p}")
-    return (_cot(p, e) - 1) * Fraction(1, 2)
+    return _term(p, [(0, 1)], (e,), 1)
 
 
 # -- fixed-point terms -------------------------------------------------
 
 
+def _check(p: int, k: int, *rotations: int) -> None:
+    """Prime p; k and a point's two rotations or a sphere's one nonzero mod p."""
+    _require_prime(p)
+    if any(r % p == 0 for r in rotations):
+        if len(rotations) == 2:
+            raise ZeroRotation(f"rotation numbers {rotations} must be nonzero mod {p}")
+        raise ZeroRotation(f"normal rotation {rotations[0]} must be nonzero mod {p}")
+    if k % p == 0:
+        raise ZeroRotation(f"group element power {k} must be nonzero mod {p}")
+
+
 def eval_point_term(p: int, k: int, a: int, b: int) -> CycloNum:
-    """(zeta^(ka)+1)(zeta^(kb)+1) / ((zeta^(ka)-1)(zeta^(kb)-1)) = cot_{ka} * cot_{kb}.
+    """(zeta^(ka)+1)(zeta^(kb)+1) / ((zeta^(ka)-1)(zeta^(kb)-1)).
 
     Under the embedding zeta -> exp(2*pi*i/p) this is the isolated
     fixed point contribution -cot(pi*a*k/p) * cot(pi*b*k/p).
     """
-    _require_prime(p)
-    if a % p == 0 or b % p == 0:
-        raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero mod {p}")
-    if k % p == 0:
-        raise ZeroRotation(f"group element power {k} must be nonzero mod {p}")
-    return _cot(p, k * a) * _cot(p, k * b)
+    _check(p, k, a, b)
+    a, b = k * a, k * b
+    return _term(p, [(0, 1), (a, 1), (b, 1), (a + b, 1)], (a, b), 2)
 
 
 def eval_sphere_term(p: int, k: int, c: int, alpha: int) -> CycloNum:
-    """-4*alpha*zeta^(kc) / (zeta^(kc)-1)^2 = -alpha * (cot_{kc}^2 - 1),
-    the fixed sphere contribution; embeds to alpha * csc^2(pi*c*k/p)."""
-    _require_prime(p)
-    if c % p == 0:
-        raise ZeroRotation(f"normal rotation {c} must be nonzero mod {p}")
-    if k % p == 0:
-        raise ZeroRotation(f"group element power {k} must be nonzero mod {p}")
-    cot = _cot(p, k * c)
-    return (cot * cot - 1) * -alpha
+    """-4*alpha*zeta^(kc) / (zeta^(kc)-1)^2, the fixed sphere
+    contribution; embeds to alpha * csc^2(pi*c*k/p)."""
+    _check(p, k, c)
+    return _term(p, [(k * c, -4 * alpha)], (k * c, k * c), 2)
 
 
 def sin2_term(p: int, e: int) -> CycloNum:
     """(2 - zeta^e - zeta^(-e)) / 4; embeds to sin^2(pi*e/p)."""
     _require_prime(p)
-    return (2 - _zeta(p, e) - _zeta(p, -e)) * Fraction(1, 4)
+    return _term(p, [(0, 2), (e, -1), (-e, -1)], (), 0, 4)
 
 
 def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
-    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)) = (zeta^l - zeta^(-l)) * cot_c / 2.
+    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)).
 
     Embeds to sin(2*pi*l/p) * cot(pi*c/p); the two imaginary factors
     cancel, so the value is real under every embedding.
     """
-    _require_prime(p)
-    if c % p == 0:
-        raise ZeroRotation(f"normal rotation {c} must be nonzero mod {p}")
-    return (_zeta(p, l) - _zeta(p, -l)) * _cot(p, c) * Fraction(1, 2)
+    _check(p, 1, c)
+    return _term(p, [(l, 1), (l + c, 1), (-l, -1), (c - l, -1)], (c,), 1, 2)
 
 
 def field_trace(x: CycloNum) -> Rational:

@@ -4,24 +4,26 @@ All rho values are computed twice: exactly, as the trace of one
 evaluation, and in floating point from the trigonometric form of the
 sum over k = 1..p-1.  Each summand at power k is sigma_k (zeta -> zeta^k)
 applied to the summand at k = 1, so the exact sum is the field trace
-of that single Q(zeta_p) element.  A disagreement beyond 1e-9 is a
-hard error, not a warning; it would mean the exact encodings drifted
-from the analytic definitions.
+of that single Q(zeta_p) element, built with the sin^2 factor in its
+numerator.  A disagreement beyond the float error bound of `RhoValue`
+(1e-9, or more at large p) is a hard error, not a warning; it would
+mean the exact encodings drifted from the analytic definitions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action_model import GroupAction, Su2Isotropy, validate
 from .congruence import gsign_value
-from .cyclotomic import (
+from .cyclotomic import (  # noqa: F401 (eval_point_term stays importable here for perfbench)
+    _check,
+    _term,
     eval_point_term,
-    eval_sphere_term,
     field_trace,
-    sin2_term,
     sin_cot_term,
 )
 from .exact_arith import Rational
@@ -72,19 +74,53 @@ class ParityError(ValueError):
 
 @dataclass(frozen=True)
 class RhoValue:
-    """Exact rho invariant with its mandatory floating point witness."""
+    """Exact rho invariant with its mandatory floating point witness.
+
+    The witness sums float terms x_k of cot, csc^2 and sin^2 at angles
+    pi*r/p, 0 < r < p.  Each angle is exact to about eps * pi, a relative
+    error of about eps * p in sin near r = p - 1: p is the condition
+    number of each factor.  So each x_k is off by a few eps * p * |x_k|,
+    and summing adds at most p * eps * S, S = sum_k |x_k|.  The witness
+    must match within max(1e-9, 4 * eps * p * S); sampled errors up to
+    p = 100003 stayed below 0.5 * eps * p * S.  `rho_lens` and
+    `rho_surface` set `_scale` = p * S from the terms they sum.
+    """
 
     exact: Rational
     float_check: float
+    _scale: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
-        if abs(float(self.exact) - self.float_check) >= _FLOAT_TOL:
-            raise FloatMismatch(
-                f"exact value {self.exact} vs float {self.float_check!r}"
-            )
+        tol = max(_FLOAT_TOL, 4 * sys.float_info.epsilon * self._scale)
+        if abs(float(self.exact) - self.float_check) >= tol:
+            raise FloatMismatch(f"exact value {self.exact} vs float {self.float_check!r}")
 
     def __str__(self) -> str:
         return str(self.exact)
+
+
+def _angle(p: int, r: int) -> float:
+    """pi * r / p with r reduced mod p, so it is exact to about eps * pi;
+    cot, csc^2 and sin^2 have period pi, so no term changes."""
+    return math.pi * (r % p) / p
+
+
+def _cot_at(p: int, r: int) -> float:
+    return 1 / math.tan(_angle(p, r))
+
+
+def _witnessed(exact: Rational, p: int, parts) -> RhoValue:
+    """`exact` with the witness sum_j w_j * sum(terms_j), parts = [(w_j, terms_j)]."""
+    approx = scale = 0.0
+    for w, terms in parts:
+        approx += w * sum(terms)
+        scale += abs(w) * sum(map(abs, terms))
+    return RhoValue(exact, approx, p * scale)
+
+
+def _times_4sin2(num, ell: int) -> list[tuple[int, int]]:
+    """num * (2 - t^ell - t^(-ell)), the numerator of num * 4 sin^2(pi*ell/p)."""
+    return [(e + d, c * w) for e, c in num for d, w in ((0, 2), (ell, -1), (-ell, -1))]
 
 
 def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
@@ -95,19 +131,20 @@ def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
                                 * sin^2(pi k ell / p)
 
     computed exactly as (2/p) * Tr(x), x the k = 1 summand encoded in
-    Q(zeta_p) (the point term encodes -cot * cot).  Depends only on the
-    residues of a, b, ell; vanishes at ell = 0.
+    Q(zeta_p): the point term (which encodes -cot * cot) with
+    4 sin^2 = 2 - zeta^ell - zeta^(-ell) in its numerator.  Depends only
+    on the residues of a, b, ell; vanishes at ell = 0.
     """
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
-    exact = Fraction(-2, p) * field_trace(eval_point_term(p, 1, a, b) * sin2_term(p, ell))
-    approx = (2.0 / p) * sum(
-        (math.cos(math.pi * a * k / p) / math.sin(math.pi * a * k / p))
-        * (math.cos(math.pi * b * k / p) / math.sin(math.pi * b * k / p))
-        * math.sin(math.pi * k * ell / p) ** 2
+    _check(p, 1, a, b)
+    num = _times_4sin2([(0, 1), (a, 1), (b, 1), (a + b, 1)], ell)
+    exact = Fraction(-1, 2 * p) * field_trace(_term(p, num, (a, b), 2))
+    terms = [
+        _cot_at(p, a * k) * _cot_at(p, b * k) * math.sin(_angle(p, k * ell)) ** 2
         for k in range(1, p)
-    )
-    return RhoValue(exact, approx)
+    ]
+    return _witnessed(exact, p, [(2.0 / p, terms)])
 
 
 def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
@@ -117,39 +154,24 @@ def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
         (2 alpha / p) * sum_k csc^2(pi c k / p) sin^2(pi k ell / p)
       - (4 m / p)     * sum_k sin(2 pi k ell / p) cot(pi c k / p)
 
-    with both sums exact, each the trace of its k = 1 summand;
-    everything vanishes when ell = 0.
+    with both sums exact, each the trace of its k = 1 summand (the first
+    is the sphere term with 4 sin^2 in its numerator); everything
+    vanishes when ell = 0.
     """
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
-    part1 = (
-        Fraction(2, p) * field_trace(eval_sphere_term(p, 1, c, alpha) * sin2_term(p, ell))
-        if alpha
-        else Fraction(0)
-    )
-    part2 = Fraction(-4 * m, p) * field_trace(sin_cot_term(p, ell, c)) if m else Fraction(0)
-    exact = part1 + part2
-    approx1 = (
-        (2.0 * alpha / p)
-        * sum(
-            math.sin(math.pi * k * ell / p) ** 2 / math.sin(math.pi * c * k / p) ** 2
-            for k in range(1, p)
-        )
-        if alpha
-        else 0.0
-    )
-    approx2 = (
-        (-4.0 * m / p)
-        * sum(
-            math.sin(2 * math.pi * k * ell / p)
-            * math.cos(math.pi * c * k / p)
-            / math.sin(math.pi * c * k / p)
-            for k in range(1, p)
-        )
-        if m
-        else 0.0
-    )
-    return RhoValue(exact, approx1 + approx2)
+    exact, parts, ks = Fraction(0), [], range(1, p)
+    if alpha:
+        _check(p, 1, c)
+        num = _times_4sin2([(c, -4 * alpha)], ell)
+        exact += Fraction(1, 2 * p) * field_trace(_term(p, num, (c, c), 2))
+        terms = [(math.sin(_angle(p, k * ell)) / math.sin(_angle(p, c * k))) ** 2 for k in ks]
+        parts.append((2.0 * alpha / p, terms))
+    if m:
+        exact += Fraction(-4 * m, p) * field_trace(sin_cot_term(p, ell, c))
+        terms = [math.sin(2 * _angle(p, k * ell)) * _cot_at(p, c * k) for k in ks]
+        parts.append((-4.0 * m / p, terms))
+    return _witnessed(exact, p, parts)
 
 
 def defect_terms(action: GroupAction) -> tuple[Rational, Rational]:

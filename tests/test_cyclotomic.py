@@ -427,3 +427,24 @@ def test_equal_elements_have_equal_fields(data):
     for other in (scaled, shifted, CycloNum(p, x.coeffs)):
         assert (other.num, other.den, hash(other)) == (x.num, x.den, hash(x))
         assert other.den > 0 and math.gcd(other.den, *other.num) == 1
+
+
+# -- oracle at large p: Dedekind sums (Rademacher-Grosswald, 1972) ---------
+
+
+def _dedekind(h: int, k: int) -> Fraction:
+    """s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) for gcd(h, k) = 1, with the
+    sawtooth ((x)) = x - floor(x) - 1/2 (no hr/k is an integer)."""
+    return Fraction(sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k)), 4 * k * k)
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_traces_at_large_p_are_dedekind_sums(p):
+    # sum_k cot(pi a k/p) cot(pi b k/p) = 4p s(b/a, p), and the point term
+    # encodes -cot * cot; sum_k csc^2(pi c k/p) = (p^2 - 1)/3 for every c
+    third = p // 3
+    for a, b in [(1, 1), (1, 2), (2, p - 1), (third, third + 1), (third, 2 * third + 1)]:
+        want = -4 * p * _dedekind(b * pow(a, -1, p) % p, p)
+        assert field_trace(eval_point_term(p, 1, a, b)) == want
+    for c, alpha in [(1, 1), (third, -3), (2 * third + 1, 2)]:
+        assert field_trace(eval_sphere_term(p, 1, c, alpha)) == Fraction(alpha * (p * p - 1), 3)

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from equibundle import congruence, cyclotomic, moduli
+from equibundle import _poly, congruence, cyclotomic, moduli, series
 from equibundle.action_model import (
     FixedSphere,
     GroupAction,
@@ -151,6 +152,24 @@ def test_rho_value_rejects_disagreement():
         RhoValue(Fraction(1), 0.5)
 
 
+def test_rho_at_large_p_is_witnessed_within_its_float_error():
+    # cot near a pole loses about eps * p of relative accuracy, so at
+    # p = 100003 the witness of (1, 1, 50001) is off by about 2e-7: the
+    # tolerance scales with p * sum_k |x_k| there, and stays 1e-9 at small p
+    eps = sys.float_info.epsilon
+    wide = rho_lens(100003, 1, 1, 50001)
+    assert 1e-9 < 4 * eps * wide._scale
+    assert abs(float(wide.exact) - wide.float_check) < 4 * eps * wide._scale
+    # arguments reduced mod p keep the angles exact to eps * pi: with a*k
+    # up to p^2 unreduced, this witness was off by 1.7e-7
+    near_thirds = rho_lens(100003, 33334, 66669, 17)
+    assert abs(float(near_thirds.exact) - near_thirds.float_check) < 1e-9
+    surface = rho_surface(100003, 33334, 50001, -3, 2)
+    assert abs(float(surface.exact) - surface.float_check) < 4 * eps * surface._scale
+    for small in (rho_lens(61, 2, 5, 30), rho_surface(61, 3, 11, -2, 4)):
+        assert 4 * eps * small._scale < 1e-9
+
+
 def test_defects_and_quotient_on_triple_action():
     act = triple_cp2_bar_action()
     d_chi, d_sign = defect_terms(act)
@@ -295,13 +314,47 @@ def test_signature_paths_evaluate_once_per_fixed_point(monkeypatch):
     # p-fold Galois sum on any request path
     modules = (cyclotomic, congruence, moduli)
     point_calls = _count_calls(monkeypatch, "eval_point_term", modules)
+    term_calls = _count_calls(monkeypatch, "_term", modules)
     galois_calls = _count_calls(monkeypatch, "galois_sum", modules)
     act = linear_cp2(31, 1, 2)
     assert gsignature_check(act).ok
     assert len(point_calls) == len(act.points)
-    del point_calls[:]
+    del term_calls[:]
     s4 = linear_s4(31, 1, 2)
     assert dim_invariant_moduli(s4, Su2Isotropy((1, 3), (), (), c2=1), 1).dimension == 1
-    # one signature evaluation and one rho_lens per point
-    assert len(point_calls) == 2 * len(s4.points)
+    # one signature evaluation and one rho_lens per point, each one
+    # call of the shared term builder
+    assert len(term_calls) == 2 * len(s4.points)
     assert galois_calls == []
+
+
+def test_request_paths_multiply_no_dense_field_elements(monkeypatch):
+    # every fixed-point term comes from the shared O(p) builder; the dense
+    # product of two CycloNums is left to the API and the oracles
+    s4 = linear_s4(31, 1, 2)
+    iso = Su2Isotropy((1, 3), (), (), c2=1)
+    triple = triple_cp2_bar_action()  # a fixed sphere with m != 0
+    triple_iso = Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1)
+    involution = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2)
+
+    def run():
+        return (
+            gsignature_check(linear_cp2(31, 10, 21)),
+            defect_terms(triple),
+            rho_lens(31, 2, 5, 7),
+            rho_surface(31, 3, 11, -2, 4),
+            dim_invariant_moduli(s4, iso, 1),
+            dim_invariant_moduli(triple, triple_iso, 1),
+            dim_involution(involution, 1),
+        )
+
+    want = run()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense field multiplication on a request path")
+
+    monkeypatch.setattr(cyclotomic.CycloNum, "__mul__", forbidden)
+    monkeypatch.setattr(cyclotomic.CycloNum, "__rmul__", forbidden)
+    for module in (_poly, cyclotomic, series):
+        monkeypatch.setattr(module, "convolve", forbidden)
+    assert run() == want
