@@ -5,7 +5,8 @@ Documents are JSON with an "action" section and optional
 schema.  Exit codes: 0 all checks pass, 1 a relation fails or a solve
 or dimension has no consistent answer, 2 unreadable document or bad
 parameters, 3 structurally valid input that fails validation (missing
-section, wrong shape, inconsistent counts, degenerate rotation data).
+section, wrong shape, inconsistent counts, degenerate rotation data),
+141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_RELATION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 
 _FREE_SLOT = re.compile(r"^(lambda|lambda_sphere|m)\[(\d+)\]$")
 
@@ -120,14 +123,18 @@ def _emit_document(args, doc: dict) -> int:
 
 
 def _finish_report(args, report: CongruenceReport, mode: str) -> int:
-    verdict = "all relations hold" if report.ok else f"{len(report.failures())} relation(s) failed"
-    records = [
-        {"name": r.name, "lhs": str(r.lhs), "required": str(r.required), "passed": r.passed}
-        for r in report.records
-    ]
-    machine = {"mode": mode, "ok": report.ok, "records": records}
-    _emit(args, machine, report.display() + "\n" + verdict)
-    return EXIT_OK if report.ok else EXIT_RELATION
+    """Print the report in the one form asked for, JSON or text."""
+    ok = report.ok
+    if args.machine:
+        records = [
+            {"name": r.name, "lhs": str(r.lhs), "required": str(r.required), "passed": r.passed}
+            for r in report.records
+        ]
+        print(json.dumps({"mode": mode, "ok": ok, "records": records}, sort_keys=True))
+    else:
+        verdict = "all relations hold" if ok else f"{len(report.failures())} relation(s) failed"
+        print(report.display() + "\n" + verdict)
+    return EXIT_OK if ok else EXIT_RELATION
 
 
 # -- subcommands --------------------------------------------------------------
@@ -429,4 +436,12 @@ def _fail(args, code: int, message: str) -> None:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does): stop quietly,
+        # with stdout on devnull so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)

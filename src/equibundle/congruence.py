@@ -13,7 +13,6 @@ them.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,18 +231,22 @@ def _to_s_basis(p: int, v: list[int]) -> list[int]:
     ]
 
 
-def _point_vector(p: int, a: int, b: int) -> list[int]:
-    """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
+def _point_relations(p: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """The four relation residues of an isolated point (a, b)."""
     iv = pow(a * b, -1, p)
     a2, b2 = a * a, b * b
-    rel = [
-        iv,
-        (a2 + b2) * iv,
-        (a2 * a2 + b2 * b2 - 5 * a2 * b2) * iv,
-        (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv,
-    ]
+    return (
+        iv % p,
+        (a2 + b2) * iv % p,
+        (a2 * a2 + b2 * b2 - 5 * a2 * b2) * iv % p,
+        (2 * a2**3 - 7 * a2**2 * b2 - 7 * a2 * b2**2 + 2 * b2**3) * iv % p,
+    )
+
+
+def _point_vector(p: int, a: int, b: int) -> list[int]:
+    """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
     num = [(0, 1), (a, 1), (b, 1), (a + b, 1)]
-    return [x % p for x in rel] + _residues(p, num, (a, b))
+    return [*_point_relations(p, a, b), *_residues(p, num, (a, b))]
 
 
 def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
@@ -458,12 +461,10 @@ def boundary_chern_data(sphere: FixedSphere, lam: int, m: int, p: int) -> Residu
 
 
 def _point_classes(p: int) -> list[tuple[int, int]]:
-    seen = set()
-    for a in range(1, p):
-        for b in range(1, p):
-            pt = IsolatedPoint(p, a, b)
-            seen.add((pt.a, pt.b))
-    return sorted(seen)
+    """The canonical point classes, ascending: the least of (a, b), (b, a),
+    (-a, -b) and (-b, -a) (see `IsolatedPoint`) is (a, b) exactly when
+    a <= b and (a, b) <= (p - b, p - a), that is, when a <= b <= p - a."""
+    return [(a, b) for a in range(1, p) for b in range(a, p - a + 1)]
 
 
 def _sphere_choices(
@@ -495,15 +496,21 @@ def search_realizable(
     congruence, in deterministic lexicographic order: point classes as
     sorted multisets, then sphere weights.
 
-    Every point class and every sphere-weight choice gets its vector
-    (see `check_rotation_relations`) once per call, at O(p) cost.  For
-    each multiset of all but the last point and each sphere choice,
-    relation 1 fixes the last point's residue 1/(ab), so its candidates
-    are read from a bucket keyed by that residue.  A candidate is
-    accepted iff the one summed vector equals the target.  The sums are
-    compared in the basis of zeta powers: the change to powers of
-    s = t - 1 is a bijection, so this is exactly
+    The last point is solved for, not searched.  Of the four relation
+    residues of a class, r1 = 1/(ab) and r2 = (a^2 + b^2)/(ab) already
+    fix it: they give ab and a^2 + b^2, hence {a, b} up to swap and
+    sign.  So one dict maps residue tuples to classes.  For each
+    multiset of all but the last point (the prefix), its summed residues
+    are kept as four ints, and one lookup per sphere choice finds the
+    only class that can complete it, at O(1) cost per prefix and
+    choice.  Only a hit builds the O(p) vectors of its points (see
+    `check_rotation_relations`), each class at most once per call, and
+    it is accepted iff the one summed vector equals the target.  The
+    sums are compared in the basis of zeta powers: the change to powers
+    of s = t - 1 is a bijection, so this is exactly
     `check_rotation_relations(...).ok`, with no change of basis.
+    Prefixes come in lexicographic order, and the hits of one prefix
+    in order of (last class, sphere choice).
     """
     _require_odd_prime(p)
     for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):
@@ -542,24 +549,38 @@ def search_realizable(
             if not any(need):
                 yield action((), ws)
         return
-    vectors = [_point_vector(p, a, b) for a, b in classes]
-    buckets: dict[int, list[int]] = {}  # relation-1 residue -> ascending class indices
-    for i, vec in enumerate(vectors):
-        buckets.setdefault(vec[0], []).append(i)
-    for prefix in itertools.combinations_with_replacement(range(len(classes)), n_points - 1):
-        low = prefix[-1] if prefix else 0
-        r1 = sum(vectors[i][0] for i in prefix)
-        partial = None
-        hits = []
-        for k, (_, need) in enumerate(choices):
-            bucket = buckets.get((need[0] - r1) % p, [])
-            start = bisect.bisect_left(bucket, low)
-            if start == len(bucket):
-                continue
-            if partial is None:
-                partial = _vector_sum(p, [vectors[i] for i in prefix], p + 3)
-            last = [(x - y) % p for x, y in zip(need, partial)]
-            hits += [(j, k) for j in bucket[start:] if vectors[j] == last]
+    rels = [_point_relations(p, a, b) for a, b in classes]
+    last_class = {rel: j for j, rel in enumerate(rels)}
+    needs = [tuple(need[:4]) for _, need in choices]
+    vectors: dict[int, list[int]] = {}  # class index -> vector, built on its first hit
+
+    def vector(i):
+        if i not in vectors:
+            vectors[i] = _point_vector(p, *classes[i])
+        return vectors[i]
+
+    def accepted(prefix, hits):
         hits.sort()
         for j, k in hits:
-            yield action((*prefix, j), choices[k][0])
+            idx = (*prefix, j)
+            if _vector_sum(p, [vector(i) for i in idx], p + 3) == choices[k][1]:
+                yield action(idx, choices[k][0])
+
+    if n_points == 1:
+        hits = [(last_class[need], k) for k, need in enumerate(needs) if need in last_class]
+        yield from accepted((), hits)
+        return
+    # each prefix is a head of n_points - 2 classes and then a tail class
+    m = len(classes)
+    for head in itertools.combinations_with_replacement(range(m), n_points - 2):
+        h = [sum(col) for col in zip((0, 0, 0, 0), *(rels[i] for i in head))]
+        rest = [[x - y for x, y in zip(need, h)] for need in needs]
+        for i in range(head[-1] if head else 0, m):
+            r1, r2, r3, r4 = rels[i]
+            hits = []
+            for k, (n1, n2, n3, n4) in enumerate(rest):
+                j = last_class.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
+                if j is not None and j >= i:
+                    hits.append((j, k))
+            if hits:
+                yield from accepted((*head, i), hits)

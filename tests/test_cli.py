@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,9 @@ from equibundle.action_model import (
     su2_isotropy_to_dict,
     triple_cp2_bar_action,
 )
-from equibundle.cli import main
+from equibundle.cli import EXIT_PIPE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _doc(tmp_path, name, action=None, line=None, su2=None, raw=None):
@@ -335,6 +341,29 @@ def test_search_limit_and_determinism(capsys):
     assert main(base) == 0
     again = json.loads(capsys.readouterr().out)
     assert again == full
+
+
+@pytest.mark.parametrize("extra", [[], ["--machine"]])
+def test_closed_stdout_exits_quietly(extra):
+    """A reader that goes away before the output is written (as `| head`
+    does) gets exit 141 and no traceback.  The pipe's read end is closed
+    before the command starts, so its first write always fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    argv = [
+        "search", "--p", "13", "--points", "3", "--sign", "1", "--euler", "3", "--b2", "1",
+    ]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "equibundle", *argv, *extra],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_search_composite_p_is_validation_error(capsys):

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 from dataclasses import replace
@@ -43,7 +44,7 @@ from equibundle.congruence import (
     theorem_a_condition,
 )
 from equibundle.cyclotomic import ZeroRotation, eval_point_term, eval_sphere_term, zeta_pow
-from equibundle.exact_arith import rational_mod
+from equibundle.exact_arith import is_prime, rational_mod
 from equibundle.series import (
     GF,
     expand_binomial_power,
@@ -801,22 +802,104 @@ def test_search_results_are_sound(profile):
     assert len(keys) == len(set(keys))
 
 
-def test_search_expands_each_point_class_once(monkeypatch):
-    counts = {"battery": 0, "points": 0}
-    battery, expand = congruence.check_rotation_relations, congruence.expand_point_term
+def test_search_sums_vectors_only_for_hits(monkeypatch):
+    """The O(p) work of a search is one vector sum, compared once, per
+    lookup hit, plus the one sum of the (empty) sphere choice; each class
+    vector is built at most once.  Every hit is a result at p = 31, so
+    the bound is results + 1.  The relation-1 bucket search made 24,091
+    sums here, one partial vector for every prefix."""
+    sums, built = [], []
+    battery = congruence.check_rotation_relations
+    vector_sum, point_vector = congruence._vector_sum, congruence._point_vector
 
-    def counted_battery(*args):
-        counts["battery"] += 1
-        return battery(*args)
+    def counted_sum(*args):
+        sums.append(args)
+        return vector_sum(*args)
 
-    def counted_expand(*args):
-        counts["points"] += 1
-        return expand(*args)
+    def counted_vector(*args):
+        built.append(args)
+        return point_vector(*args)
 
-    monkeypatch.setattr(congruence, "check_rotation_relations", counted_battery)
-    monkeypatch.setattr(congruence, "expand_point_term", counted_expand)
-    found = list(search_realizable(11, 3, 0, [], 1, 3, 1))
-    assert found
-    assert counts["battery"] == 0
-    classes = {_point_class(11, a, b) for a in range(1, 11) for b in range(1, 11)}
-    assert counts["points"] <= len(classes)
+    def no_battery(*args):
+        raise AssertionError("the search called the battery")
+
+    monkeypatch.setattr(congruence, "check_rotation_relations", no_battery)
+    monkeypatch.setattr(congruence, "_vector_sum", counted_sum)
+    monkeypatch.setattr(congruence, "_point_vector", counted_vector)
+    found = list(search_realizable(31, 3, 0, [], 1, 3, 1))
+    assert len(found) == 80
+    assert len(sums) <= len(found) + 1
+    assert len(built) == len(set(built))
+    assert all(battery(act).ok for act in found)
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 102) if is_prime(q)])
+def test_point_classes_are_the_canonical_representatives(p):
+    classes = _point_classes(p)
+    assert classes == sorted({_point_class(p, a, b) for a in range(1, p) for b in range(1, p)})
+    # (r1, r2) fixes the class, so a residue lookup finds at most one
+    rels = [congruence._point_relations(p, a, b) for a, b in classes]
+    assert len({rel[:2] for rel in rels}) == len(classes)
+    assert rels == [tuple(congruence._point_vector(p, a, b)[:4]) for a, b in classes]
+
+
+def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
+    """The search that reads the last point from a bucket keyed by its
+    relation-1 residue and adds a partial vector for every prefix: the
+    O(p)-per-prefix search that the residue lookup replaced."""
+    _point_classes, _point_vector = congruence._point_classes, congruence._point_vector
+    _rotation_target, _sphere_choices = congruence._rotation_target, congruence._sphere_choices
+    _vector_sum = congruence._vector_sum
+    classes = _point_classes(p)
+    target = _rotation_target(p, sign)
+    # what the points must sum to, for each sphere choice
+    choices = [
+        (ws, [(t - v) % p for t, v in zip(target, vec)])
+        for ws, vec in _sphere_choices(p, sphere_alphas)
+    ]
+
+    def action(idx, ws):
+        return GroupAction(
+            p,
+            tuple(IsolatedPoint(p, *classes[i]) for i in idx),
+            tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
+            sign,
+            euler,
+            b2,
+        )
+
+    if n_points == 0:
+        for ws, need in choices:
+            if not any(need):
+                yield action((), ws)
+        return
+    vectors = [_point_vector(p, a, b) for a, b in classes]
+    buckets: dict[int, list[int]] = {}  # relation-1 residue -> ascending class indices
+    for i, vec in enumerate(vectors):
+        buckets.setdefault(vec[0], []).append(i)
+    for prefix in itertools.combinations_with_replacement(range(len(classes)), n_points - 1):
+        low = prefix[-1] if prefix else 0
+        r1 = sum(vectors[i][0] for i in prefix)
+        partial = None
+        hits = []
+        for k, (_, need) in enumerate(choices):
+            bucket = buckets.get((need[0] - r1) % p, [])
+            start = bisect.bisect_left(bucket, low)
+            if start == len(bucket):
+                continue
+            if partial is None:
+                partial = _vector_sum(p, [vectors[i] for i in prefix], p + 3)
+            last = [(x - y) % p for x, y in zip(need, partial)]
+            hits += [(j, k) for j in bucket[start:] if vectors[j] == last]
+        hits.sort()
+        for j, k in hits:
+            yield action((*prefix, j), choices[k][0])
+
+
+@pytest.mark.parametrize("n_points, alphas", [(3, ()), (1, (-1,)), (2, (1,)), (0, (1, -2))])
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 31])
+def test_search_equals_relation_1_buckets_in_order(p, n_points, alphas):
+    b2 = n_points + 2 * len(alphas) - 2
+    for sign in (-1, 0, 1, 2):
+        args = (p, n_points, len(alphas), list(alphas), sign, b2 + 2, b2)
+        assert list(search_realizable(*args)) == list(_search_by_relation_1(*args))
