@@ -386,6 +386,13 @@ def _check_same_p(a: GroupAction, b: GroupAction) -> None:
         raise ModulusMismatch(f"cannot sum actions with p = {a.p} and p = {b.p}")
 
 
+def _at(items: tuple, i: int):
+    """items[i], refusing a negative i: it would be matched here but kept in the sum."""
+    if not 0 <= i < len(items):
+        raise IndexError(f"index {i} is out of range for {len(items)} components")
+    return items[i]
+
+
 def connected_sum_points(a: GroupAction, i: int, b: GroupAction, j: int) -> GroupAction:
     """Equivariant connected sum at isolated fixed points.
 
@@ -394,7 +401,7 @@ def connected_sum_points(a: GroupAction, i: int, b: GroupAction, j: int) -> Grou
     equals the class of the first.  Both matched points disappear.
     """
     _check_same_p(a, b)
-    pa, pb = a.points[i], b.points[j]
+    pa, pb = _at(a.points, i), _at(b.points, j)
     if pb.orientation_reversed() != pa:
         raise IncompatiblePoints(
             f"point {pa.display()} cannot absorb {pb.display()}: "
@@ -422,7 +429,7 @@ def connected_sum_spheres(a: GroupAction, i: int, b: GroupAction, j: int) -> Gro
     summand and added self-intersections.
     """
     _check_same_p(a, b)
-    sa, sb = a.spheres[i], b.spheres[j]
+    sa, sb = _at(a.spheres, i), _at(b.spheres, j)
     if (sa.c + sb.c) % a.p != 0 and (sa.c - sb.c) % a.p != 0:
         raise IncompatibleSpheres(
             f"sphere weights {sa.display()} and {sb.display()} differ mod {a.p}"

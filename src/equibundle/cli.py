@@ -38,7 +38,7 @@ from .congruence import (
     search_realizable,
     solve_theorem_a,
 )
-from .exact_arith import rational_mod, DenominatorDivisible
+from .exact_arith import DenominatorDivisible, is_prime, rational_mod
 from .moduli import NonIntegerDimension, dim_invariant_moduli
 from .series import (
     expand_boundary_term,
@@ -317,6 +317,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _prime(text: str) -> int:
+    """argparse type: a prime, so a composite modulus exits 2 at parse time.
+    A value too large for `is_prime` to decide is an invalid value too."""
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equibundle",
@@ -364,9 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("a", "b", "c", "alpha", "m", "ell", "lam"):
         p_exp.add_argument(f"--{flag}", type=int, default=None)
     p_exp.add_argument("--order", type=_int_at_least(0), default=4)
-    p_exp.add_argument(
-        "--p", type=_int_at_least(2), default=None, help="also print mod-p reductions"
-    )
+    p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
     add_machine(p_exp)
     p_exp.set_defaults(handler=_cmd_expand)
 

@@ -25,7 +25,16 @@ from .action_model import (
     LineIsotropy,
     Su2Isotropy,
 )
-from .cyclotomic import ZeroRotation, _over_units, eval_point_term, eval_sphere_term, from_rational
+from .cyclotomic import (
+    ZeroRotation,
+    _over_units,
+    _point,
+    _sphere,
+    _twist,
+    eval_point_term,
+    eval_sphere_term,
+    from_rational,
+)
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
 from .series import (
     GF,
@@ -196,9 +205,13 @@ def _series_records(
 # the order-(p-2) expansion that `series` computes over GF(p).
 
 
-def _residues(p: int, num, units=()) -> list[int]:
-    """num / (u_r * ...) in F_p[t]/Phi_p(t), in the basis 1, t, ..., t^(p-2):
-    the shared window over Z, then t^(p-1) = -(1 + t + ... + t^(p-2)) mod p."""
+def _residues(p: int, term) -> list[int]:
+    """A term of `cyclotomic` times (t-1)^2, in F_p[t]/Phi_p(t) in the
+    basis 1, t, ..., t^(p-2): its numerator times (t-1)^(2-k), the shared
+    window over Z, then t^(p-1) = -(1 + t + ... + t^(p-2)) mod p."""
+    for _ in range(2 - term[2]):
+        term = _twist(term, [(1, 1), (0, -1)])
+    num, units, _ = term
     v = _over_units(p, num, units)
     top = v[-1]
     return [(x - top) % p for x in v[:-1]]
@@ -245,21 +258,20 @@ def _point_relations(p: int, a: int, b: int) -> tuple[int, int, int, int]:
 
 def _point_vector(p: int, a: int, b: int) -> list[int]:
     """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
-    num = [(0, 1), (a, 1), (b, 1), (a + b, 1)]
-    return [*_point_relations(p, a, b), *_residues(p, num, (a, b))]
+    return [*_point_relations(p, a, b), *_residues(p, _point(a, b))]
 
 
 def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
     """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
     c2 = c * c
     rel = [-alpha * pow(c2, -1, p), alpha, 3 * alpha * c2, 10 * alpha * c2 * c2]
-    return [x % p for x in rel] + _residues(p, [(c, -4 * alpha)], (c, c))
+    return [x % p for x in rel] + _residues(p, _sphere(c, alpha))
 
 
 def _rotation_target(p: int, sign: int) -> list[int]:
-    """[0, 3*Sign, 0, 0] followed by Sign * s^2 = Sign * (1 - 2t + t^2),
-    which is zero when p = 3."""
-    return [0, 3 * sign % p, 0, 0] + _residues(p, [(0, sign), (1, -2 * sign), (2, sign)])
+    """[0, 3*Sign, 0, 0] followed by Sign * s^2 = Sign * (t-1)^2 in the
+    basis of zeta powers, which is zero when p = 3."""
+    return [0, 3 * sign % p, 0, 0] + _residues(p, ([(0, sign)], (), 0))
 
 
 def check_rotation_relations(action: GroupAction) -> CongruenceReport:
@@ -279,9 +291,9 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
     total = _vector_sum(p, vectors, p + 3)
     total[4:] = _to_s_basis(p, total[4:])
-    target = _rotation_target(p, action.signature)[:4] + [0] * (p - 1)
-    if p > 3:  # Sign * s^2 in the s basis; at p = 3 the series stops at s^1
-        target[6] = action.signature % p
+    sign = action.signature % p
+    # Sign * s^2 in the s basis, through s^(p-2): zero when p = 3
+    target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
     names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(p - 1)]
     return CongruenceReport(
         tuple(RelationRecord(nm, x, y, x == y) for nm, x, y in zip(names, total, target))

@@ -5,18 +5,19 @@ zeta^(p-2), reduced modulo Phi_p(t) = 1 + t + ... + t^(p-1), over one
 common denominator.  The case p = 2 is allowed (zeta = -1, length 1);
 it is needed by the involution dimension formulas only.
 
-Every fixed-point term is a sparse Laurent polynomial in zeta divided
-by prod_r u_r * (zeta - 1)^k, where u_r = (zeta^r - 1)/(zeta - 1).
-`_term` builds it at O(p) per factor: a sliding window, exact over Z,
-divides by the units, and running sums divide by zeta - 1.  The rotation
-battery in `congruence` reads the same window mod p.  A double-precision
-embedding (zeta -> exp(2*pi*i*k/p)) exists purely to cross-check results
-against trigonometry; nothing is ever computed from floats.
+Every fixed-point term is described once, by `_point`, `_sphere` and
+`_boundary`: a sparse Laurent polynomial in t, the units
+u_r = (t^r - 1)/(t - 1) it divides by and its pole order k at t = 1.
+`_twist` multiplies it by an isotropy character.  `_term` evaluates a
+description at t = zeta at O(p) per factor: a sliding window, exact
+over Z, divides by the units, and running sums divide by zeta - 1.
+The rotation battery in `congruence` reads the same window mod p, and
+`series` expands the same descriptions in s = t - 1.  Nothing is ever
+computed from floats.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,13 +33,13 @@ __all__ = [
     "NotRational",
     "zeta_pow",
     "zeta_minus_one_inv",
+    "from_rational",
     "eval_point_term",
     "eval_sphere_term",
     "sin2_term",
     "sin_cot_term",
     "field_trace",
     "galois_sum",
-    "embed_complex",
 ]
 
 
@@ -208,6 +209,35 @@ def zeta_minus_one_inv(p: int, e: int) -> CycloNum:
 
 
 # -- fixed-point terms -------------------------------------------------
+# A contribution is described once, as (num, units, k): the term
+# num / (prod_r u_r * (t - 1)^k), num a sparse list of (exponent,
+# coefficient).  An isotropy character, sparse too, twists num.
+
+
+def _point(a: int, b: int):
+    """(t^a+1)(t^b+1) / ((t^a-1)(t^b-1)): an isolated point with rotations (a, b)."""
+    return [(0, 1), (a, 1), (b, 1), (a + b, 1)], (a, b), 2
+
+
+def _sphere(c: int, alpha: int):
+    """-4*alpha*t^c / (t^c-1)^2: a fixed sphere, normal rotation c, self-intersection alpha."""
+    return [(c, -4 * alpha)], (c, c), 2
+
+
+def _boundary(c: int, m: int):
+    """2m(t^c+1) / (t^c-1): twisting degree m along a sphere of normal rotation c."""
+    return [(0, 2 * m), (c, 2 * m)], (c,), 1
+
+
+def _twist(term, character):
+    """The term times a sparse Laurent polynomial: one sparse product."""
+    num, units, k = term
+    return [(e + d, c * w) for e, c in num for d, w in character], units, k
+
+
+def _four_sin2(ell: int) -> list[tuple[int, int]]:
+    """2 - t^ell - t^(-ell), which is 4 sin^2(pi*ell/p) at t = exp(2*pi*i/p)."""
+    return [(0, 2), (ell, -1), (-ell, -1)]
 
 
 def _check(p: int, k: int, *rotations: int) -> None:
@@ -228,31 +258,31 @@ def eval_point_term(p: int, k: int, a: int, b: int) -> CycloNum:
     fixed point contribution -cot(pi*a*k/p) * cot(pi*b*k/p).
     """
     _check(p, k, a, b)
-    a, b = k * a, k * b
-    return _term(p, [(0, 1), (a, 1), (b, 1), (a + b, 1)], (a, b), 2)
+    return _term(p, *_point(k * a, k * b))
 
 
 def eval_sphere_term(p: int, k: int, c: int, alpha: int) -> CycloNum:
     """-4*alpha*zeta^(kc) / (zeta^(kc)-1)^2, the fixed sphere
     contribution; embeds to alpha * csc^2(pi*c*k/p)."""
     _check(p, k, c)
-    return _term(p, [(k * c, -4 * alpha)], (k * c, k * c), 2)
+    return _term(p, *_sphere(k * c, alpha))
 
 
 def sin2_term(p: int, e: int) -> CycloNum:
     """(2 - zeta^e - zeta^(-e)) / 4; embeds to sin^2(pi*e/p)."""
     _require_prime(p)
-    return _term(p, [(0, 2), (e, -1), (-e, -1)], (), 0, 4)
+    return _term(p, _four_sin2(e), (), 0, 4)
 
 
 def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
-    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)).
+    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)), the boundary
+    term of degree 1 twisted by zeta^l - zeta^(-l), over 4.
 
     Embeds to sin(2*pi*l/p) * cot(pi*c/p); the two imaginary factors
     cancel, so the value is real under every embedding.
     """
     _check(p, 1, c)
-    return _term(p, [(l, 1), (l + c, 1), (-l, -1), (c - l, -1)], (c,), 1, 2)
+    return _term(p, *_twist(_boundary(c, 1), [(l, 1), (-l, -1)]), 4)
 
 
 def field_trace(x: CycloNum) -> Rational:
@@ -281,9 +311,3 @@ def galois_sum(p: int, f: Callable[[int], CycloNum]) -> Rational:
             raise ModulusMismatch(f"term at k={k} lives in p={term.p}, expected {p}")
         total = total + term
     return total.rational_part()
-
-
-def embed_complex(x: CycloNum, k: int = 1) -> complex:
-    """Numeric value at zeta = exp(2*pi*i*k/p).  Cross-checks only."""
-    w = 2.0 * math.pi * k / x.p
-    return sum(float(c) * cmath.exp(1j * w * i) for i, c in enumerate(x.coeffs))

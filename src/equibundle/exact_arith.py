@@ -57,7 +57,7 @@ def is_prime(n: int) -> bool:
 
     Raises ValueError for a larger n with no prime factor up to 41,
     where these bases no longer decide primality; the CLI reports it
-    with exit code 3.
+    with exit code 3, or 2 for `expand --p`.
     """
     if n < 2:
         return False

@@ -21,7 +21,11 @@ from .action_model import GroupAction, Su2Isotropy, validate
 from .congruence import gsign_value
 from .cyclotomic import (  # noqa: F401 (eval_point_term stays importable here for perfbench)
     _check,
+    _four_sin2,
+    _point,
+    _sphere,
     _term,
+    _twist,
     eval_point_term,
     field_trace,
     sin_cot_term,
@@ -118,11 +122,6 @@ def _witnessed(exact: Rational, p: int, parts) -> RhoValue:
     return RhoValue(exact, approx, p * scale)
 
 
-def _times_4sin2(num, ell: int) -> list[tuple[int, int]]:
-    """num * (2 - t^ell - t^(-ell)), the numerator of num * 4 sin^2(pi*ell/p)."""
-    return [(e + d, c * w) for e, c in num for d, w in ((0, 2), (ell, -1), (-ell, -1))]
-
-
 def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
     """Rho invariant of the flat SU(2) character t^ell + t^(-ell) on
     the lens space L(p; a, b):
@@ -138,8 +137,7 @@ def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
     _check(p, 1, a, b)
-    num = _times_4sin2([(0, 1), (a, 1), (b, 1), (a + b, 1)], ell)
-    exact = Fraction(-1, 2 * p) * field_trace(_term(p, num, (a, b), 2))
+    exact = Fraction(-1, 2 * p) * field_trace(_term(p, *_twist(_point(a, b), _four_sin2(ell))))
     terms = [
         _cot_at(p, a * k) * _cot_at(p, b * k) * math.sin(_angle(p, k * ell)) ** 2
         for k in range(1, p)
@@ -163,8 +161,8 @@ def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
     exact, parts, ks = Fraction(0), [], range(1, p)
     if alpha:
         _check(p, 1, c)
-        num = _times_4sin2([(c, -4 * alpha)], ell)
-        exact += Fraction(1, 2 * p) * field_trace(_term(p, num, (c, c), 2))
+        term = _twist(_sphere(c, alpha), _four_sin2(ell))
+        exact += Fraction(1, 2 * p) * field_trace(_term(p, *term))
         terms = [(math.sin(_angle(p, k * ell)) / math.sin(_angle(p, c * k))) ** 2 for k in ks]
         parts.append((2.0 * alpha / p, terms))
     if m:

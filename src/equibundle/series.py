@@ -1,9 +1,11 @@
 """Truncated power series in s = t - 1 over Q or GF(p).
 
 Every signature integrand, multiplied by (t-1)^2 to clear its pole,
-expands here.  The factor t^a - 1 is handled as s * u_a where u_a is a
-unit with constant term a, so each expansion is a product of binomial
-series divided by units; no closed-form coefficient tables are used.
+expands here.  Each fixed-point term is read from its one description
+in `cyclotomic`: a sparse numerator sum c * t^e, the units u_r with
+t^r - 1 = s * u_r, and the pole order k.  `_expand` sums the binomial
+series c * (1 + s)^e, divides by prod_r u_r and multiplies by s^(2-k);
+no closed-form coefficient tables are used.
 
 Each expansion is written once, over a coefficient ring the caller
 picks: ``QQ`` (exact rationals, returned as a PowerSeries) or ``GF(p)``
@@ -18,17 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._poly import cleared, convolve
-from .cyclotomic import ZeroRotation
+from .cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
 
 __all__ = [
     "PowerSeries",
     "NotAUnit",
     "QQ",
     "GF",
-    "series_add",
-    "series_sub",
     "series_mul",
-    "series_scale",
     "series_invert_unit",
     "expand_binomial_power",
     "expand_point_term",
@@ -67,20 +66,22 @@ class PowerSeries:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return series_add(self, other)
+        n = min(self.order, other.order)
+        return PowerSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), n)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return series_sub(self, other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             return series_mul(self, other)
-        return series_scale(self, other)
+        q = Fraction(other)
+        return PowerSeries(tuple(c * q for c in self.coeffs), self.order)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "PowerSeries":
-        return series_scale(self, -1)
+        return self * -1
 
     def __str__(self) -> str:
         parts = [f"{c}*s^{k}" for k, c in enumerate(self.coeffs) if c != 0]
@@ -90,8 +91,8 @@ class PowerSeries:
 
 # -- coefficient rings -------------------------------------------------------
 # A series is a list of order+1 coefficients.  A ring reduces integer
-# combinations of its elements, multiplies truncated series, divides a
-# series by a unit, and wraps a finished expansion for the caller.
+# combinations of its elements, divides a series by a unit, and wraps a
+# finished expansion for the caller.
 # Division runs the recurrence y_0 q_k = x_k - sum_{j=1..k} y_j q_(k-j);
 # only j <= deg(y) contributes.
 
@@ -108,12 +109,6 @@ class _Rationals:
 
     def reduce(self, xs: list) -> list:
         return xs
-
-    def mul(self, x, y) -> list:
-        ax, da = cleared(x)
-        bx, db = cleared(y)
-        den = da * db
-        return [Fraction(v, den) for v in convolve(ax, bx, upto=len(x) - 1)]
 
     def div(self, x, y) -> list:
         """Runs the recurrence on denominator-cleared copies X, Y; with
@@ -155,9 +150,6 @@ class GF:
         p = self.p
         return [c % p for c in xs]
 
-    def mul(self, x, y) -> list:
-        return self.reduce(convolve(x, y, upto=len(x) - 1))
-
     def div(self, x, y) -> list:
         p = self.p
         if y[0] % p == 0:
@@ -177,71 +169,51 @@ class GF:
 QQ = _Rationals()
 
 
-def _binomial(ring, e: int, count: int) -> list:
-    """C(e, k) for k < count, the coefficients of (1 + s)^e.
+def _powers(ring, num, count: int) -> list:
+    """sum c * (1 + s)^e over the sparse num, through s^(count-1).
 
-    C(e, k) = C(e, k-1) * (e-k+1) / k divides exactly in Z for every
+    C(e, j+1) = C(e, j) * (e-j) / (j+1) divides exactly in Z for every
     integer e, negative ones included.
     """
-    out = [1]
-    c = 1
-    for k in range(1, count):
-        c = c * (e - k + 1) // k
-        out.append(c)
+    out = [0] * count
+    for e, c in num:
+        for j in range(count):
+            out[j] += c
+            c = c * (e - j) // (j + 1)
     return ring.reduce(out)
 
 
-def _unit(ring, a: int, n: int) -> list:
-    """u_a with t^a - 1 = s * u_a; coefficients C(a, k+1).  u_0 is zero."""
-    return _binomial(ring, a, n + 2)[1:]
+def _expand(ring, terms, order: int):
+    """Sum of the terms (num, units, k) times (t-1)^2 through s^order.
 
-
-def _add(ring, x: list, y: list) -> list:
-    return ring.reduce([u + v for u, v in zip(x, y)])
-
-
-def _scale(ring, x: list, q) -> list:
-    return ring.reduce([c * q for c in x])
-
-
-def _plus_one(ring, x: list) -> list:
-    return ring.reduce([x[0] + 1, *x[1:]])
-
-
-def _shift(x: list, k: int) -> list:
-    """Multiply by s^k, truncating at the original order."""
-    return [0] * k + x[: len(x) - k]
+    A term whose numerator cancels to zero is skipped, so it divides by
+    nothing; the others are divided by prod_r u_r and shifted by s^(2-k).
+    """
+    n = order + 1
+    parts = []
+    for num, units, k in terms:
+        merged = {}
+        for e, c in num:
+            merged[e] = merged.get(e, 0) + c
+        num = [(e, c) for e, c in merged.items() if c]
+        if not num:
+            continue
+        x = _powers(ring, num, n)
+        for r in units:  # t^r - 1 = s * u_r
+            x = ring.div(x, _powers(ring, [(r, 1), (0, -1)], n + 1)[1:])
+        parts.append([0] * (2 - k) + x[: n - 2 + k])
+    total = parts[0] if len(parts) == 1 else ring.reduce([sum(col) for col in zip([0] * n, *parts)])
+    return ring.series(total, order)
 
 
 # -- exact series over Q -----------------------------------------------------
 
 
-def zero_series(order: int) -> PowerSeries:
-    return PowerSeries((), order)
-
-
-def const_series(q, order: int) -> PowerSeries:
-    return PowerSeries((Fraction(q),), order)
-
-
-def series_add(x: PowerSeries, y: PowerSeries) -> PowerSeries:
-    n = min(x.order, y.order)
-    return PowerSeries(tuple(x.coeffs[k] + y.coeffs[k] for k in range(n + 1)), n)
-
-
-def series_sub(x: PowerSeries, y: PowerSeries) -> PowerSeries:
-    n = min(x.order, y.order)
-    return PowerSeries(tuple(x.coeffs[k] - y.coeffs[k] for k in range(n + 1)), n)
-
-
-def series_scale(x: PowerSeries, q) -> PowerSeries:
-    q = Fraction(q)
-    return PowerSeries(tuple(c * q for c in x.coeffs), x.order)
-
-
 def series_mul(x: PowerSeries, y: PowerSeries) -> PowerSeries:
     n = min(x.order, y.order)
-    return PowerSeries(tuple(QQ.mul(x.coeffs[: n + 1], y.coeffs[: n + 1])), n)
+    ax, da = cleared(x.coeffs[: n + 1])
+    bx, db = cleared(y.coeffs[: n + 1])
+    return PowerSeries(tuple(Fraction(v, da * db) for v in convolve(ax, bx, upto=n)), n)
 
 
 def series_invert_unit(x: PowerSeries) -> PowerSeries:
@@ -254,7 +226,7 @@ def series_invert_unit(x: PowerSeries) -> PowerSeries:
 
 def expand_binomial_power(exponent: int, order: int, ring=QQ):
     """(1 + s)^exponent for any integer exponent."""
-    return ring.series(_binomial(ring, exponent, order + 1), order)
+    return ring.series(_powers(ring, [(exponent, 1)], order + 1), order)
 
 
 def expand_point_term(a: int, b: int, lam: int, order: int, ring=QQ):
@@ -265,24 +237,14 @@ def expand_point_term(a: int, b: int, lam: int, order: int, ring=QQ):
     """
     if a == 0 or b == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
-    n = order + 1
-    num = ring.mul(
-        _add(ring, _binomial(ring, a + lam, n), _binomial(ring, lam, n)),
-        _plus_one(ring, _binomial(ring, b, n)),
-    )
-    den = ring.mul(_unit(ring, a, order), _unit(ring, b, order))
-    return ring.series(ring.div(num, den), order)
+    return _expand(ring, [_twist(_point(a, b), [(lam, 1)])], order)
 
 
 def expand_sphere_term(c: int, alpha: int, lam: int, order: int, ring=QQ):
     """-4*alpha*t^c / (t^c-1)^2 * (t-1)^2 * t^lam; constant -4*alpha/c^2."""
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
-    if alpha == 0:
-        return ring.series([0] * (order + 1), order)
-    u = _unit(ring, c, order)
-    core = ring.div(_binomial(ring, c + lam, order + 1), ring.mul(u, u))
-    return ring.series(_scale(ring, core, -4 * alpha), order)
+    return _expand(ring, [_twist(_sphere(c, alpha), [(lam, 1)])], order)
 
 
 def expand_boundary_term(c: int, m: int, lam: int, order: int, ring=QQ):
@@ -293,25 +255,14 @@ def expand_boundary_term(c: int, m: int, lam: int, order: int, ring=QQ):
     """
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
-    if m == 0:
-        return ring.series([0] * (order + 1), order)
-    n = order + 1
-    num = ring.mul(_plus_one(ring, _binomial(ring, c, n)), _binomial(ring, lam, n))
-    inner = ring.div(num, _unit(ring, c, order))
-    return ring.series(_shift(_scale(ring, inner, 2 * m), 1), order)
+    return _expand(ring, [_twist(_boundary(c, m), [(lam, 1)])], order)
 
 
 def expand_su2_point_term(a: int, b: int, ell: int, order: int, ring=QQ):
     """Point term times the rank-two character t^ell + t^(-ell)."""
     if a == 0 or b == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
-    n = order + 1
-    wts = _add(ring, _binomial(ring, ell, n), _binomial(ring, -ell, n))
-    num = ring.mul(
-        _plus_one(ring, _binomial(ring, a, n)), _plus_one(ring, _binomial(ring, b, n))
-    )
-    den = ring.mul(_unit(ring, a, order), _unit(ring, b, order))
-    return ring.series(ring.div(ring.mul(num, wts), den), order)
+    return _expand(ring, [_twist(_point(a, b), [(ell, 1), (-ell, 1)])], order)
 
 
 def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int, ring=QQ):
@@ -325,16 +276,8 @@ def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int, rin
     """
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
-    n = order + 1
-    total = [0] * n
-    u = _unit(ring, c, order)
-    if alpha:
-        wts = _add(ring, _binomial(ring, c + ell, n), _binomial(ring, c - ell, n))
-        total = _scale(ring, ring.div(wts, ring.mul(u, u)), -4 * alpha)
-    if m and ell:
-        diff = ring.reduce(
-            [x - y for x, y in zip(_unit(ring, ell, order), _unit(ring, -ell, order))]
-        )
-        inner = ring.div(ring.mul(_plus_one(ring, _binomial(ring, c, n)), diff), u)
-        total = _add(ring, total, _shift(_scale(ring, inner, 2 * m), 2))
-    return ring.series(total, order)
+    terms = [
+        _twist(_sphere(c, alpha), [(ell, 1), (-ell, 1)]),
+        _twist(_boundary(c, m), [(ell, 1), (-ell, -1)]),
+    ]
+    return _expand(ring, terms, order)

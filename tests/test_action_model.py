@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equibundle.action_model import (
     BadWeights,
@@ -175,6 +178,17 @@ def test_connected_sum_spheres():
     assert merged2.signature == 0
 
 
+@pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -4), (3, 0), (0, 3)])
+def test_connected_sums_reject_indices_outside_the_fixed_set(i, j):
+    # a negative index would pick a component and then leave it in the sum
+    act = linear_cp2(7, 1, 3)
+    with pytest.raises(IndexError):
+        connected_sum_points(act, i, reverse_orientation(act), j)
+    bar = linear_cp2_bar(5, 1)
+    with pytest.raises(IndexError):
+        connected_sum_spheres(bar, i, bar, j)
+
+
 def test_connected_sum_order_insensitive_data():
     # same_data ignores the bookkeeping order of points and spheres
     a = linear_cp2_bar(5, 1)
@@ -269,3 +283,60 @@ def test_su2_canonical_folding():
     # already-canonical data is untouched
     iso2 = Su2Isotropy((1, 2), (2,), (5,), c2=3)
     assert iso2.canonical(5) == iso2
+
+
+# -- document round trips ----------------------------------------------------
+
+_SMALL = st.integers(-40, 40)
+
+
+@st.composite
+def _actions(draw):
+    p = draw(st.integers(2, 60))
+    points = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=5))
+    spheres = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=3))
+    return GroupAction(
+        p,
+        tuple(IsolatedPoint(p, a, b) for a, b in points),
+        tuple(FixedSphere(p, c, alpha) for c, alpha in spheres),
+        *draw(st.tuples(_SMALL, _SMALL, _SMALL)),
+    )
+
+
+def _json_round_trip(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_actions())
+def test_action_section_round_trips(act):
+    doc = action_to_dict(act)
+    back = action_from_dict(_json_round_trip(doc))
+    assert back == act
+    assert action_to_dict(back) == doc
+
+
+_SLOTS = st.lists(st.one_of(st.none(), _SMALL), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SLOTS, _SLOTS, _SLOTS, st.one_of(st.none(), _SMALL))
+def test_line_isotropy_section_round_trips(lams, lam_spheres, ms, c1sq):
+    iso = LineIsotropy(tuple(lams), tuple(lam_spheres), tuple(ms), c1sq)
+    doc = line_isotropy_to_dict(iso)
+    back = line_isotropy_from_dict(_json_round_trip(doc))
+    assert back == iso
+    assert line_isotropy_to_dict(back) == doc
+
+
+_INTS = st.lists(_SMALL, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_INTS, _INTS, _INTS, _SMALL)
+def test_su2_isotropy_section_round_trips(ells, ell_spheres, ms, c2):
+    iso = Su2Isotropy(tuple(ells), tuple(ell_spheres), tuple(ms), c2)
+    doc = su2_isotropy_to_dict(iso)
+    back = su2_isotropy_from_dict(_json_round_trip(doc))
+    assert back == iso
+    assert su2_isotropy_to_dict(back) == doc

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equibundle.action_model import (
     LineIsotropy,
@@ -12,6 +16,7 @@ from equibundle.action_model import (
     action_to_dict,
     line_isotropy_to_dict,
     linear_cp2,
+    linear_cp2_bar,
     linear_s4,
     su2_isotropy_to_dict,
     triple_cp2_bar_action,
@@ -235,9 +240,11 @@ def test_expand_zero_modulus_is_parse_error(capsys):
 
 
 def test_expand_modulus_one_is_parse_error(capsys):
-    argv = ["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", "3", "--p", "1"]
-    assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    for modulus in ("1", "9"):  # a composite modulus is a bad parameter too
+        argv = ["expand", "--kind", "point", "--a", "1", "--b", "3", "--order", "3", "--p", modulus]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--p" in err
 
 
 def test_expand_negative_order_is_parse_error(capsys):
@@ -311,6 +318,8 @@ def test_sum_error_paths(tmp_path):
     assert main(["sum", a, b]) == 2  # neither flag
     assert main(["sum", a, b, "--points", "0", "0", "--spheres", "0", "0"]) == 2
     assert main(["sum", a, b, "--spheres", "0", "5"]) == 2  # out of range
+    assert main(["sum", a, b, "--spheres", "-1", "-1"]) == 2
+    assert main(["sum", a, b, "--points", "-1", "0"]) == 2
     assert main(["sum", a, b, "--spheres", "0", "0"]) == 3  # incompatible weights
 
 
@@ -416,3 +425,127 @@ def test_shipped_documents_round_trip():
         if "su2_isotropy" in doc:
             su2 = su2_isotropy_from_dict(doc["su2_isotropy"])
             assert su2_isotropy_from_dict(su2_isotropy_to_dict(su2)) == su2
+
+
+# -- the exit-code contract on fuzzed documents ------------------------------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+def _or_junk(strategy):
+    """Mostly well-typed values, sometimes a value of the wrong type."""
+    return st.one_of(strategy, strategy, strategy, _JUNK)
+
+
+_WEIGHT = _or_junk(st.integers(-20, 20))
+_COUNT = _or_junk(st.integers(-3, 8))
+_PAIR = _or_junk(st.lists(_WEIGHT, min_size=1, max_size=3))
+_SPHERE = _or_junk(st.fixed_dictionaries({"c": _WEIGHT, "alpha": _or_junk(st.integers(-4, 4))}))
+_ACTION = st.fixed_dictionaries(
+    {
+        "p": _or_junk(st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 7, 9, 11, 13, 10**25 + 1])),
+        "points": _or_junk(st.lists(_PAIR, max_size=4)),
+        "spheres": _or_junk(st.lists(_SPHERE, max_size=2)),
+        "signature": _COUNT,
+        "euler": _COUNT,
+        "b2": _COUNT,
+    }
+)
+_SLOTS = _or_junk(st.lists(_or_junk(st.integers(-20, 20)), max_size=4))
+_LINE = _or_junk(
+    st.fixed_dictionaries(
+        {"lambda_points": _SLOTS, "lambda_spheres": _SLOTS, "m_spheres": _SLOTS},
+        optional={"c1_squared": _WEIGHT},
+    )
+)
+_SU2 = _or_junk(
+    st.fixed_dictionaries(
+        {"ell_points": _SLOTS, "ell_spheres": _SLOTS, "m_spheres": _SLOTS, "c2": _WEIGHT}
+    )
+)
+
+
+@st.composite
+def _model_documents(draw):
+    """A linear model with isotropy sections of its shape: these pass
+    validation, so the relations, the solver and the dimension formula
+    are reached."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    a, b = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+    build = draw(
+        st.sampled_from(
+            [
+                lambda: linear_cp2(p, a, (a + b) % p),  # the second weight differs from a
+                lambda: linear_cp2_bar(p, a),
+                lambda: linear_s4(p, a, b),
+            ]
+        )
+    )
+    act = build()
+    weight = st.integers(-20, 20)
+    slot = st.one_of(weight, weight, weight, st.none())
+
+    def points(entry):
+        return draw(st.lists(entry, min_size=len(act.points), max_size=len(act.points)))
+
+    def spheres(entry):
+        return draw(st.lists(entry, min_size=len(act.spheres), max_size=len(act.spheres)))
+
+    line = {
+        "lambda_points": points(slot),
+        "lambda_spheres": spheres(slot),
+        "m_spheres": spheres(slot),
+        "c1_squared": draw(st.one_of(st.none(), weight)),
+    }
+    su2 = {
+        "ell_points": points(weight),
+        "ell_spheres": spheres(weight),
+        "m_spheres": spheres(weight),
+        "c2": draw(st.integers(-2, 5)),
+    }
+    return json.dumps({"action": action_to_dict(act), "line_isotropy": line, "su2_isotropy": su2})
+
+
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {}, optional={"action": _ACTION, "line_isotropy": _LINE, "su2_isotropy": _SU2}
+    ).map(json.dumps),
+    st.text(max_size=8),
+    _model_documents(),
+)
+_COMMANDS = [
+    *(["check", "-", "--mode", mode] for mode in ("rotation", "line", "su2", "gsign")),
+    ["solve", "-"],
+    ["dimension", "-"],
+    ["gsign", "-"],
+]
+
+
+def _run_on_stdin(argv, text):
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_DOCUMENTS)
+def test_every_document_command_keeps_the_exit_code_contract(text):
+    for argv in _COMMANDS:
+        code, _ = _run_on_stdin(argv, text)
+        assert code in (0, 1, 2, 3), (argv, text)
+        code, out = _run_on_stdin([*argv, "--machine"], text)
+        assert code in (0, 1, 2, 3), (argv, text)
+        lines = out.splitlines()
+        assert len(lines) == 1, (argv, text, out)
+        assert isinstance(json.loads(lines[0]), dict)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from equibundle.cyclotomic import (
     CycloNum,
     NotRational,
     ZeroRotation,
-    embed_complex,
     eval_point_term,
     eval_sphere_term,
     field_trace,
@@ -23,6 +23,12 @@ from equibundle.cyclotomic import (
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
+
+
+def embed_complex(x: CycloNum, k: int = 1) -> complex:
+    """Numeric value at zeta = exp(2*pi*i*k/p), the float oracle."""
+    w = 2.0 * math.pi * k / x.p
+    return sum(float(c) * cmath.exp(1j * w * i) for i, c in enumerate(x.coeffs))
 
 
 # -- oracle: inverse by the extended Euclidean algorithm in Q[t] ---------
