@@ -1,9 +1,10 @@
-"""Integer-cleared convolution used by the cyclotomic and series rings.
+"""Integer-cleared arithmetic shared by `cyclotomic` and `series`.
 
 Fraction-by-Fraction convolution spends most of its time normalizing
-gcds.  Cyclotomic elements are stored as ints over one denominator and
-series are cleared once; convolving over plain ints is an order of
-magnitude faster at the vector lengths we use (up to ~100).
+gcds.  Cyclotomic elements are stored as ints over one denominator,
+and series are cleared once before a product or a division;
+convolving over plain ints is an order of magnitude faster at the
+vector lengths we use (up to ~100).
 """
 
 from __future__ import annotations

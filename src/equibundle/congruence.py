@@ -5,10 +5,10 @@ in Q(zeta_p).  The rotation battery and the search read the same
 fixed-point terms mod p, as elements of Z[zeta]/p = F_p[t]/Phi_p(t) in
 the basis of zeta powers, by the sliding window of `cyclotomic` read
 mod p, at O(p) cost per fixed component.  The bundle checks expand
-their twisted terms with `series` over GF(p) through order 2.  The
-checks and the solver first make sure that p is an odd prime and that
-every rotation number is a unit mod p, since the relations divide by
-them.
+their twisted terms with `series` over Q through order 2 and reduce
+the coefficients mod p.  The checks and the solver first make sure
+that p is an odd prime and that every rotation number is a unit mod
+p, since the relations divide by them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .action_model import (
 )
 from .cyclotomic import (
     ZeroRotation,
+    _boundary,
     _over_units,
     _point,
     _sphere,
@@ -35,15 +36,8 @@ from .cyclotomic import (
     eval_sphere_term,
     from_rational,
 )
-from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
-from .series import (
-    GF,
-    expand_boundary_term,
-    expand_point_term,
-    expand_sphere_term,
-    expand_su2_point_term,
-    expand_su2_sphere_term,
-)
+from .exact_arith import Rational, Residue, crt_solve, is_prime, rational_mod, signed_rep
+from .series import _expand
 
 __all__ = [
     "CongruenceReport",
@@ -180,15 +174,14 @@ def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
     return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * length
 
 
-def _series_records(
-    p: int, terms: list[list[int]], n: int, s2_target: int
-) -> list[RelationRecord]:
-    """Sum the GF(p) expansions of the fixed-point terms through s^n;
-    the total must reduce to s2_target * s^2 and nothing else."""
-    total = _vector_sum(p, terms, n + 1)
-    required = [0] * (n + 1)
-    if n >= 2:
-        required[2] = s2_target % p
+def _series_records(p: int, terms: list, s2_target: int) -> list[RelationRecord]:
+    """Expand the sum of the twisted fixed-point terms over Q through
+    s^n, n = min(2, p-2), since twisted characters only pin the
+    expansion that far; reduced mod p, it must be s2_target * s^2 and
+    nothing else."""
+    n = min(2, p - 2)
+    total = [rational_mod(c, p).value for c in _expand(terms, n).coeffs]
+    required = [0, 0, s2_target % p][: n + 1]
     return [
         RelationRecord(f"series_order_{k}", lhs, req, lhs == req)
         for k, (lhs, req) in enumerate(zip(total, required))
@@ -196,13 +189,13 @@ def _series_records(
 
 
 # -- rotation data congruences ---------------------------------------------
-# Each fixed component contributes one GF(p) vector: its four relation
+# Each fixed component contributes one F_p vector: its four relation
 # residues, then its signature integrand times (t-1)^2 read in
 # Z[zeta]/p = F_p[t]/Phi_p(t), written in the basis 1, t, ..., t^(p-2).
 # The battery holds iff the vectors of all components sum to the target
 # vector.  Since Phi_p(t) = (t-1)^(p-1) mod p, the same ring is
 # F_p[s]/s^(p-1) with s = t - 1, and `_to_s_basis` turns a vector into
-# the order-(p-2) expansion that `series` computes over GF(p).
+# the order-(p-2) expansion of `series`, reduced mod p.
 
 
 def _residues(p: int, term) -> list[int]:
@@ -388,16 +381,13 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
             "second_order", second, isotropy.c1_squared % p, second == isotropy.c1_squared % p
         ),
     ]
-    # Twisted characters only pin the expansion through order 2.
-    n, gf = min(2, p - 2), GF(p)
     terms = [
-        expand_point_term(pt.a, pt.b, lam, n, gf)
+        _twist(_point(pt.a, pt.b), [(lam, 1)])
         for pt, lam in zip(action.points, isotropy.lambda_points)
     ]
     for s, lam, m in zip(action.spheres, isotropy.lambda_spheres, isotropy.m_spheres):
-        terms.append(expand_sphere_term(s.c, s.alpha, lam, n, gf))
-        terms.append(expand_boundary_term(s.c, m, lam, n, gf))
-    records += _series_records(p, terms, n, action.signature + 2 * isotropy.c1_squared)
+        terms += [_twist(_sphere(s.c, s.alpha), [(lam, 1)]), _twist(_boundary(s.c, m), [(lam, 1)])]
+    records += _series_records(p, terms, action.signature + 2 * isotropy.c1_squared)
     return CongruenceReport(tuple(records))
 
 
@@ -411,16 +401,16 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     lhs = _weight_sum(action, isotropy.ell_points, isotropy.ell_spheres, isotropy.m_spheres, 2)
     want = (-isotropy.c2) % p
     records = [RelationRecord("su2_weight_sum", lhs, want, lhs == want)]
-    n, gf = min(2, p - 2), GF(p)
     terms = [
-        expand_su2_point_term(pt.a, pt.b, ell, n, gf)
+        _twist(_point(pt.a, pt.b), [(ell, 1), (-ell, 1)])
         for pt, ell in zip(action.points, isotropy.ell_points)
     ]
-    terms += [
-        expand_su2_sphere_term(s.c, s.alpha, m, ell, n, gf)
-        for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres)
-    ]
-    records += _series_records(p, terms, n, 2 * action.signature - 4 * isotropy.c2)
+    for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres):
+        terms += [
+            _twist(_sphere(s.c, s.alpha), [(ell, 1), (-ell, 1)]),
+            _twist(_boundary(s.c, m), [(ell, 1), (-ell, -1)]),
+        ]
+    records += _series_records(p, terms, 2 * action.signature - 4 * isotropy.c2)
     return CongruenceReport(tuple(records))
 
 

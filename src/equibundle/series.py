@@ -1,4 +1,4 @@
-"""Truncated power series in s = t - 1 over Q or GF(p).
+"""Truncated power series in s = t - 1 over Q.
 
 Every signature integrand, multiplied by (t-1)^2 to clear its pole,
 expands here.  Each fixed-point term is read from its one description
@@ -7,11 +7,10 @@ t^r - 1 = s * u_r, and the pole order k.  `_expand` sums the binomial
 series c * (1 + s)^e, divides by prod_r u_r and multiplies by s^(2-k);
 no closed-form coefficient tables are used.
 
-Each expansion is written once, over a coefficient ring the caller
-picks: ``QQ`` (exact rationals, returned as a PowerSeries) or ``GF(p)``
-(ints in [0, p), returned as a list).  Reducing mod p is legitimate
-because every coefficient is an integer divided by a product of powers
-of the rotation numbers, which are units mod p.
+Coefficients are exact rationals.  The bundle checks in `congruence`
+and `expand --p` read them mod p with `rational_mod`, which is
+legitimate because every coefficient is an integer divided by a
+product of powers of the rotation numbers, units mod p.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
 __all__ = [
     "PowerSeries",
     "NotAUnit",
-    "QQ",
-    "GF",
     "series_mul",
     "series_invert_unit",
     "expand_binomial_power",
@@ -89,12 +86,8 @@ class PowerSeries:
         return f"{body} + O(s^{self.order + 1})"
 
 
-# -- coefficient rings -------------------------------------------------------
-# A series is a list of order+1 coefficients.  A ring reduces integer
-# combinations of its elements, divides a series by a unit, and wraps a
-# finished expansion for the caller.
-# Division runs the recurrence y_0 q_k = x_k - sum_{j=1..k} y_j q_(k-j);
-# only j <= deg(y) contributes.
+# -- exact series over Q -----------------------------------------------------
+# A series is a list of order+1 coefficients, ints or Fractions.
 
 
 def _degree(coeffs) -> int:
@@ -104,72 +97,38 @@ def _degree(coeffs) -> int:
     return d
 
 
-class _Rationals:
-    """Q: coefficients are Fractions or ints; expansions are PowerSeries."""
+def _div(x, y) -> list[Fraction]:
+    """x / y for a unit y, through the length of x.
 
-    def reduce(self, xs: list) -> list:
-        return xs
-
-    def div(self, x, y) -> list:
-        """Runs the recurrence on denominator-cleared copies X, Y; with
-        B_k = (X/Y)_k * Y_0^(k+1) every intermediate is an integer."""
-        if y[0] == 0:
-            raise NotAUnit("constant term is zero")
-        ax, dx = cleared(x)
-        ay, dy = cleared(y)
-        y0, d = ay[0], _degree(ay)
-        big = []
-        top = 1  # y0^k
-        for k in range(len(ax)):
-            acc = ax[k] * top
-            pw = 1  # y0^(j-1)
-            for j in range(1, min(k, d) + 1):
-                if ay[j]:
-                    acc -= ay[j] * big[k - j] * pw
-                pw *= y0
-            big.append(acc)
-            top *= y0
-        out = []
-        pw = dx * y0
-        for b in big:
-            out.append(Fraction(dy * b, pw))
+    Runs the recurrence y_0 q_k = x_k - sum_{j=1..k} y_j q_(k-j) (only
+    j <= deg(y) contributes) on denominator-cleared copies X, Y; with
+    B_k = (X/Y)_k * Y_0^(k+1) every intermediate is an integer.
+    """
+    if y[0] == 0:
+        raise NotAUnit("constant term is zero")
+    ax, dx = cleared(x)
+    ay, dy = cleared(y)
+    y0, d = ay[0], _degree(ay)
+    big = []
+    top = 1  # y0^k
+    for k in range(len(ax)):
+        acc = ax[k] * top
+        pw = 1  # y0^(j-1)
+        for j in range(1, min(k, d) + 1):
+            if ay[j]:
+                acc -= ay[j] * big[k - j] * pw
             pw *= y0
-        return out
-
-    def series(self, coeffs: list, order: int) -> PowerSeries:
-        return PowerSeries(tuple(coeffs), order)
-
-
-class GF:
-    """GF(p): coefficients are ints in [0, p); expansions are lists."""
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-
-    def reduce(self, xs: list) -> list:
-        p = self.p
-        return [c % p for c in xs]
-
-    def div(self, x, y) -> list:
-        p = self.p
-        if y[0] % p == 0:
-            raise NotAUnit(f"constant term is zero mod {p}")
-        inv0, d = pow(y[0], -1, p), _degree(y)
-        q = []
-        for k, acc in enumerate(x):
-            for j in range(1, min(k, d) + 1):
-                acc -= y[j] * q[k - j]
-            q.append(acc * inv0 % p)
-        return q
-
-    def series(self, coeffs: list, order: int) -> list:
-        return coeffs
+        big.append(acc)
+        top *= y0
+    out = []
+    pw = dx * y0
+    for b in big:
+        out.append(Fraction(dy * b, pw))
+        pw *= y0
+    return out
 
 
-QQ = _Rationals()
-
-
-def _powers(ring, num, count: int) -> list:
+def _powers(num, count: int) -> list[int]:
     """sum c * (1 + s)^e over the sparse num, through s^(count-1).
 
     C(e, j+1) = C(e, j) * (e-j) / (j+1) divides exactly in Z for every
@@ -180,33 +139,23 @@ def _powers(ring, num, count: int) -> list:
         for j in range(count):
             out[j] += c
             c = c * (e - j) // (j + 1)
-    return ring.reduce(out)
+    return out
 
 
-def _expand(ring, terms, order: int):
-    """Sum of the terms (num, units, k) times (t-1)^2 through s^order.
-
-    A term whose numerator cancels to zero is skipped, so it divides by
-    nothing; the others are divided by prod_r u_r and shifted by s^(2-k).
-    """
+def _expand(terms, order: int) -> PowerSeries:
+    """Sum of the terms (num, units, k) times (t-1)^2 through s^order:
+    each numerator divided by prod_r u_r and shifted by s^(2-k)."""
     n = order + 1
-    parts = []
+    total = []
     for num, units, k in terms:
-        merged = {}
-        for e, c in num:
-            merged[e] = merged.get(e, 0) + c
-        num = [(e, c) for e, c in merged.items() if c]
-        if not num:
-            continue
-        x = _powers(ring, num, n)
+        x = _powers(num, n)
+        if not any(x):
+            continue  # the numerator cancels: nothing to divide
         for r in units:  # t^r - 1 = s * u_r
-            x = ring.div(x, _powers(ring, [(r, 1), (0, -1)], n + 1)[1:])
-        parts.append([0] * (2 - k) + x[: n - 2 + k])
-    total = parts[0] if len(parts) == 1 else ring.reduce([sum(col) for col in zip([0] * n, *parts)])
-    return ring.series(total, order)
-
-
-# -- exact series over Q -----------------------------------------------------
+            x = _div(x, _powers([(r, 1), (0, -1)], n + 1)[1:])
+        x = ([0] * (2 - k) + x)[:n]
+        total = [u + v for u, v in zip(total, x)] if total else x
+    return PowerSeries(tuple(total), order)
 
 
 def series_mul(x: PowerSeries, y: PowerSeries) -> PowerSeries:
@@ -218,18 +167,18 @@ def series_mul(x: PowerSeries, y: PowerSeries) -> PowerSeries:
 
 def series_invert_unit(x: PowerSeries) -> PowerSeries:
     """Inverse of a unit series: x * result = 1 + O(s^(order+1))."""
-    return PowerSeries(tuple(QQ.div([1] + [0] * x.order, x.coeffs)), x.order)
+    return PowerSeries(tuple(_div([1] + [0] * x.order, x.coeffs)), x.order)
 
 
-# -- the fixed-point expansions, over the caller's ring ----------------------
+# -- the fixed-point expansions ----------------------------------------------
 
 
-def expand_binomial_power(exponent: int, order: int, ring=QQ):
+def expand_binomial_power(exponent: int, order: int) -> PowerSeries:
     """(1 + s)^exponent for any integer exponent."""
-    return ring.series(_powers(ring, [(exponent, 1)], order + 1), order)
+    return PowerSeries(tuple(_powers([(exponent, 1)], order + 1)), order)
 
 
-def expand_point_term(a: int, b: int, lam: int, order: int, ring=QQ):
+def expand_point_term(a: int, b: int, lam: int, order: int) -> PowerSeries:
     """(t^a+1)(t^b+1) / ((t^a-1)(t^b-1)) * (t-1)^2 * t^lam.
 
     The two s factors cancel the pole, so the result is a genuine
@@ -237,17 +186,17 @@ def expand_point_term(a: int, b: int, lam: int, order: int, ring=QQ):
     """
     if a == 0 or b == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
-    return _expand(ring, [_twist(_point(a, b), [(lam, 1)])], order)
+    return _expand([_twist(_point(a, b), [(lam, 1)])], order)
 
 
-def expand_sphere_term(c: int, alpha: int, lam: int, order: int, ring=QQ):
+def expand_sphere_term(c: int, alpha: int, lam: int, order: int) -> PowerSeries:
     """-4*alpha*t^c / (t^c-1)^2 * (t-1)^2 * t^lam; constant -4*alpha/c^2."""
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
-    return _expand(ring, [_twist(_sphere(c, alpha), [(lam, 1)])], order)
+    return _expand([_twist(_sphere(c, alpha), [(lam, 1)])], order)
 
 
-def expand_boundary_term(c: int, m: int, lam: int, order: int, ring=QQ):
+def expand_boundary_term(c: int, m: int, lam: int, order: int) -> PowerSeries:
     """2m(t^c+1)/(t^c-1) * (t-1)^2 * t^lam.
 
     One s factor survives, so the constant term is always zero and the
@@ -255,17 +204,17 @@ def expand_boundary_term(c: int, m: int, lam: int, order: int, ring=QQ):
     """
     if c == 0:
         raise ZeroRotation("normal rotation must be nonzero")
-    return _expand(ring, [_twist(_boundary(c, m), [(lam, 1)])], order)
+    return _expand([_twist(_boundary(c, m), [(lam, 1)])], order)
 
 
-def expand_su2_point_term(a: int, b: int, ell: int, order: int, ring=QQ):
+def expand_su2_point_term(a: int, b: int, ell: int, order: int) -> PowerSeries:
     """Point term times the rank-two character t^ell + t^(-ell)."""
     if a == 0 or b == 0:
         raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
-    return _expand(ring, [_twist(_point(a, b), [(ell, 1), (-ell, 1)])], order)
+    return _expand([_twist(_point(a, b), [(ell, 1), (-ell, 1)])], order)
 
 
-def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int, ring=QQ):
+def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int) -> PowerSeries:
     """Sphere contribution for a rank-two bundle:
 
         [-4*alpha*t^c/(t^c-1)^2 * (t^ell + t^-ell)
@@ -280,4 +229,4 @@ def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int, rin
         _twist(_sphere(c, alpha), [(ell, 1), (-ell, 1)]),
         _twist(_boundary(c, m), [(ell, 1), (-ell, -1)]),
     ]
-    return _expand(ring, terms, order)
+    return _expand(terms, order)

@@ -21,7 +21,7 @@ from equibundle.action_model import (
     su2_isotropy_to_dict,
     triple_cp2_bar_action,
 )
-from equibundle.cli import EXIT_PIPE, main
+from equibundle.cli import EXIT_PIPE, MAX_ORDER, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -248,8 +248,9 @@ def test_expand_modulus_one_is_parse_error(capsys):
 
 
 def test_expand_negative_order_is_parse_error(capsys):
-    assert main(["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", "-1"]) == 2
-    assert "--order" in capsys.readouterr().err
+    for order in ("-1", "1001"):  # 1001 is just above MAX_ORDER
+        assert main(["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", order]) == 2
+        assert "--order" in capsys.readouterr().err
 
 
 def test_search_negative_limit_is_parse_error(capsys):
@@ -548,4 +549,72 @@ def test_every_document_command_keeps_the_exit_code_contract(text):
         assert code in (0, 1, 2, 3), (argv, text)
         lines = out.splitlines()
         assert len(lines) == 1, (argv, text, out)
+        assert isinstance(json.loads(lines[0]), dict)
+
+
+# -- the exit-code contract on fuzzed expand and search argv -----------------
+
+def _maybe(rng, valid, junk):
+    """Mostly the valid value, now and then one from `junk`."""
+    return rng.choice(junk) if rng.random() < 0.08 else valid
+
+
+def _command_argv(rng, command, values, required):
+    """`command` with its flags in random order; a required flag is
+    rarely left out, an optional one more often."""
+    argv = [command]
+    names = sorted(values)
+    rng.shuffle(names)
+    for name in names:
+        if rng.random() >= (0.03 if name in required else 0.25):
+            argv += [f"--{name}", str(values[name])]
+    return argv
+
+
+@st.composite
+def _expand_argv(draw):
+    rng = draw(st.randoms(use_true_random=True))
+    kinds = ["point", "sphere", "boundary", "su2-point", "su2-sphere"]
+    values = {
+        "kind": _maybe(rng, rng.choice(kinds), ["x", ""]),
+        "order": _maybe(rng, rng.randint(0, 12), [-1, MAX_ORDER + 1, 10**9, "x"]),
+        "p": _maybe(rng, rng.choice([3, 5, 7, 13, 31]), [-3, 0, 1, 2, 9, 10**25 + 1, "x"]),
+    }
+    for flag in ("a", "b", "c", "alpha", "m", "ell", "lam"):
+        values[flag] = _maybe(rng, rng.randint(-30, 30), [10**12, "x", ""])
+    return _command_argv(rng, "expand", values, {"kind", "a", "b", "c", "alpha"})
+
+
+@st.composite
+def _search_argv(draw):
+    """Mostly a consistent profile: |points| + 2|spheres| = b2 + 2 = chi."""
+    rng = draw(st.randoms(use_true_random=True))
+    points, spheres = rng.randint(0, 3), rng.randint(0, 2)
+    b2 = points + 2 * spheres - 2
+    alphas = ",".join(str(rng.randint(-3, 3)) for _ in range(spheres))
+    values = {
+        "p": _maybe(rng, rng.choice([3, 5, 7, 11, 13]), [-3, 0, 1, 2, 9, 998244359987710471, "x"]),
+        "points": _maybe(rng, points, [-1, 4, "x"]),
+        "spheres": _maybe(rng, spheres, [-1, 3, "x"]),
+        "alphas": _maybe(rng, alphas, ["1", "1,x", ",", "0,3,1"]),
+        "sign": _maybe(rng, rng.randint(-3, 3), [10**12, "x"]),
+        "euler": _maybe(rng, b2 + 2, [-1, 1, 7, "x"]),
+        "b2": _maybe(rng, b2, [-1, 5, "x"]),
+        "limit": _maybe(rng, rng.randint(0, 3), [-1, "x"]),
+    }
+    return _command_argv(rng, "search", values, {"p", "points", "sign", "euler", "b2"})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_expand_argv(), _search_argv()))
+def test_expand_and_search_keep_the_exit_code_contract(argv):
+    code, _ = _run_on_stdin(argv, "")
+    assert code in (0, 1, 2, 3), argv
+    code, out = _run_on_stdin([*argv, "--machine"], "")
+    assert code in (0, 1, 2, 3), argv
+    if not out:  # argparse rejected the argv
+        assert code == 2, argv
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 1, (argv, out)
         assert isinstance(json.loads(lines[0]), dict)

@@ -14,11 +14,14 @@ from equibundle.action_model import (
     IsolatedPoint,
     LineIsotropy,
     Su2Isotropy,
+    connected_sum_points,
+    connected_sum_spheres,
     linear_cp2,
     linear_cp2_bar,
     linear_s4,
     reverse_orientation,
     triple_cp2_bar_action,
+    validate,
 )
 from equibundle import _poly, congruence, series
 from equibundle.congruence import (
@@ -43,10 +46,18 @@ from equibundle.congruence import (
     solve_theorem_a,
     theorem_a_condition,
 )
-from equibundle.cyclotomic import ZeroRotation, eval_point_term, eval_sphere_term, zeta_pow
+from equibundle.cyclotomic import (
+    ZeroRotation,
+    _boundary,
+    _point,
+    _sphere,
+    _twist,
+    eval_point_term,
+    eval_sphere_term,
+    zeta_pow,
+)
 from equibundle.exact_arith import is_prime, rational_mod
 from equibundle.series import (
-    GF,
     expand_binomial_power,
     expand_boundary_term,
     expand_point_term,
@@ -92,12 +103,60 @@ def test_gsign_reverses_sign_under_orientation_flip():
 
 def test_gsignature_check_on_connected_sums():
     # gluing preserves the exact signature identity
-    from equibundle.action_model import connected_sum_spheres
-
     a = linear_cp2_bar(5, 1)
     ab = connected_sum_spheres(a, 0, linear_cp2_bar(5, 1), 0)
     assert gsignature_check(ab).ok
     assert gsignature_check(triple_cp2_bar_action()).ok
+
+
+def _model_through_point(p, a, b, s4):
+    """A linear model whose point 0 has the class of (a, b)."""
+    if s4:
+        return linear_s4(p, a, b)
+    if a == b:
+        return linear_cp2(p, a, 0)
+    return linear_cp2_bar(p, a) if (a + b) % p == 0 else linear_cp2(p, a, b)
+
+
+@st.composite
+def _connected_sums(draw):
+    """Iterated connected sums of linear models at a prime <= 31, with
+    the signature each sum must carry.  A point is glued to point 0 of
+    a reversed copy of a model through its class; a sphere to sphere 0
+    of a model (reversed or not) with normal weight +-c."""
+    p = draw(st.sampled_from(PRIMES_TO_31))
+    a, b = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+    x = _model_through_point(p, a, b, draw(st.booleans()))
+    sign = x.signature
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["points"] * bool(x.points) + ["spheres"] * bool(x.spheres)
+        if draw(st.sampled_from(kinds)) == "points":
+            i = draw(st.integers(0, len(x.points) - 1))
+            pt = x.points[i]
+            y = reverse_orientation(_model_through_point(p, pt.a, pt.b, draw(st.booleans())))
+            x_next = connected_sum_points(x, i, y, 0)
+        else:
+            i = draw(st.integers(0, len(x.spheres) - 1))
+            c = x.spheres[i].c * draw(st.sampled_from([1, -1]))
+            y = draw(st.sampled_from([linear_cp2(p, c, 0), linear_cp2_bar(p, c)]))
+            if draw(st.booleans()):
+                y = reverse_orientation(y)
+            x_next = connected_sum_spheres(x, i, y, 0)
+        x, sign = x_next, sign + y.signature
+    return x, sign
+
+
+@settings(max_examples=40, deadline=None)
+@given(_connected_sums())
+def test_connected_sums_keep_the_rotation_and_signature_conditions(case):
+    # the glued fixed-point terms cancel (points) or add (spheres), so
+    # every sum of linear models validates and passes both batteries
+    act, sign = case
+    assert act.signature == sign
+    assert validate(act).ok
+    report = check_rotation_relations(act)
+    assert report.ok, [r.display() for r in report.failures()]
+    assert gsignature_check(act).ok
 
 
 def test_gsignature_records_equal_every_power():
@@ -129,10 +188,75 @@ def _exact_mod_p(series, p, order):
     return out
 
 
+# -- the GF(p) oracle ---------------------------------------------------------
+# `series` expands over Q.  This oracle runs the same expansion directly
+# over GF(p): binomial series reduced mod p, one division recurrence
+# per unit u_r with the inverse of its constant term mod p, then the
+# shift by s^(2-k).  It checks the Q expansion reduced mod p, the
+# battery's zeta-basis vectors and the bundle checks.
+
+
+def _gf_powers(p, num, count):
+    out = [0] * count
+    for e, c in num:
+        for j in range(count):
+            out[j] += c
+            c = c * (e - j) // (j + 1)
+    return [x % p for x in out]
+
+
+def _gf_div(p, x, y):
+    inv0, q = pow(y[0], -1, p), []
+    for k, acc in enumerate(x):
+        for j in range(1, min(k, len(y) - 1) + 1):
+            acc -= y[j] * q[k - j]
+        q.append(acc * inv0 % p)
+    return q
+
+
+def _gf_expand(p, terms, order):
+    """The terms (num, units, k) of `cyclotomic` times (t-1)^2, through
+    s^order, over GF(p)."""
+    n = order + 1
+    total = [0] * n
+    for num, units, k in terms:
+        x = _gf_powers(p, num, n)
+        for r in units:
+            x = _gf_div(p, x, _gf_powers(p, [(r, 1), (0, -1)], n + 1)[1:])
+        for j in range(2 - k, n):
+            total[j] += x[j - 2 + k]
+    return [x % p for x in total]
+
+
+# each public expansion, as the term descriptions it sums
+_TERMS = {
+    expand_point_term: lambda a, b, lam: [_twist(_point(a, b), [(lam, 1)])],
+    expand_sphere_term: lambda c, alpha, lam: [_twist(_sphere(c, alpha), [(lam, 1)])],
+    expand_boundary_term: lambda c, m, lam: [_twist(_boundary(c, m), [(lam, 1)])],
+    expand_su2_point_term: lambda a, b, ell: [_twist(_point(a, b), [(ell, 1), (-ell, 1)])],
+    expand_su2_sphere_term: lambda c, alpha, m, ell: [
+        _twist(_sphere(c, alpha), [(ell, 1), (-ell, 1)]),
+        _twist(_boundary(c, m), [(ell, 1), (-ell, -1)]),
+    ],
+}
+
+
+def _gf(p, expand, *args):
+    """`expand(*args)` computed by the GF(p) oracle; the last argument is the order."""
+    *params, order = args
+    return _gf_expand(p, _TERMS[expand](*params), order)
+
+
+def test_gf_oracle_on_known_expansions():
+    # (1+s)^-1 = 1 - s + s^2 - ...; the point (1, 1) is (t+1)^2 = (2+s)^2
+    assert _gf_expand(7, [([(-1, 1)], (), 2)], 4) == [1, 6, 1, 6, 1]
+    assert _gf(7, expand_point_term, 1, 1, 0, 3) == [4, 4, 1, 0]
+
+
 def _assert_gf_matches_exact(p, a, b, c, alpha, m, lam, ell):
-    # every expansion over GF(p) equals its exact rational expansion
-    # reduced mod p, coefficient by coefficient, through order p-2
-    n, gf = p - 2, GF(p)
+    # the GF(p) oracle equals every exact rational expansion reduced
+    # mod p, coefficient by coefficient, through order p-2
+    n = p - 2
     kinds = [
         (expand_point_term, (a, b, lam)),
         (expand_sphere_term, (c, alpha, lam)),
@@ -141,7 +265,7 @@ def _assert_gf_matches_exact(p, a, b, c, alpha, m, lam, ell):
         (expand_su2_sphere_term, (c, alpha, m, ell)),
     ]
     for expand, params in kinds:
-        assert expand(*params, n, gf) == _exact_mod_p(expand(*params, n), p, n)
+        assert _gf(p, expand, *params, n) == _exact_mod_p(expand(*params, n), p, n)
 
 
 def test_gf_expansions_match_exact_series():
@@ -178,7 +302,7 @@ def test_gf_ring_is_rational_ring_mod_p(case):
 @given(st.sampled_from(PRIMES_TO_31), st.integers(-200, 200))
 def test_gf_binomial_is_rational_binomial_mod_p(p, e):
     n = p - 2
-    got = expand_binomial_power(e, n, GF(p))
+    got = _gf_expand(p, [([(e, 1)], (), 2)], n)
     assert got == _exact_mod_p(expand_binomial_power(e, n), p, n)
 
 
@@ -216,7 +340,7 @@ def test_rotation_relations_need_odd_prime():
 # -- the battery in the zeta-power basis ------------------------------------
 # Each component's vector holds its term in Z[zeta]/p in the basis
 # 1, t, ..., t^(p-2); the Pascal transform to s = t - 1 must give the
-# GF(p) expansion through s^(p-2) that `series` computes.
+# expansion through s^(p-2) that the GF(p) oracle computes.
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -231,12 +355,12 @@ def _sphere_series(p, c, alpha):
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_zeta_basis_vectors_are_the_gf_expansions(p):
-    n, gf = p - 2, GF(p)
+    n = p - 2
     for a in range(1, p):
         for b in range(1, p):
-            assert _point_series(p, a, b) == expand_point_term(a, b, 0, n, gf), (a, b)
+            assert _point_series(p, a, b) == _gf(p, expand_point_term, a, b, 0, n), (a, b)
         for alpha in (-2, 0, 1, 3):
-            assert _sphere_series(p, a, alpha) == expand_sphere_term(a, alpha, 0, n, gf)
+            assert _sphere_series(p, a, alpha) == _gf(p, expand_sphere_term, a, alpha, 0, n)
 
 
 @st.composite
@@ -258,14 +382,14 @@ def test_zeta_basis_is_a_ring_homomorphism_image(case):
     # each vector is the reduction mod p of (zeta-1)^2 * (field term),
     # and reads in s as the GF(p) expansion
     p, a, b, alpha = case
-    n, gf = p - 2, GF(p)
+    n = p - 2
     square = zeta_pow(p, 2) - zeta_pow(p, 1) * 2 + 1
     point = congruence._point_vector(p, a, b)[4:]
     sphere = congruence._sphere_vector(p, a, alpha)[4:]
     assert point == _field_mod_p(square * eval_point_term(p, 1, a, b))
     assert sphere == _field_mod_p(square * eval_sphere_term(p, 1, a, alpha))
-    assert congruence._to_s_basis(p, point) == expand_point_term(a, b, 0, n, gf)
-    assert congruence._to_s_basis(p, sphere) == expand_sphere_term(a, alpha, 0, n, gf)
+    assert congruence._to_s_basis(p, point) == _gf(p, expand_point_term, a, b, 0, n)
+    assert congruence._to_s_basis(p, sphere) == _gf(p, expand_sphere_term, a, alpha, 0, n)
 
 
 def _binomial_sums(p, v):
@@ -289,14 +413,15 @@ def test_pascal_transform_matches_binomial_sums():
 
 def _battery_by_expansion(action):
     """The records of `check_rotation_relations`, with the series part
-    summed from the GF(p) expansions through s^(p-2)."""
-    p, n, gf = action.p, action.p - 2, GF(action.p)
+    summed from the GF(p) oracle's expansions through s^(p-2)."""
+    p, n = action.p, action.p - 2
     vectors = [
-        congruence._point_vector(p, pt.a, pt.b)[:4] + expand_point_term(pt.a, pt.b, 0, n, gf)
+        congruence._point_vector(p, pt.a, pt.b)[:4] + _gf(p, expand_point_term, pt.a, pt.b, 0, n)
         for pt in action.points
     ]
     vectors += [
-        congruence._sphere_vector(p, s.c, s.alpha)[:4] + expand_sphere_term(s.c, s.alpha, 0, n, gf)
+        congruence._sphere_vector(p, s.c, s.alpha)[:4]
+        + _gf(p, expand_sphere_term, s.c, s.alpha, 0, n)
         for s in action.spheres
     ]
     total = [sum(col) % p for col in zip(*vectors)]
@@ -627,6 +752,73 @@ def test_su2_weight_sign_flip_invariance():
 def test_su2_wrong_charge_fails():
     s4 = linear_s4(7, 1, 3)
     assert not check_su2(s4, Su2Isotropy((1, 2), (), (), c2=2)).ok
+
+
+def _series_records_by_gf(p, terms, s2_target):
+    n = min(2, p - 2)
+    required = [0, 0, s2_target % p][: n + 1]
+    return [
+        RelationRecord(f"series_order_{k}", x, y, x == y)
+        for k, (x, y) in enumerate(zip(_gf_expand(p, terms, n), required))
+    ]
+
+
+def test_bundle_checks_equal_the_gf_oracle():
+    # random fixed data and isotropy at p <= 31, every number passed
+    # unreduced; the records must be the weight sums mod p and the
+    # series records of the GF(p) oracle, read from the raw data
+    rng = random.Random(8320)
+    for _ in range(300):
+        p = rng.choice(PRIMES_TO_31)
+        units = [x for x in range(-3 * p, 3 * p + 1) if x % p]
+        any_int = range(-3 * p, 3 * p + 1)
+        points = [(rng.choice(units), rng.choice(units)) for _ in range(rng.randrange(0, 4))]
+        n_sph = rng.randrange(0 if points else 1, 3)
+        spheres = [(rng.choice(units), rng.choice(any_int)) for _ in range(n_sph)]
+        act = GroupAction(
+            p,
+            tuple(IsolatedPoint(p, a, b) for a, b in points),
+            tuple(FixedSphere(p, c, alpha) for c, alpha in spheres),
+            rng.randrange(-4, 5),
+            2,
+            0,
+        )
+
+        def draw(count):
+            return tuple(rng.choice(any_int) for _ in range(count))
+
+        def weight_sum(ws, sphere_ws, ms, n):
+            total = sum(w**n * pow(a * b, -1, p) for (a, b), w in zip(points, ws))
+            for (c, alpha), w, m in zip(spheres, sphere_ws, ms):
+                total += (n * w ** (n - 1) * m * c - w**n * alpha) * pow(c * c, -1, p)
+            return total % p
+
+        lam, lam_s, ms, c1 = draw(len(points)), draw(n_sph), draw(n_sph), rng.choice(any_int)
+        terms = [t for (a, b), w in zip(points, lam) for t in _TERMS[expand_point_term](a, b, w)]
+        for (c, alpha), w, m in zip(spheres, lam_s, ms):
+            terms += _TERMS[expand_sphere_term](c, alpha, w)
+            terms += _TERMS[expand_boundary_term](c, m, w)
+        first, second = weight_sum(lam, lam_s, ms, 1), weight_sum(lam, lam_s, ms, 2)
+        want = [
+            RelationRecord("first_order", first, 0, first == 0),
+            RelationRecord("second_order", second, c1 % p, second == c1 % p),
+            *_series_records_by_gf(p, terms, act.signature + 2 * c1),
+        ]
+        got = check_line_bundle(act, LineIsotropy(lam, lam_s, ms, c1_squared=c1))
+        assert got.records == tuple(want)
+
+        ell, ell_s, ms, c2 = draw(len(points)), draw(n_sph), draw(n_sph), rng.choice(any_int)
+        terms = [
+            t for (a, b), w in zip(points, ell) for t in _TERMS[expand_su2_point_term](a, b, w)
+        ]
+        for (c, alpha), w, m in zip(spheres, ell_s, ms):
+            terms += _TERMS[expand_su2_sphere_term](c, alpha, m, w)
+        second = weight_sum(ell, ell_s, ms, 2)
+        want = [
+            RelationRecord("su2_weight_sum", second, -c2 % p, second == -c2 % p),
+            *_series_records_by_gf(p, terms, 2 * act.signature - 4 * c2),
+        ]
+        assert check_su2(act, Su2Isotropy(ell, ell_s, ms, c2=c2)).records == tuple(want)
 
 
 def test_linking_form():
