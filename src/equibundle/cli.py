@@ -59,6 +59,7 @@ EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 # expand --order bound: the cost grows about as order^4, about 1 s at order
 # 1000 and 13 s at 2000 (2-vCPU VM, Python 3.11)
 MAX_ORDER = 1000
+MAX_SEARCH_P = 1009  # p^2/4 classes built up front: 1 s, 115 MB (2-vCPU VM, Python 3.11)
 
 _FREE_SLOT = re.compile(r"^(lambda|lambda_sphere|m)\[(\d+)\]$")
 
@@ -79,11 +80,11 @@ def _load_document(path: str) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal over the digit limit
         raise _Failure(EXIT_PARSE, f"{path}: not a valid document: {exc}")
     if not isinstance(doc, dict):
         raise _Failure(EXIT_PARSE, f"{path}: document root must be a mapping")
@@ -288,6 +289,8 @@ def _cmd_search(args) -> int:
             alphas = [int(x) for x in args.alphas.split(",")]
         except ValueError:
             raise _Failure(EXIT_PARSE, f"--alphas must be comma-separated integers: {args.alphas!r}")
+    if args.p > MAX_SEARCH_P:
+        raise _Failure(EXIT_VALIDATION, f"--p must be an odd prime <= {MAX_SEARCH_P}, got {args.p}")
     gen = search_realizable(
         args.p, args.points, args.spheres, alphas, args.sign, args.euler, args.b2
     )

@@ -4,9 +4,9 @@ The G-signature check evaluates the fixed-point signature sum exactly
 in Q(zeta_p).  The rotation battery and the search read the same
 fixed-point terms mod p, as elements of Z[zeta]/p = F_p[t]/Phi_p(t) in
 the basis of zeta powers, by the sliding window of `cyclotomic` read
-mod p, at O(p) cost per fixed component.  The bundle checks expand
-their twisted terms with `series` over Q through order 2 and reduce
-the coefficients mod p.  The checks and the solver first make sure
+mod p, at O(p) cost per fixed component.  The bundle checks read the
+order-2 expansion of their twisted terms off the relation and weight
+sums in closed form.  The checks and the solver first make sure
 that p is an odd prime and that every rotation number is a unit mod
 p, since the relations divide by them.
 """
@@ -27,7 +27,6 @@ from .action_model import (
 )
 from .cyclotomic import (
     ZeroRotation,
-    _boundary,
     _over_units,
     _point,
     _sphere,
@@ -36,8 +35,7 @@ from .cyclotomic import (
     eval_sphere_term,
     from_rational,
 )
-from .exact_arith import Rational, Residue, crt_solve, is_prime, rational_mod, signed_rep
-from .series import _expand
+from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
 
 __all__ = [
     "CongruenceReport",
@@ -174,20 +172,6 @@ def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
     return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * length
 
 
-def _series_records(p: int, terms: list, s2_target: int) -> list[RelationRecord]:
-    """Expand the sum of the twisted fixed-point terms over Q through
-    s^n, n = min(2, p-2), since twisted characters only pin the
-    expansion that far; reduced mod p, it must be s2_target * s^2 and
-    nothing else."""
-    n = min(2, p - 2)
-    total = [rational_mod(c, p).value for c in _expand(terms, n).coeffs]
-    required = [0, 0, s2_target % p][: n + 1]
-    return [
-        RelationRecord(f"series_order_{k}", lhs, req, lhs == req)
-        for k, (lhs, req) in enumerate(zip(total, required))
-    ]
-
-
 # -- rotation data congruences ---------------------------------------------
 # Each fixed component contributes one F_p vector: its four relation
 # residues, then its signature integrand times (t-1)^2 read in
@@ -254,11 +238,16 @@ def _point_vector(p: int, a: int, b: int) -> list[int]:
     return [*_point_relations(p, a, b), *_residues(p, _point(a, b))]
 
 
+def _sphere_relations(p: int, c: int, alpha: int) -> tuple[int, int, int, int]:
+    """The four relation residues of a fixed sphere (c, alpha)."""
+    c2 = c * c
+    rel = (-alpha * pow(c2, -1, p), alpha, 3 * alpha * c2, 10 * alpha * c2 * c2)
+    return tuple(x % p for x in rel)
+
+
 def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
     """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
-    c2 = c * c
-    rel = [-alpha * pow(c2, -1, p), alpha, 3 * alpha * c2, 10 * alpha * c2 * c2]
-    return [x % p for x in rel] + _residues(p, _sphere(c, alpha))
+    return [*_sphere_relations(p, c, alpha), *_residues(p, _sphere(c, alpha))]
 
 
 def _rotation_target(p: int, sign: int) -> list[int]:
@@ -312,6 +301,30 @@ def _line_lhs(action: GroupAction, iso: LineIsotropy, n: int = 1) -> int:
     return _weight_sum(action, iso.lambda_points, iso.lambda_spheres, iso.m_spheres, n)
 
 
+def _series(action: GroupAction, w1: int, w2: int) -> list[int]:
+    """The fixed-point terms twisted by a line character of weight sums
+    w1, w2 (orders 1 and 2), summed and expanded in s = t - 1 through
+    s^n, n = min(2, p-2), mod p.  Through s^2 the terms are
+      point (a, b):       [4, 4(lam+1), (a^2+b^2+6lam^2+6lam+1)/3]/(ab)
+      sphere (c, alpha):  -alpha [4, 4(lam+1), (6lam^2+6lam+1-c^2)/3]/c^2
+      boundary (c, m):    [0, 4mc, 2mc(2lam+1)]/c^2
+    so the sum is [4r1, 4(r1+w1), (r1+r2)/3 + 2w1 + 2w2], r1 and r2 the
+    first two relation sums; the s^2 entry exists only when p > 3."""
+    p = action.p
+    rels = [_point_relations(p, pt.a, pt.b) for pt in action.points]
+    rels += [_sphere_relations(p, s.c, s.alpha) for s in action.spheres]
+    r1, r2 = sum(r[0] for r in rels), sum(r[1] for r in rels)
+    total = [4 * r1, 4 * (r1 + w1), (r1 + r2) * pow(3, -1, p) + 2 * (w1 + w2) if p > 3 else 0]
+    return [x % p for x in total[: min(2, p - 2) + 1]]
+
+
+def _series_records(p: int, lhs: list[int], s2_target: int) -> list[RelationRecord]:
+    """Twisted characters pin the expansion only through s^2: there it
+    must be s2_target * s^2 and nothing else."""
+    pairs = zip(lhs, [0, 0, s2_target % p])
+    return [RelationRecord(f"series_order_{k}", x, y, x == y) for k, (x, y) in enumerate(pairs)]
+
+
 def theorem_a_condition(action: GroupAction, isotropy: LineIsotropy) -> CongruenceReport:
     """The single realizability congruence for fiber weights on a
     circle bundle: sum of lambda/(ab) over points plus
@@ -329,10 +342,10 @@ def solve_theorem_a(action: GroupAction, partial: LineIsotropy) -> LineIsotropy:
     """Complete an isotropy record with exactly one free slot so the
     realizability congruence holds.
 
-    The unknown's coefficient is 1/(ab), -alpha/c^2 or 1/c; only a
-    sphere weight under p | alpha can degenerate, in which case any
-    value works when the rest already balances (0 is returned) and
-    nothing works otherwise (NotSolvable).
+    The weight sum is affine in each slot, with coefficient 1/(ab),
+    -alpha/c^2 or 1/c; only a sphere weight under p | alpha can
+    degenerate, in which case any value works when the rest already
+    balances (0 is returned) and nothing works otherwise (NotSolvable).
     """
     p = action.p
     _require_units(action)
@@ -345,15 +358,8 @@ def solve_theorem_a(action: GroupAction, partial: LineIsotropy) -> LineIsotropy:
     kind, idx = slots[0]
     base = partial.with_slot(kind, idx, 0)
     residual = _line_lhs(action, base)
-    if kind == "lambda":
-        pt = action.points[idx]
-        coeff = pow(pt.a * pt.b, -1, p)
-    elif kind == "lambda_sphere":
-        s = action.spheres[idx]
-        coeff = (-s.alpha) * pow(s.c * s.c, -1, p) % p
-    else:
-        coeff = pow(action.spheres[idx].c, -1, p)
-    if coeff % p == 0:
+    coeff = (_line_lhs(action, base.with_slot(kind, idx, 1)) - residual) % p
+    if coeff == 0:
         if residual == 0:
             return base  # any value satisfies the congruence; keep 0
         raise NotSolvable(
@@ -381,13 +387,8 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
             "second_order", second, isotropy.c1_squared % p, second == isotropy.c1_squared % p
         ),
     ]
-    terms = [
-        _twist(_point(pt.a, pt.b), [(lam, 1)])
-        for pt, lam in zip(action.points, isotropy.lambda_points)
-    ]
-    for s, lam, m in zip(action.spheres, isotropy.lambda_spheres, isotropy.m_spheres):
-        terms += [_twist(_sphere(s.c, s.alpha), [(lam, 1)]), _twist(_boundary(s.c, m), [(lam, 1)])]
-    records += _series_records(p, terms, action.signature + 2 * isotropy.c1_squared)
+    target = action.signature + 2 * isotropy.c1_squared
+    records += _series_records(p, _series(action, first, second), target)
     return CongruenceReport(tuple(records))
 
 
@@ -401,16 +402,9 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     lhs = _weight_sum(action, isotropy.ell_points, isotropy.ell_spheres, isotropy.m_spheres, 2)
     want = (-isotropy.c2) % p
     records = [RelationRecord("su2_weight_sum", lhs, want, lhs == want)]
-    terms = [
-        _twist(_point(pt.a, pt.b), [(ell, 1), (-ell, 1)])
-        for pt, ell in zip(action.points, isotropy.ell_points)
-    ]
-    for s, ell, m in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres):
-        terms += [
-            _twist(_sphere(s.c, s.alpha), [(ell, 1), (-ell, 1)]),
-            _twist(_boundary(s.c, m), [(ell, 1), (-ell, -1)]),
-        ]
-    records += _series_records(p, terms, 2 * action.signature - 4 * isotropy.c2)
+    # two line copies (ell, m) and (-ell, -m): w1 cancels, the rest doubles
+    series = [2 * x % p for x in _series(action, 0, lhs)]
+    records += _series_records(p, series, 2 * action.signature - 4 * isotropy.c2)
     return CongruenceReport(tuple(records))
 
 

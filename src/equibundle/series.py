@@ -7,10 +7,11 @@ t^r - 1 = s * u_r, and the pole order k.  `_expand` sums the binomial
 series c * (1 + s)^e, divides by prod_r u_r and multiplies by s^(2-k);
 no closed-form coefficient tables are used.
 
-Coefficients are exact rationals.  The bundle checks in `congruence`
-and `expand --p` read them mod p with `rational_mod`, which is
+Coefficients are exact rationals; this is the engine of `expand`
+only.  `expand --p` reads them mod p with `rational_mod`, which is
 legitimate because every coefficient is an integer divided by a
-product of powers of the rotation numbers, units mod p.
+product of powers of the rotation numbers, units mod p.  The bundle
+checks in `congruence` use closed forms of the first three.
 """
 
 from __future__ import annotations

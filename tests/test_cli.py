@@ -21,7 +21,8 @@ from equibundle.action_model import (
     su2_isotropy_to_dict,
     triple_cp2_bar_action,
 )
-from equibundle.cli import EXIT_PIPE, MAX_ORDER, main
+from equibundle import cli
+from equibundle.cli import EXIT_PIPE, MAX_ORDER, MAX_SEARCH_P, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -115,6 +116,24 @@ def test_corrupt_document_is_parse_error(tmp_path):
     lst = _doc(tmp_path, "list.json", raw="[1, 2]")
     assert main(["check", lst]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+def test_non_utf8_document_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on int string conversion",
+)
+def test_int_literal_over_the_digit_limit_is_parse_error(tmp_path, capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    path = _doc(tmp_path, "huge.json", raw='{"action": {"p": ' + digits + "}}")
+    assert main(["check", path]) == 2
+    assert "not a valid document" in capsys.readouterr().err
 
 
 def test_invalid_action_document(tmp_path):
@@ -384,6 +403,22 @@ def test_search_composite_p_is_validation_error(capsys):
     ]
     assert main(argv) == 3
     assert "odd prime" in capsys.readouterr().err
+
+
+def test_search_p_above_the_bound_is_validation_error(monkeypatch, capsys):
+    # the class table is built before the first result, so the bound is
+    # checked before the search starts; 1013 is the next prime
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search started above the bound")
+
+    monkeypatch.setattr(cli, "search_realizable", forbidden)
+    argv = [
+        "search", "--p", "1013", "--points", "1", "--spheres", "1",
+        "--alphas", "1", "--sign", "1", "--euler", "3", "--b2", "1", "--limit", "1",
+    ]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "odd prime" in err and str(MAX_SEARCH_P) in err
 
 
 def test_search_inconsistent_profile():

@@ -454,10 +454,18 @@ def test_battery_and_search_use_no_series_division(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(_poly, "convolve", forbidden)
     monkeypatch.setattr(series, "convolve", forbidden)
+    monkeypatch.setattr(series, "_expand", forbidden)
+    # congruence binds no name of the series engine
+    assert not [
+        name for name, v in vars(congruence).items() if getattr(v, "__module__", "") == series.__name__
+    ]
     for act in (linear_cp2(31, 10, 21), linear_cp2_bar(31, 10), triple_cp2_bar_action()):
         assert check_rotation_relations(act).ok
     assert list(search_realizable(7, 3, 0, [], 1, 3, 1))
     assert list(search_realizable(7, 1, 1, [1], 1, 3, 1))
+    assert check_line_bundle(linear_cp2(7, 1, 3), LineIsotropy((2, 3, 5), (), (), c1_squared=1)).ok
+    assert check_su2(linear_s4(7, 1, 3), Su2Isotropy((1, 2), (), (), c2=1)).ok
+    assert check_su2(linear_cp2_bar(5, 1), Su2Isotropy((3,), (3,), (-1,), c2=1)).ok
 
 
 # (0, 1) at p = 5 and a sphere with c = 0: data validation would reject
@@ -764,12 +772,13 @@ def _series_records_by_gf(p, terms, s2_target):
 
 
 def test_bundle_checks_equal_the_gf_oracle():
-    # random fixed data and isotropy at p <= 31, every number passed
+    # random fixed data and isotropy at p <= 31 and at the line and SU(2)
+    # primes of the battery deck, every number passed
     # unreduced; the records must be the weight sums mod p and the
     # series records of the GF(p) oracle, read from the raw data
     rng = random.Random(8320)
     for _ in range(300):
-        p = rng.choice(PRIMES_TO_31)
+        p = rng.choice(PRIMES_TO_31 + [97, 101, 109, 113, 199, 211, 401, 601, 997])
         units = [x for x in range(-3 * p, 3 * p + 1) if x % p]
         any_int = range(-3 * p, 3 * p + 1)
         points = [(rng.choice(units), rng.choice(units)) for _ in range(rng.randrange(0, 4))]
