@@ -56,8 +56,11 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 
-# expand --order bound: the cost grows about as order^4, about 1 s at order
-# 1000 and 13 s at 2000 (2-vCPU VM, Python 3.11)
+# expand --order bound.  Each unit u_|r| divides in O(order * min(|r|, order))
+# products of integers that grow with the order and the rotation numbers, so
+# the cost depends on the arguments too: at order 1000, su2-point (-7, 11)
+# takes 0.2 s and point (1000, -999) 33 s; 10-digit rotation numbers take 4 s
+# at order 300 (whole process, 2-vCPU VM, Python 3.11)
 MAX_ORDER = 1000
 MAX_SEARCH_P = 1009  # p^2/4 classes built up front: 1 s, 115 MB (2-vCPU VM, Python 3.11)
 

@@ -14,9 +14,10 @@ p, since the relations divide by them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .action_model import (
     FixedSphere,
@@ -88,8 +89,7 @@ class NotCoprimeRotation(ValueError):
     """A residue that must be coprime to the modulus is not."""
 
 
-@dataclass(frozen=True)
-class RelationRecord:
+class RelationRecord(NamedTuple):
     name: str
     lhs: object
     required: object
@@ -264,22 +264,27 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     reduce, mod p, to Sign(X) * s^2 and nothing else through s^(p-2):
     (t-1)^(p-1) is congruent to Phi_p(t) mod p, so higher terms are
     invisible to the congruence.  Each component's term is built in
-    the zeta-power basis of Z[zeta]/p at O(p) cost; the sum is turned
-    into s coefficients once, for the records.
+    the zeta-power basis of Z[zeta]/p at O(p) cost, and the sum is
+    compared with the target in that basis.  The change to powers of s
+    is a bijection, so a sum equal to the target reads as the target's
+    s coefficients; only a differing sum is turned into s coefficients,
+    once, for its records.
     """
     p = action.p
     _require_units(action)
     vectors = [_point_vector(p, pt.a, pt.b) for pt in action.points]
     vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
     total = _vector_sum(p, vectors, p + 3)
-    total[4:] = _to_s_basis(p, total[4:])
     sign = action.signature % p
     # Sign * s^2 in the s basis, through s^(p-2): zero when p = 3
     target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
+    if total[4:] == _rotation_target(p, sign)[4:]:
+        total[4:] = target[4:]  # the change of basis is a bijection
+    else:
+        total[4:] = _to_s_basis(p, total[4:])
     names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(p - 1)]
-    return CongruenceReport(
-        tuple(RelationRecord(nm, x, y, x == y) for nm, x, y in zip(names, total, target))
-    )
+    passed = map(operator.eq, total, target)
+    return CongruenceReport(tuple(map(RelationRecord._make, zip(names, total, target, passed))))
 
 
 # -- circle bundle relations -------------------------------------------------

@@ -110,15 +110,15 @@ def _div(x, y) -> list[Fraction]:
     ax, dx = cleared(x)
     ay, dy = cleared(y)
     y0, d = ay[0], _degree(ay)
+    scaled = [0]  # Y_j * y0^(j-1)
+    for j in range(1, d + 1):
+        scaled.append(ay[j] * y0 ** (j - 1))
     big = []
     top = 1  # y0^k
     for k in range(len(ax)):
         acc = ax[k] * top
-        pw = 1  # y0^(j-1)
         for j in range(1, min(k, d) + 1):
-            if ay[j]:
-                acc -= ay[j] * big[k - j] * pw
-            pw *= y0
+            acc -= scaled[j] * big[k - j]
         big.append(acc)
         top *= y0
     out = []
@@ -145,15 +145,25 @@ def _powers(num, count: int) -> list[int]:
 
 def _expand(terms, order: int) -> PowerSeries:
     """Sum of the terms (num, units, k) times (t-1)^2 through s^order:
-    each numerator divided by prod_r u_r and shifted by s^(2-k)."""
+    each numerator divided by prod_r u_r and shifted by s^(2-k).
+
+    A negative unit is u_r = -t^r * u_|r|, so 1/u_r = -t^|r| / u_|r|:
+    the factor -t^|r| moves into the numerator and every divisor is the
+    polynomial u_|r| = sum_j C(|r|, j+1) s^j of degree |r| - 1.  One
+    division costs O(order * min(|r|, order)), not the O(order^2) of an
+    infinite series.
+    """
     n = order + 1
     total = []
     for num, units, k in terms:
+        for r in units:
+            if r < 0:
+                num = [(e - r, -c) for e, c in num]
         x = _powers(num, n)
         if not any(x):
             continue  # the numerator cancels: nothing to divide
-        for r in units:  # t^r - 1 = s * u_r
-            x = _div(x, _powers([(r, 1), (0, -1)], n + 1)[1:])
+        for r in units:  # t^|r| - 1 = s * u_|r|
+            x = _div(x, _powers([(abs(r), 1), (0, -1)], n + 1)[1:])
         x = ([0] * (2 - k) + x)[:n]
         total = [u + v for u, v in zip(total, x)] if total else x
     return PowerSeries(tuple(total), order)

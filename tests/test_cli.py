@@ -396,13 +396,16 @@ def test_closed_stdout_exits_quietly(extra):
 
 
 def test_search_composite_p_is_validation_error(capsys):
-    # 1000000007 * 998244353, too large to factor by trial division
-    argv = [
-        "search", "--p", "998244359987710471", "--points", "3", "--sign", "1",
-        "--euler", "3", "--b2", "1", "--limit", "1",
-    ]
-    assert main(argv) == 3
-    assert "odd prime" in capsys.readouterr().err
+    # 1000000007 * 998244353 is too large to factor by trial division and
+    # fails the bound; 7 * 11 * 13 is below it and reaches the prime
+    # check of search_realizable
+    for p in ("998244359987710471", "1001"):
+        argv = [
+            "search", "--p", p, "--points", "3", "--sign", "1",
+            "--euler", "3", "--b2", "1", "--limit", "1",
+        ]
+        assert main(argv) == 3
+        assert "odd prime" in capsys.readouterr().err
 
 
 def test_search_p_above_the_bound_is_validation_error(monkeypatch, capsys):

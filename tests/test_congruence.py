@@ -426,22 +426,43 @@ def _battery_by_expansion(action):
     ]
     total = [sum(col) % p for col in zip(*vectors)]
     target = [0, 3 * action.signature % p, 0, 0] + [0] * (n + 1)
-    target[6] = action.signature % p
+    if n >= 2:  # Sign * s^2 is truncated away at p = 3
+        target[6] = action.signature % p
     names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(n + 1)]
     return tuple(RelationRecord(*r, r[1] == r[2]) for r in zip(names, total, target))
 
 
 def test_battery_at_large_p_equals_expansion_oracle():
     p, third = 1009, 1009 // 3
-    acts = [
-        linear_cp2(p, third, 2 * third + 1),
-        linear_cp2(p, third + 1, 0),  # a fixed point and a fixed sphere
-        linear_s4(p, third, third + 2),
-        replace(linear_s4(p, third + 3, 2 * third), signature=1),  # fails
+    cases = [
+        (linear_cp2(p, third, 2 * third + 1), True),
+        (linear_cp2(p, third + 1, 0), True),  # a fixed point and a fixed sphere
+        (linear_s4(p, third, third + 2), True),
+        (replace(linear_s4(p, third + 3, 2 * third), signature=1), False),
     ]
-    for act in acts:
-        assert check_rotation_relations(act).records == _battery_by_expansion(act)
-    assert [check_rotation_relations(act).ok for act in acts] == [True, True, True, False]
+    # at small p the Sign * s^2 target is truncated (p = 3) or zero
+    # (linear_s4); at p = 3 the battery cannot see the signature, since
+    # 3 * Sign vanishes too, so the perturbed twin passes there
+    for q in (3, 5, 7):
+        for act in (linear_cp2(q, 1, 2), linear_cp2_bar(q, 1), linear_s4(q, 1, 2)):
+            cases += [(act, True), (replace(act, signature=act.signature + 1), q == 3)]
+    for act, ok in cases:
+        report = check_rotation_relations(act)
+        assert report.records == _battery_by_expansion(act)
+        assert report.ok == ok, act
+
+
+def test_passing_battery_changes_no_basis(monkeypatch):
+    # a sum equal to the target reads as the target's s coefficients;
+    # only a failing sum is turned into powers of s
+    def forbidden(*args, **kwargs):
+        raise AssertionError("change of basis")
+
+    monkeypatch.setattr(congruence, "_to_s_basis", forbidden)
+    for act in (linear_cp2(401, 133, 268), linear_cp2_bar(31, 10), triple_cp2_bar_action()):
+        assert check_rotation_relations(act).ok
+    with pytest.raises(AssertionError, match="change of basis"):
+        check_rotation_relations(replace(linear_cp2(401, 133, 268), signature=2))
 
 
 def test_battery_and_search_use_no_series_division(monkeypatch):

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equibundle.cyclotomic import _boundary, _point, _sphere, _twist
 from equibundle.series import (
     NotAUnit,
     PowerSeries,
@@ -245,3 +249,67 @@ def test_series_str_and_coeff_bounds():
     assert "s" in str(s)
     with pytest.raises(IndexError):
         s.coeff(3)
+
+
+# -- the division by the unit series of a negative rotation number -------
+# `series` rewrites u_r = -t^r * u_|r| for r < 0 and divides only by the
+# polynomial u_|r|.  This oracle divides by the full unit series
+# u_r = sum_j C(r, j+1) s^j instead, infinite when r < 0, over Q.
+
+
+def _binom(e, j):
+    """C(e, j) for any integer e."""
+    num = 1
+    for i in range(j):
+        num *= e - i
+    return Fraction(num, factorial(j))
+
+
+def _oracle_expand(terms, order):
+    n = order + 1
+    total = [Fraction(0)] * n
+    for num, units, k in terms:
+        x = [sum(c * _binom(e, j) for e, c in num) for j in range(n)]
+        for r in units:
+            y = [_binom(r, j + 1) for j in range(n)]
+            q = []
+            for i in range(n):
+                q.append((x[i] - sum(y[j] * q[i - j] for j in range(1, i + 1))) / y[0])
+            x = q
+        for j in range(2 - k, n):
+            total[j] += x[j - 2 + k]
+    return total
+
+
+_rotation = st.integers(-12, 12).filter(bool)
+_small = st.integers(-6, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rotation, _rotation, _small, _small, _small, st.integers(0, 30))
+def test_expansions_equal_the_unit_series_oracle(a, b, alpha, m, lam, order):
+    cases = [
+        (expand_point_term(a, b, lam, order), [_twist(_point(a, b), [(lam, 1)])]),
+        (expand_sphere_term(a, alpha, lam, order), [_twist(_sphere(a, alpha), [(lam, 1)])]),
+        (expand_boundary_term(b, m, lam, order), [_twist(_boundary(b, m), [(lam, 1)])]),
+        (
+            expand_su2_point_term(a, b, lam, order),
+            [_twist(_point(a, b), [(lam, 1), (-lam, 1)])],
+        ),
+        (
+            expand_su2_sphere_term(a, alpha, m, lam, order),
+            [
+                _twist(_sphere(a, alpha), [(lam, 1), (-lam, 1)]),
+                _twist(_boundary(a, m), [(lam, 1), (-lam, -1)]),
+            ],
+        ),
+    ]
+    for got, terms in cases:
+        assert list(got.coeffs) == _oracle_expand(terms, order)
+
+
+def test_unit_series_oracle_on_a_negative_rotation():
+    # 1/u_-1 = -t = -(1 + s), so the boundary term 2(t^-1 + 1)/(t^-1 - 1) * s^2
+    # is -2(1 + t) s = -2(2 + s) s
+    assert _oracle_expand([_boundary(-1, 1)], 3) == [0, -4, -2, 0]
+    assert list(expand_boundary_term(-1, 1, 0, 3).coeffs) == [0, -4, -2, 0]
