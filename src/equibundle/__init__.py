@@ -3,109 +3,24 @@ G-signature sums, rotation-number congruences, equivariant bundle
 realizability, lens space rho invariants and invariant instanton
 moduli dimensions.  Everything is integer or Fraction arithmetic;
 floating point appears only as a cross-check oracle.
+
+The public names are those the library modules list in `__all__`.
 """
 
-from .exact_arith import (
-    DenominatorDivisible,
-    ModulusMismatch,
-    NotCoprime,
-    NotInvertible,
-    Rational,
-    Residue,
-    crt_solve,
-    is_prime,
-    mod_inverse,
-    rational_mod,
-    signed_rep,
-)
-from .cyclotomic import (
-    CycloNum,
-    NotRational,
-    ZeroRotation,
-    eval_point_term,
-    eval_sphere_term,
-    field_trace,
-    from_rational,
-    galois_sum,
-    sin2_term,
-    sin_cot_term,
-    zeta_minus_one_inv,
-    zeta_pow,
-)
-from .series import (
-    NotAUnit,
-    PowerSeries,
-    expand_binomial_power,
-    expand_boundary_term,
-    expand_point_term,
-    expand_sphere_term,
-    expand_su2_point_term,
-    expand_su2_sphere_term,
-    series_invert_unit,
-    series_mul,
-)
-from .action_model import (
-    BadWeights,
-    DocumentError,
-    FixedSphere,
-    GroupAction,
-    IncompatiblePoints,
-    IncompatibleSpheres,
-    IsolatedPoint,
-    LineIsotropy,
-    ShapeMismatch,
-    Su2Isotropy,
-    ValidationReport,
-    action_from_dict,
-    action_to_dict,
-    connected_sum_points,
-    connected_sum_spheres,
-    line_isotropy_from_dict,
-    line_isotropy_to_dict,
-    linear_cp2,
-    linear_cp2_bar,
-    linear_s4,
-    reverse_orientation,
-    su2_isotropy_from_dict,
-    su2_isotropy_to_dict,
-    triple_cp2_bar_action,
-    validate,
-)
-from .congruence import (
-    CongruenceReport,
-    InconsistentCounts,
-    MissingChernSquare,
-    NotSolvable,
-    Overdetermined,
-    RelationRecord,
-    Underdetermined,
-    ZeroSelfIntersection,
-    boundary_chern_data,
-    check_line_bundle,
-    check_rotation_relations,
-    check_su2,
-    flat_chern_class,
-    gsign_value,
-    gsignature_check,
-    linking_form,
-    search_realizable,
-    solve_theorem_a,
-    theorem_a_condition,
-)
-from .moduli import (
-    DimensionReport,
-    FloatMismatch,
-    NonIntegerDimension,
-    NotInvolution,
-    ParityError,
-    RhoValue,
-    defect_terms,
-    dim_invariant_moduli,
-    dim_involution,
-    dim_nonequivariant,
-    quotient_invariants,
-    rho_lens,
-    rho_surface,
+from .exact_arith import *
+from .cyclotomic import *
+from .series import *
+from .action_model import *
+from .congruence import *
+from .moduli import *
+
+__all__ = (
+    exact_arith.__all__
+    + cyclotomic.__all__
+    + series.__all__
+    + action_model.__all__
+    + congruence.__all__
+    + moduli.__all__
 )
 
 __version__ = "0.1.0"

@@ -370,7 +370,7 @@ def reverse_orientation(action: GroupAction) -> GroupAction:
     pairs (a, -b), sphere data (-c, -alpha), negated signature."""
     return GroupAction(
         action.p,
-        tuple(IsolatedPoint(action.p, pt.a, -pt.b) for pt in action.points),
+        tuple(pt.orientation_reversed() for pt in action.points),
         tuple(FixedSphere(action.p, -s.c, -s.alpha) for s in action.spheres),
         -action.signature,
         action.euler,

@@ -23,6 +23,8 @@ from .action_model import (
     GroupAction,
     action_from_dict,
     action_to_dict,
+    connected_sum_points,
+    connected_sum_spheres,
     line_isotropy_from_dict,
     line_isotropy_to_dict,
     su2_isotropy_from_dict,
@@ -56,12 +58,17 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 
-# expand --order bound.  Each unit u_|r| divides in O(order * min(|r|, order))
-# products of integers that grow with the order and the rotation numbers, so
-# the cost depends on the arguments too: at order 1000, su2-point (-7, 11)
-# takes 0.2 s and point (1000, -999) 33 s; 10-digit rotation numbers take 4 s
-# at order 300 (whole process, 2-vCPU VM, Python 3.11)
+# expand bounds, all checked before any expansion (exit 2).  Each unit u_|r|
+# divides in (order + 1) * min(|r|, order + 1) products of integers, and the
+# integers grow as (order + 1) times the bit lengths of the arguments.  The
+# first bound kept every printed integer of a sweep under 3,700 decimal digits,
+# inside the 4,300-digit str() limit; with it, the second keeps every request
+# under 3 s.  Measured, whole process, 2-vCPU VM, Python 3.11: the CI case
+# su2-point (-7, 11) at order 1000 (10,010 bits, work 18,018) takes 0.3 s;
+# point (3, 137438953481) at order 292 (11,427 bits, work 86,728) 2.6 s.
 MAX_ORDER = 1000
+MAX_EXPAND_BITS = 12_000  # (order + 1) * bit lengths, r once per unit u_r
+MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
 MAX_SEARCH_P = 1009  # p^2/4 classes built up front: 1 s, 115 MB (2-vCPU VM, Python 3.11)
 
 _FREE_SLOT = re.compile(r"^(lambda|lambda_sphere|m)\[(\d+)\]$")
@@ -97,13 +104,10 @@ def _load_document(path: str) -> dict:
 def _section(doc: dict, name: str, from_dict):
     if name not in doc:
         raise _Failure(EXIT_VALIDATION, f"document has no {name} section")
-    try:
-        return from_dict(doc[name])
-    except DocumentError as exc:
-        raise _Failure(EXIT_PARSE, str(exc))
+    return from_dict(doc[name])
 
 
-def _validated_action(args, doc: dict) -> GroupAction:
+def _validated_action(doc: dict) -> GroupAction:
     action = _section(doc, "action", action_from_dict)
     report = validate(action)
     for warning in report.warnings:
@@ -150,7 +154,7 @@ def _finish_report(args, report: CongruenceReport, mode: str) -> int:
 
 def _cmd_check(args) -> int:
     doc = _load_document(args.file)
-    action = _validated_action(args, doc)
+    action = _validated_action(doc)
     if args.mode == "rotation":
         report = check_rotation_relations(action)
     elif args.mode == "gsign":
@@ -164,7 +168,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     doc = _load_document(args.file)
-    action = _validated_action(args, doc)
+    action = _validated_action(doc)
     iso = _section(doc, "line_isotropy", line_isotropy_from_dict)
     if args.free is not None:
         match = _FREE_SLOT.match(args.free)
@@ -185,7 +189,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dimension(args) -> int:
     doc = _load_document(args.file)
-    action = _validated_action(args, doc)
+    action = _validated_action(doc)
     iso = _section(doc, "su2_isotropy", su2_isotropy_from_dict)
     k = args.k if args.k is not None else iso.c2
     try:
@@ -219,28 +223,45 @@ def _cmd_dimension(args) -> int:
     return EXIT_OK
 
 
-# kind -> (expansion, its parameters in argument order)
+# kind -> (expansion, its parameters in argument order, the parameter r of
+# each unit u_r it divides by)
 _EXPAND = {
-    "point": (expand_point_term, ("a", "b", "lam")),
-    "sphere": (expand_sphere_term, ("c", "alpha", "lam")),
-    "boundary": (expand_boundary_term, ("c", "m", "lam")),
-    "su2-point": (expand_su2_point_term, ("a", "b", "ell")),
-    "su2-sphere": (expand_su2_sphere_term, ("c", "alpha", "m", "ell")),
+    "point": (expand_point_term, ("a", "b", "lam"), ("a", "b")),
+    "sphere": (expand_sphere_term, ("c", "alpha", "lam"), ("c", "c")),
+    "boundary": (expand_boundary_term, ("c", "m", "lam"), ("c",)),
+    "su2-point": (expand_su2_point_term, ("a", "b", "ell"), ("a", "b")),
+    "su2-sphere": (expand_su2_sphere_term, ("c", "alpha", "m", "ell"), ("c", "c", "c")),
 }
 
 
 def _cmd_expand(args) -> int:
-    expand, params = _EXPAND[args.kind]
-    values = []
+    expand, params, units = _EXPAND[args.kind]
+    values = {}
     for name in params:
         v = getattr(args, name)
         if v is None:
             if name not in ("lam", "ell", "m"):
                 raise _Failure(EXIT_PARSE, f"expand --kind {args.kind} needs --{name}")
             v = 0
-        values.append(v)
+        values[name] = v
     order = args.order
-    series = expand(*values, order)
+    # a rotation number counts once per unit it divides by
+    sized = [values[r] for r in units] + [values[n] for n in params if n not in units]
+    bits = (order + 1) * sum(abs(v).bit_length() for v in sized)
+    if bits > MAX_EXPAND_BITS:
+        raise _Failure(
+            EXIT_PARSE,
+            f"expand needs (order + 1) * (bit lengths of the arguments) <= {MAX_EXPAND_BITS}, "
+            f"got {bits}",
+        )
+    work = (order + 1) * sum(min(abs(values[r]), order + 1) for r in units)
+    if work > MAX_EXPAND_WORK:
+        raise _Failure(
+            EXIT_PARSE,
+            f"expand needs (order + 1) * (sum of min(|r|, order + 1) over its units) "
+            f"<= {MAX_EXPAND_WORK}, got {work}",
+        )
+    series = expand(*values.values(), order)
     coeffs = [series.coeff(j) for j in range(order + 1)]
     reductions: list = []
     if args.p is not None:
@@ -267,12 +288,10 @@ def _cmd_expand(args) -> int:
 def _cmd_sum(args) -> int:
     doc_a = _load_document(args.file_a)
     doc_b = _load_document(args.file_b)
-    action_a = _validated_action(args, doc_a)
-    action_b = _validated_action(args, doc_b)
+    action_a = _validated_action(doc_a)
+    action_b = _validated_action(doc_b)
     if (args.points is None) == (args.spheres is None):
         raise _Failure(EXIT_PARSE, "pass exactly one of --points I J or --spheres I J")
-    from .action_model import connected_sum_points, connected_sum_spheres
-
     try:
         if args.points is not None:
             i, j = args.points

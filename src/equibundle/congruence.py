@@ -17,6 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .action_model import (
@@ -419,8 +420,6 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
 def linking_form(n: int, a: int, b: int) -> Rational:
     """Self-linking a*b/n of the distinguished generator of the lens
     space L(n; a, b), reduced into [0, 1)."""
-    from math import gcd
-
     if gcd(a, n) != 1 or gcd(b, n) != 1:
         raise NotCoprimeRotation(f"({a}, {b}) must be coprime to {n}")
     return Fraction((a * b) % n, n)
@@ -429,8 +428,6 @@ def linking_form(n: int, a: int, b: int) -> Rational:
 def flat_chern_class(n: int, a: int, b: int, lam: int) -> Residue:
     """Chern coefficient lambda/(ab) mod n of the flat circle bundle
     with holonomy weight lambda over L(n; a, b)."""
-    from math import gcd
-
     if gcd(a * b, n) != 1:
         raise NotCoprimeRotation(f"a*b = {a * b} must be coprime to {n}")
     return Residue(lam * pow(a * b, -1, n), n)

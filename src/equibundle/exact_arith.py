@@ -42,7 +42,7 @@ class NotCoprime(ArithmeticError):
 
 
 class ModulusMismatch(ValueError):
-    """Arithmetic between residues with different moduli."""
+    """Objects over different moduli p combined into one."""
 
 
 # Sorenson and Webster (2017): no composite below this bound is a strong
@@ -87,7 +87,11 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Residue:
-    """An element of Z/n, stored with value in [0, n) and modulus n >= 2."""
+    """A residue class mod n >= 2, stored with value in [0, n).
+
+    A result record, not a ring: the package computes on plain ints
+    and wraps only the answers it returns.
+    """
 
     value: int
     modulus: int
@@ -96,43 +100,6 @@ class Residue:
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "Residue | int") -> "Residue":
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        if not isinstance(other, Residue):
-            return NotImplemented
-        if other.modulus != self.modulus:
-            raise ModulusMismatch(f"moduli differ: {self.modulus} vs {other.modulus}")
-        return other
-
-    def __add__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other: int) -> "Residue":
-        return Residue(other - self.value, self.modulus)
-
-    def __mul__(self, other: "Residue | int") -> "Residue":
-        other = self._coerce(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
     def signed(self) -> int:
         """Representative in (-n/2, n/2], the display convention."""

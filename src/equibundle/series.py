@@ -42,7 +42,10 @@ class NotAUnit(ArithmeticError):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Sum of coeffs[k] * s^k, exact through s^order."""
+    """Sum of coeffs[k] * s^k, exact through s^order.
+
+    A result record, not a ring: `series_mul` is the one product.
+    """
 
     coeffs: tuple[Fraction, ...]
     order: int
@@ -58,28 +61,6 @@ class PowerSeries:
         if k > self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), n)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + -other
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            return series_mul(self, other)
-        q = Fraction(other)
-        return PowerSeries(tuple(c * q for c in self.coeffs), self.order)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PowerSeries":
-        return self * -1
 
     def __str__(self) -> str:
         parts = [f"{c}*s^{k}" for k, c in enumerate(self.coeffs) if c != 0]

