@@ -9,7 +9,6 @@ vector lengths we use (up to ~100).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 __all__ = ["cleared", "convolve"]

@@ -11,8 +11,8 @@ canonicalize so that equality means equality of equivalence classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 from .exact_arith import ModulusMismatch, is_prime, signed_rep
 
@@ -118,7 +118,7 @@ class FixedSphere:
 
     def weight_class(self) -> int:
         # c and -c describe the same unoriented normal rotation
-        return min(self.c, (-self.c) % self.p)
+        return abs(signed_rep(self.c, self.p))
 
     def display(self) -> str:
         return f"(c={signed_rep(self.c, self.p)}, alpha={self.alpha})"
@@ -216,14 +216,9 @@ def validate(action: GroupAction) -> ValidationReport:
 # -- isotropy records ----------------------------------------------------
 
 
-def _as_slot_tuple(values: Iterable) -> tuple:
-    out = []
-    for v in values:
-        if v is None:
-            out.append(None)
-        else:
-            out.append(int(v))
-    return tuple(out)
+# kind of a LineIsotropy slot -> the field holding it, in `free_slots` order;
+# `cli` reads the kinds from here to parse `solve --free`
+_SLOT_FIELDS = {"lambda": "lambda_points", "lambda_sphere": "lambda_spheres", "m": "m_spheres"}
 
 
 def _check_shape(action: GroupAction, points: tuple, spheres: tuple, ms: tuple) -> None:
@@ -251,31 +246,27 @@ class LineIsotropy:
     c1_squared: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda_points", _as_slot_tuple(self.lambda_points))
-        object.__setattr__(self, "lambda_spheres", _as_slot_tuple(self.lambda_spheres))
-        object.__setattr__(self, "m_spheres", _as_slot_tuple(self.m_spheres))
+        for name in _SLOT_FIELDS.values():
+            slots = tuple(None if v is None else int(v) for v in getattr(self, name))
+            object.__setattr__(self, name, slots)
 
     def check_shape(self, action: GroupAction) -> None:
         _check_shape(action, self.lambda_points, self.lambda_spheres, self.m_spheres)
 
     def free_slots(self) -> list[tuple[str, int]]:
-        out = []
-        out += [("lambda", i) for i, v in enumerate(self.lambda_points) if v is None]
-        out += [("lambda_sphere", j) for j, v in enumerate(self.lambda_spheres) if v is None]
-        out += [("m", j) for j, v in enumerate(self.m_spheres) if v is None]
-        return out
+        return [
+            (kind, i)
+            for kind, name in _SLOT_FIELDS.items()
+            for i, v in enumerate(getattr(self, name))
+            if v is None
+        ]
 
     def with_slot(self, kind: str, index: int, value: Optional[int]) -> "LineIsotropy":
-        lp, ls, ms = list(self.lambda_points), list(self.lambda_spheres), list(self.m_spheres)
-        if kind == "lambda":
-            lp[index] = value
-        elif kind == "lambda_sphere":
-            ls[index] = value
-        elif kind == "m":
-            ms[index] = value
-        else:
+        if kind not in _SLOT_FIELDS:
             raise ValueError(f"unknown slot kind {kind!r}")
-        return LineIsotropy(tuple(lp), tuple(ls), tuple(ms), self.c1_squared)
+        slots = list(getattr(self, _SLOT_FIELDS[kind]))
+        slots[index] = value
+        return replace(self, **{_SLOT_FIELDS[kind]: tuple(slots)})
 
 
 @dataclass(frozen=True)
@@ -299,18 +290,10 @@ class Su2Isotropy:
 
     def canonical(self, p: int) -> "Su2Isotropy":
         """Fold every ell into [0, p/2]; sphere m flips sign with its ell."""
-        pts = tuple(min(e % p, (-e) % p) for e in self.ell_points)
-        sph = []
-        ms = []
-        for e, m in zip(self.ell_spheres, self.m_spheres):
-            r = e % p
-            if r > p - r:
-                sph.append(p - r)
-                ms.append(-m)
-            else:
-                sph.append(r)
-                ms.append(m)
-        return Su2Isotropy(pts, tuple(sph), tuple(ms), self.c2)
+        pts = tuple(abs(signed_rep(e, p)) for e in self.ell_points)
+        sph = [(signed_rep(e, p), m) for e, m in zip(self.ell_spheres, self.m_spheres)]
+        ells = tuple(abs(e) for e, _ in sph)
+        return Su2Isotropy(pts, ells, tuple(-m if e < 0 else m for e, m in sph), self.c2)
 
 
 # -- linear models -------------------------------------------------------
@@ -393,6 +376,14 @@ def _at(items: tuple, i: int):
     return items[i]
 
 
+def _glued(a: GroupAction, b: GroupAction, points: tuple, spheres: tuple) -> GroupAction:
+    """The sum of a and b with the given fixed set: signature and b2 add,
+    and chi loses 2, one for each ball cut out."""
+    return GroupAction(
+        a.p, points, spheres, a.signature + b.signature, a.euler + b.euler - 2, a.b2 + b.b2
+    )
+
+
 def connected_sum_points(a: GroupAction, i: int, b: GroupAction, j: int) -> GroupAction:
     """Equivariant connected sum at isolated fixed points.
 
@@ -410,14 +401,7 @@ def connected_sum_points(a: GroupAction, i: int, b: GroupAction, j: int) -> Grou
     points = tuple(q for t, q in enumerate(a.points) if t != i) + tuple(
         q for t, q in enumerate(b.points) if t != j
     )
-    return GroupAction(
-        a.p,
-        points,
-        a.spheres + b.spheres,
-        a.signature + b.signature,
-        a.euler + b.euler - 2,
-        a.b2 + b.b2,
-    )
+    return _glued(a, b, points, a.spheres + b.spheres)
 
 
 def connected_sum_spheres(a: GroupAction, i: int, b: GroupAction, j: int) -> GroupAction:
@@ -430,7 +414,7 @@ def connected_sum_spheres(a: GroupAction, i: int, b: GroupAction, j: int) -> Gro
     """
     _check_same_p(a, b)
     sa, sb = _at(a.spheres, i), _at(b.spheres, j)
-    if (sa.c + sb.c) % a.p != 0 and (sa.c - sb.c) % a.p != 0:
+    if sa.weight_class() != sb.weight_class():
         raise IncompatibleSpheres(
             f"sphere weights {sa.display()} and {sb.display()} differ mod {a.p}"
         )
@@ -438,14 +422,7 @@ def connected_sum_spheres(a: GroupAction, i: int, b: GroupAction, j: int) -> Gro
     spheres = tuple(merged if t == i else s for t, s in enumerate(a.spheres)) + tuple(
         s for t, s in enumerate(b.spheres) if t != j
     )
-    return GroupAction(
-        a.p,
-        a.points + b.points,
-        spheres,
-        a.signature + b.signature,
-        a.euler + b.euler - 2,
-        a.b2 + b.b2,
-    )
+    return _glued(a, b, a.points + b.points, spheres)
 
 
 def triple_cp2_bar_action() -> GroupAction:
@@ -472,7 +449,8 @@ def triple_cp2_bar_action() -> GroupAction:
         5,
         3,
     )
-    assert out.same_data(literal), "construction drifted from the reference data"
+    if not out.same_data(literal):
+        raise AssertionError("construction drifted from the reference data")
     return out
 
 
@@ -560,17 +538,6 @@ def line_isotropy_from_dict(doc: dict) -> LineIsotropy:
     )
 
 
-def line_isotropy_to_dict(iso: LineIsotropy) -> dict:
-    out = {
-        "lambda_points": list(iso.lambda_points),
-        "lambda_spheres": list(iso.lambda_spheres),
-        "m_spheres": list(iso.m_spheres),
-    }
-    if iso.c1_squared is not None:
-        out["c1_squared"] = iso.c1_squared
-    return out
-
-
 def su2_isotropy_from_dict(doc: dict) -> Su2Isotropy:
     if not isinstance(doc, dict):
         raise DocumentError("su2_isotropy must be a mapping")
@@ -582,10 +549,15 @@ def su2_isotropy_from_dict(doc: dict) -> Su2Isotropy:
     )
 
 
-def su2_isotropy_to_dict(iso: Su2Isotropy) -> dict:
+def _isotropy_to_dict(iso: LineIsotropy | Su2Isotropy) -> dict:
+    """An isotropy record as a document section: every field in order,
+    tuples as lists, and no c1_squared when it is null."""
+    values = ((f.name, getattr(iso, f.name)) for f in fields(iso))
     return {
-        "ell_points": list(iso.ell_points),
-        "ell_spheres": list(iso.ell_spheres),
-        "m_spheres": list(iso.m_spheres),
-        "c2": iso.c2,
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in values
+        if not (k == "c1_squared" and v is None)
     }
+
+
+line_isotropy_to_dict = su2_isotropy_to_dict = _isotropy_to_dict

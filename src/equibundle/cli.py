@@ -19,6 +19,7 @@ import re
 import sys
 
 from .action_model import (
+    _SLOT_FIELDS,
     DocumentError,
     GroupAction,
     action_from_dict,
@@ -28,7 +29,6 @@ from .action_model import (
     line_isotropy_from_dict,
     line_isotropy_to_dict,
     su2_isotropy_from_dict,
-    su2_isotropy_to_dict,
     validate,
 )
 from .congruence import (
@@ -41,7 +41,7 @@ from .congruence import (
     solve_theorem_a,
 )
 from .exact_arith import DenominatorDivisible, is_prime, rational_mod
-from .moduli import NonIntegerDimension, dim_invariant_moduli
+from .moduli import NonIntegerDimension, _dimension_rows, dim_invariant_moduli
 from .series import (
     expand_boundary_term,
     expand_point_term,
@@ -71,7 +71,7 @@ MAX_EXPAND_BITS = 12_000  # (order + 1) * bit lengths, r once per unit u_r
 MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
 MAX_SEARCH_P = 1009  # p^2/4 classes built up front: 1 s, 115 MB (2-vCPU VM, Python 3.11)
 
-_FREE_SLOT = re.compile(r"^(lambda|lambda_sphere|m)\[(\d+)\]$")
+_FREE_SLOT = re.compile(rf"^({'|'.join(_SLOT_FIELDS)})\[(\d+)\]$")
 
 
 class _Failure(Exception):
@@ -195,7 +195,7 @@ def _cmd_dimension(args) -> int:
     try:
         report = dim_invariant_moduli(action, iso, k)
     except NonIntegerDimension as exc:
-        lines = [f"  {name:28s} {value}" for name, value in exc.terms]
+        lines = _dimension_rows(exc.terms)
         lines.append(f"  total: {exc.total} (not an integer)")
         _emit(
             args,

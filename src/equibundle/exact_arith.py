@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: rationals, residues, modular inverses, CRT.
 
 ``Rational`` is the stdlib ``fractions.Fraction``: arbitrary precision,
-always reduced, denominator positive.  It is re-exported here so the rest
-of the package has a single spelling for its scalar type.  Everything in
-this module is pure and hashable.
+always reduced, denominator positive.  The package builds ``Fraction``
+values directly and uses ``Rational`` to name exact results in
+signatures.  Everything in this module is pure and hashable.
 """
 
 from __future__ import annotations

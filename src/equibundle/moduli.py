@@ -206,6 +206,11 @@ def dim_nonequivariant(k: int, chi: int, sign: int) -> int:
     return 8 * k - 3 * (chi + sign) // 2
 
 
+def _dimension_rows(terms) -> list[str]:
+    """One aligned line per (name, value) term of a dimension breakdown."""
+    return [f"  {name:28s} {value}" for name, value in terms]
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     """Integer dimension with its exact term-by-term breakdown."""
@@ -216,9 +221,7 @@ class DimensionReport:
     sign_quot: Rational
 
     def display(self) -> str:
-        lines = [f"  {name:28s} {value}" for name, value in self.terms]
-        lines.append(f"  {'dimension':28s} {self.dimension}")
-        return "\n".join(lines)
+        return "\n".join(_dimension_rows([*self.terms, ("dimension", self.dimension)]))
 
 
 def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy, k: int) -> DimensionReport:

@@ -176,6 +176,15 @@ def test_connected_sum_spheres():
     merged2 = connected_sum_spheres(a, 0, d, 0)
     assert len(merged2.spheres) == 1
     assert merged2.signature == 0
+    # every pair of weights at p = 7 glues exactly when c = +-c' mod p
+    for c in range(1, 7):
+        for c2 in range(1, 7):
+            x, y = linear_cp2(7, c, 0), linear_cp2(7, c2, 0)
+            if (c + c2) % 7 == 0 or (c - c2) % 7 == 0:
+                assert connected_sum_spheres(x, 0, y, 0).spheres[0] == FixedSphere(7, c, 2)
+            else:
+                with pytest.raises(IncompatibleSpheres):
+                    connected_sum_spheres(x, 0, y, 0)
 
 
 @pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -4), (3, 0), (0, 3)])
@@ -283,6 +292,14 @@ def test_su2_canonical_folding():
     # already-canonical data is untouched
     iso2 = Su2Isotropy((1, 2), (2,), (5,), c2=3)
     assert iso2.canonical(5) == iso2
+    # p = 2: 1 = p/2 is already canonical, so no m flips
+    assert Su2Isotropy((1, 2, 3), (1, 3), (4, 5), c2=1).canonical(2) == Su2Isotropy(
+        (1, 0, 1), (1, 1), (4, 5), c2=1
+    )
+    # a sphere ell just above p/2 folds and flips m; one just below, or 0, does not
+    assert Su2Isotropy((), (4, 3, 7), (2, 2, 2), c2=0).canonical(7) == Su2Isotropy(
+        (), (3, 3, 0), (-2, 2, 2), c2=0
+    )
 
 
 # -- document round trips ----------------------------------------------------

@@ -170,6 +170,12 @@ def test_solve_free_flag(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["document"]["line_isotropy"]["m_spheres"] == [-1]
     assert payload["document"]["action"]["p"] == 5
+    # a slot of each kind, blanked in a consistent record, solves back to its value
+    whole = {"lambda_points": [2], "lambda_spheres": [1], "m_spheres": [-1]}
+    path = _doc(tmp_path, "solve3.json", action=act, line=LineIsotropy((2,), (1,), (-1,)))
+    for slot in ("lambda[0]", "lambda_sphere[0]", "m[0]"):
+        assert main(["solve", path, "--free", slot, "--machine"]) == 0, slot
+        assert json.loads(capsys.readouterr().out)["document"]["line_isotropy"] == whole
 
 
 def test_solve_error_paths(tmp_path):
@@ -247,6 +253,16 @@ def test_expand_mod_column(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "s^0: 8" in out and "(mod 5: 3)" in out
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["--kind", "point", "--a", "0", "--b", "1"], ["--kind", "sphere", "--c", "0", "--alpha", "1"]],
+)
+def test_expand_zero_rotation_is_a_validation_failure(params, capsys):
+    assert main(["expand", *params, "--machine"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["ok"] is False
 
 
 def test_expand_missing_parameter():
@@ -666,7 +682,7 @@ def _command_argv(rng, command, values, required):
 
 @st.composite
 def _expand_argv(draw):
-    rng = draw(st.randoms(use_true_random=True))
+    rng = draw(st.randoms())
     kinds = ["point", "sphere", "boundary", "su2-point", "su2-sphere"]
     values = {
         "kind": _maybe(rng, rng.choice(kinds), ["x", ""]),
@@ -681,7 +697,7 @@ def _expand_argv(draw):
 @st.composite
 def _search_argv(draw):
     """Mostly a consistent profile: |points| + 2|spheres| = b2 + 2 = chi."""
-    rng = draw(st.randoms(use_true_random=True))
+    rng = draw(st.randoms())
     points, spheres = rng.randint(0, 3), rng.randint(0, 2)
     b2 = points + 2 * spheres - 2
     alphas = ",".join(str(rng.randint(-3, 3)) for _ in range(spheres))

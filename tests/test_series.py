@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equibundle.cyclotomic import _boundary, _point, _sphere, _twist
+from equibundle.cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
 from equibundle.series import (
     NotAUnit,
     PowerSeries,
@@ -245,6 +245,24 @@ def test_su2_point_reduces_to_double_point_term_at_zero_weight():
         b = rng.choice([e for e in range(-9, 10) if e != 0])
         point = expand_point_term(a, b, 0, 5)
         assert expand_su2_point_term(a, b, 0, 5) == _add(point, point)
+
+
+@pytest.mark.parametrize(
+    "expand, args",
+    [
+        (expand_point_term, (0, 1, 0)),
+        (expand_point_term, (1, 0, 0)),
+        (expand_sphere_term, (0, 1, 0)),
+        (expand_boundary_term, (0, 1, 0)),
+        (expand_su2_point_term, (0, 1, 1)),
+        (expand_su2_point_term, (1, 0, 1)),
+        (expand_su2_sphere_term, (0, 1, 1, 1)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_expansions_reject_a_zero_rotation(expand, args):
+    with pytest.raises(ZeroRotation):
+        expand(*args, 3)
 
 
 def test_series_str_and_coeff_bounds():
