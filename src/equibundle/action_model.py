@@ -290,6 +290,10 @@ class Su2Isotropy:
 
     def canonical(self, p: int) -> "Su2Isotropy":
         """Fold every ell into [0, p/2]; sphere m flips sign with its ell."""
+        if len(self.ell_spheres) != len(self.m_spheres):
+            raise ShapeMismatch(
+                f"{len(self.ell_spheres)} sphere ells for {len(self.m_spheres)} sphere degrees"
+            )
         pts = tuple(abs(signed_rep(e, p)) for e in self.ell_points)
         sph = [(signed_rep(e, p), m) for e, m in zip(self.ell_spheres, self.m_spheres)]
         ells = tuple(abs(e) for e, _ in sph)

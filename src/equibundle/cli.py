@@ -69,7 +69,9 @@ EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 MAX_ORDER = 1000
 MAX_EXPAND_BITS = 12_000  # (order + 1) * bit lengths, r once per unit u_r
 MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
-MAX_SEARCH_P = 1009  # p^2/4 classes built up front: 1 s, 115 MB (2-vCPU VM, Python 3.11)
+# At p = 1009, whole process (2-vCPU VM, Python 3.11): 1 point + 1 sphere builds
+# p^2/4 classes up front, 1.2 s and 124 MB; 2 spheres and no point 1.9 s and 94 MB.
+MAX_SEARCH_P = 1009
 
 _FREE_SLOT = re.compile(rf"^({'|'.join(_SLOT_FIELDS)})\[(\d+)\]$")
 

@@ -13,6 +13,7 @@ p, since the relations divide by them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -443,6 +444,8 @@ def boundary_chern_data(sphere: FixedSphere, lam: int, m: int, p: int) -> Residu
     ratio ell/c^2 is the Chern coefficient of the induced bundle on
     the boundary lens space of the sphere's neighbourhood.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if sphere.alpha == 0:
         raise ZeroSelfIntersection("alpha = 0 leaves no boundary congruence")
     abar = abs(sphere.alpha)
@@ -465,20 +468,19 @@ def _point_classes(p: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, p) for b in range(a, p - a + 1)]
 
 
-def _sphere_choices(
-    p: int, sphere_alphas: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each distinct assignment of weights 1..(p-1)/2 to the spheres,
-    with the summed vector of its spheres."""
-    weights = range(1, (p - 1) // 2 + 1)
-    seen = set()
-    for ws in itertools.product(weights, repeat=len(sphere_alphas)):
-        key = tuple(sorted(zip(ws, sphere_alphas)))
-        if key in seen:
-            continue
-        seen.add(key)
-        vecs = [_sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-        yield ws, _vector_sum(p, vecs, p + 3)
+def _sphere_choices(p: int, sphere_alphas: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct assignment of weights 1..(p-1)/2 to the spheres, in
+    lexicographic order: the least tuple of each multiset of (weight,
+    alpha) pairs, the one in which spheres of equal alpha take
+    non-decreasing weights."""
+    ties = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(sphere_alphas)), 2)
+        if sphere_alphas[i] == sphere_alphas[j]
+    ]
+    for ws in itertools.product(range(1, (p - 1) // 2 + 1), repeat=len(sphere_alphas)):
+        if all(ws[i] <= ws[j] for i, j in ties):
+            yield ws
 
 
 def search_realizable(
@@ -497,18 +499,19 @@ def search_realizable(
     The last point is solved for, not searched.  Of the four relation
     residues of a class, r1 = 1/(ab) and r2 = (a^2 + b^2)/(ab) already
     fix it: they give ab and a^2 + b^2, hence {a, b} up to swap and
-    sign.  So one dict maps residue tuples to classes.  For each
-    multiset of all but the last point (the prefix), its summed residues
-    are kept as four ints, and one lookup per sphere choice finds the
-    only class that can complete it, at O(1) cost per prefix and
-    choice.  Only a hit builds the O(p) vectors of its points (see
-    `check_rotation_relations`), each class at most once per call, and
-    it is accepted iff the one summed vector equals the target.  The
-    sums are compared in the basis of zeta powers: the change to powers
-    of s = t - 1 is a bijection, so this is exactly
-    `check_rotation_relations(...).ok`, with no change of basis.
-    Prefixes come in lexicographic order, and the hits of one prefix
-    in order of (last class, sphere choice).
+    sign.  So one dict maps residue tuples to classes.  Each sphere
+    choice keeps only the four relation residues that the points must
+    sum to.  For each multiset of all but the last point (the prefix),
+    its summed residues are kept as four ints, and one lookup per sphere
+    choice finds the only class that can complete it, at O(1) cost per
+    prefix and choice.  Only a hit builds the O(p) vectors of its
+    components (see `check_rotation_relations`), each point class and
+    each sphere at most once per call, and it is accepted iff their
+    summed vector equals the target.  The sums are compared in the
+    basis of zeta powers: the change to powers of s = t - 1 is a
+    bijection, so this is exactly `check_rotation_relations(...).ok`,
+    with no change of basis.  Prefixes come in lexicographic order, and
+    the hits of one prefix in order of (last class, sphere choice).
     """
     _require_odd_prime(p)
     for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):
@@ -524,49 +527,44 @@ def search_realizable(
         raise InconsistentCounts(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"
         )
-    classes = _point_classes(p)
     target = _rotation_target(p, sign)
-    # what the points must sum to, for each sphere choice
-    choices = [
-        (ws, [(t - v) % p for t, v in zip(target, vec)])
-        for ws, vec in _sphere_choices(p, sphere_alphas)
-    ]
+    choices = list(_sphere_choices(p, sphere_alphas))
+    needs = []  # the four relation residues the points must sum to, per sphere choice
+    for ws in choices:
+        spheres = [_sphere_relations(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        needs.append(tuple((t - sum(col)) % p for t, *col in zip(target[:4], *spheres)))
+    classes = _point_classes(p) if n_points else []
 
-    def action(idx, ws):
-        return GroupAction(
-            p,
-            tuple(IsolatedPoint(p, *classes[i]) for i in idx),
-            tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
-            sign,
-            euler,
-            b2,
-        )
+    @functools.cache
+    def vector(build, *component):
+        """The vector of a point class or sphere, built on its first hit."""
+        return build(p, *component)
+
+    def accepted(hits):
+        """The actions of the hits (point indices, choice index), in order,
+        whose components' vectors sum to the target."""
+        for idx, k in sorted(hits):
+            ws = choices[k]
+            vecs = [vector(_point_vector, *classes[i]) for i in idx]
+            vecs += [vector(_sphere_vector, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+            if _vector_sum(p, vecs, p + 3) == target:
+                yield GroupAction(
+                    p,
+                    tuple(IsolatedPoint(p, *classes[i]) for i in idx),
+                    tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
+                    sign,
+                    euler,
+                    b2,
+                )
 
     if n_points == 0:
-        for ws, need in choices:
-            if not any(need):
-                yield action((), ws)
+        yield from accepted(((), k) for k, need in enumerate(needs) if not any(need))
         return
     rels = [_point_relations(p, a, b) for a, b in classes]
     last_class = {rel: j for j, rel in enumerate(rels)}
-    needs = [tuple(need[:4]) for _, need in choices]
-    vectors: dict[int, list[int]] = {}  # class index -> vector, built on its first hit
-
-    def vector(i):
-        if i not in vectors:
-            vectors[i] = _point_vector(p, *classes[i])
-        return vectors[i]
-
-    def accepted(prefix, hits):
-        hits.sort()
-        for j, k in hits:
-            idx = (*prefix, j)
-            if _vector_sum(p, [vector(i) for i in idx], p + 3) == choices[k][1]:
-                yield action(idx, choices[k][0])
-
     if n_points == 1:
-        hits = [(last_class[need], k) for k, need in enumerate(needs) if need in last_class]
-        yield from accepted((), hits)
+        hits = [((last_class[need],), k) for k, need in enumerate(needs) if need in last_class]
+        yield from accepted(hits)
         return
     # each prefix is a head of n_points - 2 classes and then a tail class
     m = len(classes)
@@ -579,6 +577,6 @@ def search_realizable(
             for k, (n1, n2, n3, n4) in enumerate(rest):
                 j = last_class.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
                 if j is not None and j >= i:
-                    hits.append((j, k))
+                    hits.append(((*head, i, j), k))
             if hits:
-                yield from accepted((*head, i), hits)
+                yield from accepted(hits)

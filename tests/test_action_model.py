@@ -300,6 +300,9 @@ def test_su2_canonical_folding():
     assert Su2Isotropy((), (4, 3, 7), (2, 2, 2), c2=0).canonical(7) == Su2Isotropy(
         (), (3, 3, 0), (-2, 2, 2), c2=0
     )
+    # sphere lists of unequal length are refused, not truncated
+    with pytest.raises(ShapeMismatch):
+        Su2Isotropy((1,), (2, 3), (5,)).canonical(7)
 
 
 # -- document round trips ----------------------------------------------------

@@ -884,6 +884,10 @@ def test_boundary_chern_data_small_grid():
                         assert (r.value + lam * alpha) % p ** (e + 1) == 0
                         if abar > 1:
                             assert (r.value - c * m) % abar == 0
+    # p = 1 would divide alpha forever and p = 0 would divide by zero
+    for p in (0, -3, 1):
+        with pytest.raises(ValueError, match="p must be prime"):
+            boundary_chern_data(FixedSphere(5, 1, 3), 1, 1, p)
 
 
 def test_boundary_chern_zero_alpha():
@@ -977,6 +981,9 @@ SEARCH_PROFILES = [
     (0, (1, -2), 13),
     (2, (1,), 13),
     (4, (), 7),
+    (0, (0, 0), 13),
+    (1, (1, -1, 1), 7),
+    (2, (2, 2), 7),
 ]
 
 
@@ -1026,13 +1033,15 @@ def test_search_results_are_sound(profile):
 
 def test_search_sums_vectors_only_for_hits(monkeypatch):
     """The O(p) work of a search is one vector sum, compared once, per
-    lookup hit, plus the one sum of the (empty) sphere choice; each class
-    vector is built at most once.  Every hit is a result at p = 31, so
-    the bound is results + 1.  The relation-1 bucket search made 24,091
-    sums here, one partial vector for every prefix."""
-    sums, built = [], []
+    lookup hit; each point class and sphere vector is built at most once.
+    Every hit is a result in both runs, so the bound is the result count.
+    The relation-1 bucket search made 24,091 sums for the 3 points, one
+    partial vector for every prefix; the eager sphere choices made 2,500
+    sums and 5,000 sphere vectors for the 2 spheres, two for every choice."""
+    sums, built, spheres = [], [], []
     battery = congruence.check_rotation_relations
-    vector_sum, point_vector = congruence._vector_sum, congruence._point_vector
+    vector_sum = congruence._vector_sum
+    point_vector, sphere_vector = congruence._point_vector, congruence._sphere_vector
 
     def counted_sum(*args):
         sums.append(args)
@@ -1042,16 +1051,28 @@ def test_search_sums_vectors_only_for_hits(monkeypatch):
         built.append(args)
         return point_vector(*args)
 
+    def counted_sphere(*args):
+        spheres.append(args)
+        return sphere_vector(*args)
+
     def no_battery(*args):
         raise AssertionError("the search called the battery")
 
     monkeypatch.setattr(congruence, "check_rotation_relations", no_battery)
     monkeypatch.setattr(congruence, "_vector_sum", counted_sum)
     monkeypatch.setattr(congruence, "_point_vector", counted_vector)
+    monkeypatch.setattr(congruence, "_sphere_vector", counted_sphere)
     found = list(search_realizable(31, 3, 0, [], 1, 3, 1))
     assert len(found) == 80
-    assert len(sums) <= len(found) + 1
+    assert len(sums) == len(found)
     assert len(built) == len(set(built))
+    assert all(battery(act).ok for act in found)
+    sums.clear()
+    found = list(search_realizable(101, 0, 2, [1, -1], 0, 4, 2))
+    assert len(found) == 50
+    assert len(sums) <= len(found)
+    assert len(spheres) <= 2 * len(found)
+    assert len(spheres) == len(set(spheres))
     assert all(battery(act).ok for act in found)
 
 
@@ -1065,12 +1086,27 @@ def test_point_classes_are_the_canonical_representatives(p):
     assert rels == [tuple(congruence._point_vector(p, a, b)[:4]) for a, b in classes]
 
 
+def _sphere_choices_with_vectors(p, sphere_alphas):
+    """Each distinct assignment of weights 1..(p-1)/2 to the spheres, the
+    first of its multiset in product order, with the summed vector of its
+    spheres: the eager sphere choices that the residue-only ones replaced."""
+    weights = range(1, (p - 1) // 2 + 1)
+    seen = set()
+    for ws in itertools.product(weights, repeat=len(sphere_alphas)):
+        key = tuple(sorted(zip(ws, sphere_alphas)))
+        if key in seen:
+            continue
+        seen.add(key)
+        vecs = [congruence._sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        yield ws, congruence._vector_sum(p, vecs, p + 3)
+
+
 def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
     """The search that reads the last point from a bucket keyed by its
     relation-1 residue and adds a partial vector for every prefix: the
     O(p)-per-prefix search that the residue lookup replaced."""
     _point_classes, _point_vector = congruence._point_classes, congruence._point_vector
-    _rotation_target, _sphere_choices = congruence._rotation_target, congruence._sphere_choices
+    _rotation_target, _sphere_choices = congruence._rotation_target, _sphere_choices_with_vectors
     _vector_sum = congruence._vector_sum
     classes = _point_classes(p)
     target = _rotation_target(p, sign)
