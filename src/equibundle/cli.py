@@ -7,6 +7,11 @@ or dimension has no consistent answer, 2 unreadable document or bad
 parameters, 3 structurally valid input that fails validation (missing
 section, wrong shape, inconsistent counts, degenerate rotation data),
 141 stdout closed before the output was written.
+
+With --machine every subcommand prints one line of JSON, as
+`json.dumps(obj, sort_keys=True)` writes it: sorted keys, the default
+", " and ": " separators, and ASCII only, every other character
+escaped.  `search` without --machine prints one such line per result.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .action_model import (
     _SLOT_FIELDS,
@@ -40,7 +46,7 @@ from .congruence import (
     search_realizable,
     solve_theorem_a,
 )
-from .exact_arith import DenominatorDivisible, is_prime, rational_mod
+from .exact_arith import _mod_p, is_prime
 from .moduli import NonIntegerDimension, _dimension_rows, dim_invariant_moduli
 from .series import (
     expand_boundary_term,
@@ -136,15 +142,31 @@ def _emit_document(args, doc: dict) -> int:
     return EXIT_OK
 
 
+def _json_value(v) -> str:
+    """`v` as `json.dumps(v, sort_keys=True)` writes it, at no cost for a bool."""
+    return "true" if v is True else "false" if v is False else json.dumps(v, sort_keys=True)
+
+
+def _report_line(mode: str, ok, records) -> str:
+    """The bytes of `json.dumps({"mode": mode, "ok": ok, "records": [...]},
+    sort_keys=True)`, each record {"lhs": str(lhs), "name": name, "passed":
+    passed, "required": str(required)}, formatted in one pass with no
+    per-record dict: the battery writes p + 3 records."""
+    body = ", ".join(
+        [
+            f'{{"lhs": {_json_str(str(lhs))}, "name": {_json_str(name)}, '
+            f'"passed": {_json_value(passed)}, "required": {_json_str(str(required))}}}'
+            for name, lhs, required, passed in records
+        ]
+    )
+    return f'{{"mode": {_json_str(mode)}, "ok": {_json_value(ok)}, "records": [{body}]}}'
+
+
 def _finish_report(args, report: CongruenceReport, mode: str) -> int:
     """Print the report in the one form asked for, JSON or text."""
     ok = report.ok
     if args.machine:
-        records = [
-            {"name": r.name, "lhs": str(r.lhs), "required": str(r.required), "passed": r.passed}
-            for r in report.records
-        ]
-        print(json.dumps({"mode": mode, "ok": ok, "records": records}, sort_keys=True))
+        print(_report_line(mode, ok, report.records))
     else:
         verdict = "all relations hold" if ok else f"{len(report.failures())} relation(s) failed"
         print(report.display() + "\n" + verdict)
@@ -263,27 +285,21 @@ def _cmd_expand(args) -> int:
             f"expand needs (order + 1) * (sum of min(|r|, order + 1) over its units) "
             f"<= {MAX_EXPAND_WORK}, got {work}",
         )
-    series = expand(*values.values(), order)
-    coeffs = [series.coeff(j) for j in range(order + 1)]
-    reductions: list = []
-    if args.p is not None:
-        for q in coeffs:
-            try:
-                reductions.append(rational_mod(q, args.p).value)
-            except DenominatorDivisible:
-                reductions.append(None)
-    lines = []
-    for j, q in enumerate(coeffs):
-        row = f"s^{j}: {q}"
-        if reductions:
-            r = reductions[j]
-            row += f"   (mod {args.p}: {'n/a' if r is None else r})"
-        lines.append(row)
-    payload = {"kind": args.kind, "order": order, "coefficients": [str(q) for q in coeffs]}
-    if reductions:
-        payload["modulus"] = args.p
-        payload["mod_p"] = ["n/a" if r is None else r for r in reductions]
-    _emit(args, payload, "\n".join(lines))
+    coeffs = expand(*values.values(), order).coeffs
+    p = args.p
+    mod_p = [] if p is None else [_mod_p(q.numerator, q.denominator, p) for q in coeffs]
+    mod_p = ["n/a" if r is None else r for r in mod_p]  # None: p divides the denominator
+    if args.machine:
+        payload = {"kind": args.kind, "order": order, "coefficients": [str(q) for q in coeffs]}
+        if mod_p:
+            payload["modulus"] = p
+            payload["mod_p"] = mod_p
+        print(json.dumps(payload, sort_keys=True))
+    elif mod_p:
+        rows = enumerate(zip(coeffs, mod_p))
+        print("\n".join(f"s^{j}: {q}   (mod {p}: {r})" for j, (q, r) in rows))
+    else:
+        print("\n".join(f"s^{j}: {q}" for j, q in enumerate(coeffs)))
     return EXIT_OK
 
 

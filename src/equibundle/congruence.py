@@ -253,9 +253,11 @@ def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
 
 
 def _rotation_target(p: int, sign: int) -> list[int]:
-    """[0, 3*Sign, 0, 0] followed by Sign * s^2 = Sign * (t-1)^2 in the
-    basis of zeta powers, which is zero when p = 3."""
-    return [0, 3 * sign % p, 0, 0] + _residues(p, ([(0, sign)], (), 0))
+    """[0, 3*Sign, 0, 0] followed by Sign * s^2 = Sign * (t^2 - 2t + 1) in
+    the basis of zeta powers; zero when p = 3, where t^2 = -1 - t."""
+    s = sign % p
+    series = [s, -2 * s % p, s] + [0] * (p - 4) if p > 3 else [0, 0]
+    return [0, 3 * s % p, 0, 0] + series
 
 
 def check_rotation_relations(action: GroupAction) -> CongruenceReport:

@@ -125,6 +125,14 @@ def mod_inverse(a: int, n: int) -> Residue:
         raise NotInvertible(f"{a} is not invertible mod {n} (gcd={gcd(a, n)})") from None
 
 
+def _mod_p(num: int, den: int, p: int) -> int | None:
+    """num/den mod p in [0, p), or None when p divides den: the rule of
+    `rational_mod` on plain ints, for callers that reduce many values."""
+    if den % p == 0:
+        return None
+    return num * pow(den, -1, p) % p
+
+
 def rational_mod(q: Fraction | int, p: int) -> Residue:
     """Reduce an exact rational mod p via a modular inverse of its denominator.
 
@@ -132,12 +140,14 @@ def rational_mod(q: Fraction | int, p: int) -> Residue:
     case the reduction is undefined.
     """
     q = Fraction(q)
-    if q.denominator % p == 0:
+    try:
+        value = _mod_p(q.numerator, q.denominator, p)
+    except ValueError:  # a composite p sharing a factor with the denominator
+        d = q.denominator
+        raise NotInvertible(f"{d} is not invertible mod {p} (gcd={gcd(d, p)})") from None
+    if value is None:
         raise DenominatorDivisible(f"denominator of {q} is divisible by {p}")
-    if q.denominator == 1:
-        return Residue(q.numerator, p)
-    inv = mod_inverse(q.denominator, p)
-    return Residue(q.numerator * inv.value, p)
+    return Residue(value, p)
 
 
 def crt_solve(r1: int, m1: int, r2: int, m2: int) -> Residue:

@@ -8,9 +8,9 @@ series c * (1 + s)^e, divides by prod_r u_r and multiplies by s^(2-k);
 no closed-form coefficient tables are used.
 
 Coefficients are exact rationals; this is the engine of `expand`
-only.  `expand --p` reads them mod p with `rational_mod`, which is
-legitimate because every coefficient is an integer divided by a
-product of powers of the rotation numbers, units mod p.  The bundle
+only.  `expand --p` reads them mod p by the rule of `rational_mod`,
+which is legitimate because every coefficient is an integer divided by
+a product of powers of the rotation numbers, units mod p.  The bundle
 checks in `congruence` use closed forms of the first three.
 """
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equibundle.action_model import (
@@ -22,6 +23,8 @@ from equibundle.action_model import (
     triple_cp2_bar_action,
 )
 from equibundle import cli
+from equibundle.congruence import CongruenceReport, RelationRecord
+from equibundle.exact_arith import Residue
 from equibundle.cli import (
     EXIT_PIPE,
     MAX_EXPAND_BITS,
@@ -110,6 +113,77 @@ def test_check_su2_mode(tmp_path):
     assert main(["check", good, "--mode", "su2"]) == 0
     bad = _doc(tmp_path, "su2_bad.json", action=act, su2=Su2Isotropy((1, 2), (), (), c2=2))
     assert main(["check", bad, "--mode", "su2"]) == 1
+
+
+# -- the --machine report line -----------------------------------------------
+
+
+def _reference_report_line(mode, ok, records) -> str:
+    """The report line as one json.dumps of per-record dicts."""
+    rows = [
+        {"name": r.name, "lhs": str(r.lhs), "required": str(r.required), "passed": r.passed}
+        for r in records
+    ]
+    return json.dumps({"mode": mode, "ok": ok, "records": rows}, sort_keys=True)
+
+
+# quotes, backslashes, control characters, DEL, a line separator, non-ASCII,
+# astral characters and lone surrogates, among any other character
+_AWKWARD = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f é€'),
+        st.characters(min_codepoint=0x10000),
+        st.characters(categories=["Cs"]),
+        st.characters(),
+    ),
+    max_size=8,
+)
+_VALUE = st.one_of(
+    st.integers(),
+    st.fractions(),
+    st.builds(Residue, st.integers(), st.integers(2, 10**6)),
+    _AWKWARD,  # a str is its own str()
+)
+_RECORD = st.builds(
+    RelationRecord,
+    _AWKWARD,
+    _VALUE,
+    _VALUE,
+    st.one_of(st.booleans(), st.integers(-1, 2), st.none(), st.floats(), _AWKWARD),
+)
+
+
+@given(
+    mode=st.one_of(st.sampled_from(["rotation", "line", "su2", "gsign"]), _AWKWARD),
+    records=st.lists(_RECORD, max_size=6),
+)
+@example(mode="rotation", records=[])
+@settings(max_examples=300, deadline=None)
+def test_report_line_equals_json_dumps(mode, records):
+    report = CongruenceReport(tuple(records))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli._finish_report(argparse.Namespace(machine=True), report, mode)
+    assert out.getvalue() == _reference_report_line(mode, report.ok, report.records) + "\n"
+    assert code == (0 if report.ok else 1)
+
+
+DEMO_DOCUMENTS = sorted((SRC.parent / "demos" / "documents").glob("*.json"))
+
+
+@pytest.mark.parametrize("mode", ["rotation", "gsign", "line", "su2"])
+def test_demo_documents_write_the_reference_report_line(mode, monkeypatch, capsys):
+    reports = 0
+    for path in DEMO_DOCUMENTS:
+        argv = ["check", str(path), "--mode", mode, "--machine"]
+        code = main(argv)
+        got = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_report_line", _reference_report_line)
+            assert main(argv) == code
+        assert capsys.readouterr() == got, path.name
+        reports += '"records": [{' in got.out
+    assert reports >= 2  # every mode has documents that reach the writer
 
 
 def test_missing_section_is_validation_error(triple_doc):

@@ -411,6 +411,14 @@ def test_pascal_transform_matches_binomial_sums():
     assert congruence._to_s_basis(5, [0, 0, 0, 4]) == [4, 2, 2, 4]  # 4(1+s)^3 mod 5
 
 
+def test_rotation_target_closed_form_matches_the_residue_route():
+    # Sign * (t-1)^2 read through `_residues`, as a component term is
+    for p in [q for q in range(3, 102, 2) if is_prime(q)]:
+        for sign in range(-3, 4):
+            want = [0, 3 * sign % p, 0, 0] + congruence._residues(p, ([(0, sign)], (), 0))
+            assert congruence._rotation_target(p, sign) == want, (p, sign)
+
+
 def _battery_by_expansion(action):
     """The records of `check_rotation_relations`, with the series part
     summed from the GF(p) oracle's expansions through s^(p-2)."""
