@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from importlib import import_module
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .action_model import (
@@ -47,14 +48,6 @@ from .congruence import (
     solve_theorem_a,
 )
 from .exact_arith import _mod_p, is_prime
-from .moduli import NonIntegerDimension, _dimension_rows, dim_invariant_moduli
-from .series import (
-    expand_boundary_term,
-    expand_point_term,
-    expand_sphere_term,
-    expand_su2_point_term,
-    expand_su2_sphere_term,
-)
 
 __all__ = ["main", "entry"]
 
@@ -212,6 +205,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
+    from .moduli import NonIntegerDimension, _dimension_rows, dim_invariant_moduli
+
     doc = _load_document(args.file)
     action = _validated_action(doc)
     iso = _section(doc, "su2_isotropy", su2_isotropy_from_dict)
@@ -247,19 +242,19 @@ def _cmd_dimension(args) -> int:
     return EXIT_OK
 
 
-# kind -> (expansion, its parameters in argument order, the parameter r of
-# each unit u_r it divides by)
+# kind -> (its expansion in `series`, the parameters in argument order, the
+# parameter r of each unit u_r it divides by)
 _EXPAND = {
-    "point": (expand_point_term, ("a", "b", "lam"), ("a", "b")),
-    "sphere": (expand_sphere_term, ("c", "alpha", "lam"), ("c", "c")),
-    "boundary": (expand_boundary_term, ("c", "m", "lam"), ("c",)),
-    "su2-point": (expand_su2_point_term, ("a", "b", "ell"), ("a", "b")),
-    "su2-sphere": (expand_su2_sphere_term, ("c", "alpha", "m", "ell"), ("c", "c", "c")),
+    "point": ("expand_point_term", ("a", "b", "lam"), ("a", "b")),
+    "sphere": ("expand_sphere_term", ("c", "alpha", "lam"), ("c", "c")),
+    "boundary": ("expand_boundary_term", ("c", "m", "lam"), ("c",)),
+    "su2-point": ("expand_su2_point_term", ("a", "b", "ell"), ("a", "b")),
+    "su2-sphere": ("expand_su2_sphere_term", ("c", "alpha", "m", "ell"), ("c", "c", "c")),
 }
 
 
 def _cmd_expand(args) -> int:
-    expand, params, units = _EXPAND[args.kind]
+    expansion, params, units = _EXPAND[args.kind]
     values = {}
     for name in params:
         v = getattr(args, name)
@@ -285,6 +280,9 @@ def _cmd_expand(args) -> int:
             f"expand needs (order + 1) * (sum of min(|r|, order + 1) over its units) "
             f"<= {MAX_EXPAND_WORK}, got {work}",
         )
+    # not `from . import series`: that reads the package's lazy surface,
+    # which loads every library module
+    expand = getattr(import_module(".series", __package__), expansion)
     coeffs = expand(*values.values(), order).coeffs
     p = args.p
     mod_p = [] if p is None else [_mod_p(q.numerator, q.denominator, p) for q in coeffs]

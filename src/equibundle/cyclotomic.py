@@ -31,7 +31,6 @@ __all__ = [
     "CycloNum",
     "ZeroRotation",
     "NotRational",
-    "zeta_pow",
     "zeta_minus_one_inv",
     "from_rational",
     "eval_point_term",
@@ -192,12 +191,6 @@ def _term(p: int, num, units, k: int, den: int = 1) -> CycloNum:
         v = [-x for x in accumulate(p * x - s for x in v)]
         den *= p
     return _reduce(p, v, den)
-
-
-def zeta_pow(p: int, e: int) -> CycloNum:
-    """zeta^e as a canonical field element."""
-    _require_prime(p)
-    return _term(p, [(e, 1)], (), 0)
 
 
 def zeta_minus_one_inv(p: int, e: int) -> CycloNum:

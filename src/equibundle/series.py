@@ -27,7 +27,6 @@ __all__ = [
     "NotAUnit",
     "series_mul",
     "series_invert_unit",
-    "expand_binomial_power",
     "expand_point_term",
     "expand_sphere_term",
     "expand_boundary_term",
@@ -163,11 +162,6 @@ def series_invert_unit(x: PowerSeries) -> PowerSeries:
 
 
 # -- the fixed-point expansions ----------------------------------------------
-
-
-def expand_binomial_power(exponent: int, order: int) -> PowerSeries:
-    """(1 + s)^exponent for any integer exponent."""
-    return PowerSeries(tuple(_powers([(exponent, 1)], order + 1)), order)
 
 
 def expand_point_term(a: int, b: int, lam: int, order: int) -> PowerSeries:

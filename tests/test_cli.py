@@ -22,7 +22,7 @@ from equibundle.action_model import (
     su2_isotropy_to_dict,
     triple_cp2_bar_action,
 )
-from equibundle import cli
+from equibundle import cli, series
 from equibundle.congruence import CongruenceReport, RelationRecord
 from equibundle.exact_arith import Residue
 from equibundle.cli import (
@@ -391,9 +391,8 @@ def test_expand_over_a_bound_exits_before_expanding(argv, bound, monkeypatch, ca
     def refuse(*args):
         raise AssertionError("expanded a request over the bound")
 
-    kind = argv[2]
-    _, params, units = cli._EXPAND[kind]
-    monkeypatch.setitem(cli._EXPAND, kind, (refuse, params, units))
+    # `expand` looks its expansion up in `series` by name, on each call
+    monkeypatch.setattr(series, cli._EXPAND[argv[2]][0], refuse)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert f"<= {bound}, got" in err

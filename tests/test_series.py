@@ -10,7 +10,7 @@ from equibundle.cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twi
 from equibundle.series import (
     NotAUnit,
     PowerSeries,
-    expand_binomial_power,
+    _powers,
     expand_boundary_term,
     expand_point_term,
     expand_sphere_term,
@@ -24,6 +24,11 @@ from equibundle.series import (
 def _add(x, y):
     """Coefficientwise sum of two series of one order."""
     return PowerSeries(tuple(u + v for u, v in zip(x.coeffs, y.coeffs)), x.order)
+
+
+def expand_binomial_power(exponent, order):
+    """(1 + s)^exponent for any integer exponent, from the binomial engine alone."""
+    return PowerSeries(tuple(_powers([(exponent, 1)], order + 1)), order)
 
 
 def _rand_series(rng, order):
