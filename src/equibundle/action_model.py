@@ -185,10 +185,19 @@ class ValidationReport:
         return [f"{name}: {detail}" for name, passed, detail in self.entries if not passed]
 
 
+def _count_rule(n_points: int, n_spheres: int, euler: int, b2: int) -> list[tuple[str, bool, str]]:
+    """The fixed point count |points| + 2|spheres| = b2 + 2 and chi = b2 + 2,
+    forced by the Lefschetz trace of a homologically trivial action, as
+    (name, passed, detail) entries."""
+    count = n_points + 2 * n_spheres
+    return [
+        ("fixed_set_count", count == b2 + 2, f"|points| + 2|spheres| = {count}, b2 + 2 = {b2 + 2}"),
+        ("euler_betti", euler == b2 + 2, f"chi = {euler}, b2 + 2 = {b2 + 2}"),
+    ]
+
+
 def validate(action: GroupAction) -> ValidationReport:
-    """Structural checks: prime order, nonzero rotations, and the fixed
-    point count |points| + 2|spheres| = b2 + 2 forced by the Lefschetz
-    trace of a homologically trivial action."""
+    """Structural checks: prime order, nonzero rotations and the count rule."""
     entries = []
     warnings = []
     entries.append(("prime_order", is_prime(action.p), f"p = {action.p}"))
@@ -199,17 +208,7 @@ def validate(action: GroupAction) -> ValidationReport:
     entries.append(
         ("nonzero_rotations", not bad, "zero rotation at " + ", ".join(bad) if bad else "all nonzero")
     )
-    count = len(action.points) + 2 * len(action.spheres)
-    entries.append(
-        (
-            "fixed_set_count",
-            count == action.b2 + 2,
-            f"|points| + 2|spheres| = {count}, b2 + 2 = {action.b2 + 2}",
-        )
-    )
-    entries.append(
-        ("euler_betti", action.euler == action.b2 + 2, f"chi = {action.euler}, b2 + 2 = {action.b2 + 2}")
-    )
+    entries += _count_rule(len(action.points), len(action.spheres), action.euler, action.b2)
     return ValidationReport(tuple(entries), tuple(warnings))
 
 
@@ -303,6 +302,15 @@ class Su2Isotropy:
 # -- linear models -------------------------------------------------------
 
 
+def _weight(p: int, w: int) -> int:
+    """A linear model's weight w reduced mod p, for a prime p and w nonzero mod p."""
+    if not is_prime(p):
+        raise BadWeights(f"p must be prime, got {p}")
+    if w % p == 0:
+        raise BadWeights(f"weight {w} must be nonzero mod {p}")
+    return w % p
+
+
 def linear_cp2(p: int, a: int, b: int = 0) -> GroupAction:
     """Linear action on the projective plane with weights (a, b).
 
@@ -310,12 +318,7 @@ def linear_cp2(p: int, a: int, b: int = 0) -> GroupAction:
     normal weight a and self-intersection +1.  Otherwise three isolated
     fixed points (a, b), (b-a, -a), (a-b, -b).  Sign = 1, chi = 3.
     """
-    if not is_prime(p):
-        raise BadWeights(f"p must be prime, got {p}")
-    a %= p
-    b %= p
-    if a == 0:
-        raise BadWeights("weight a must be nonzero mod p")
+    a, b = _weight(p, a), b % p
     if a == b:
         raise BadWeights("equal weights give a degenerate rotation pair")
     if b == 0:
@@ -333,22 +336,13 @@ def linear_cp2(p: int, a: int, b: int = 0) -> GroupAction:
 def linear_cp2_bar(p: int, a: int) -> GroupAction:
     """Reversed-orientation projective plane: one fixed point (a, -a)
     and a fixed sphere (c = a, alpha = -1).  Sign = -1, chi = 3."""
-    if not is_prime(p):
-        raise BadWeights(f"p must be prime, got {p}")
-    a %= p
-    if a == 0:
-        raise BadWeights("weight a must be nonzero mod p")
+    a = _weight(p, a)
     return GroupAction(p, (IsolatedPoint(p, a, -a),), (FixedSphere(p, a, -1),), -1, 3, 1)
 
 
 def linear_s4(p: int, a: int, b: int) -> GroupAction:
     """Linear action on the 4-sphere: fixed points (a, b) and (a, -b)."""
-    if not is_prime(p):
-        raise BadWeights(f"p must be prime, got {p}")
-    a %= p
-    b %= p
-    if a == 0 or b == 0:
-        raise BadWeights("both weights must be nonzero mod p")
+    a, b = _weight(p, a), _weight(p, b)
     return GroupAction(p, (IsolatedPoint(p, a, b), IsolatedPoint(p, a, -b)), (), 0, 2, 0)
 
 
@@ -528,29 +522,25 @@ def action_to_dict(action: GroupAction) -> dict:
     }
 
 
-def line_isotropy_from_dict(doc: dict) -> LineIsotropy:
+def _isotropy_from_dict(cls, doc: dict, where: str):
+    """The inverse of `_isotropy_to_dict`: every field but the last is a
+    list of integers, missing meaning empty, and the last is an integer.
+    Only a line record may hold null: a free slot, or no c1_squared."""
     if not isinstance(doc, dict):
-        raise DocumentError("line_isotropy must be a mapping")
-    c1sq = doc.get("c1_squared")
-    if c1sq is not None and (not isinstance(c1sq, int) or isinstance(c1sq, bool)):
-        raise DocumentError("line_isotropy: c1_squared must be an integer or null")
-    return LineIsotropy(
-        tuple(_int_list(doc.get("lambda_points", []), "lambda_points", allow_none=True)),
-        tuple(_int_list(doc.get("lambda_spheres", []), "lambda_spheres", allow_none=True)),
-        tuple(_int_list(doc.get("m_spheres", []), "m_spheres", allow_none=True)),
-        c1sq,
-    )
+        raise DocumentError(f"{where} must be a mapping")
+    free = cls is LineIsotropy
+    *lists, last = fields(cls)
+    values = [tuple(_int_list(doc.get(f.name, []), f.name, free)) for f in lists]
+    scalar = None if free and doc.get(last.name) is None else _want(doc, last.name, int, where)
+    return cls(*values, scalar)
+
+
+def line_isotropy_from_dict(doc: dict) -> LineIsotropy:
+    return _isotropy_from_dict(LineIsotropy, doc, "line_isotropy")
 
 
 def su2_isotropy_from_dict(doc: dict) -> Su2Isotropy:
-    if not isinstance(doc, dict):
-        raise DocumentError("su2_isotropy must be a mapping")
-    return Su2Isotropy(
-        tuple(_int_list(doc.get("ell_points", []), "ell_points")),
-        tuple(_int_list(doc.get("ell_spheres", []), "ell_spheres")),
-        tuple(_int_list(doc.get("m_spheres", []), "m_spheres")),
-        _want(doc, "c2", int, "su2_isotropy"),
-    )
+    return _isotropy_from_dict(Su2Isotropy, doc, "su2_isotropy")
 
 
 def _isotropy_to_dict(iso: LineIsotropy | Su2Isotropy) -> dict:

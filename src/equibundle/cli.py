@@ -95,7 +95,7 @@ def _load_document(path: str) -> dict:
         raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc}")
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an int literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
         raise _Failure(EXIT_PARSE, f"{path}: not a valid document: {exc}")
     if not isinstance(doc, dict):
         raise _Failure(EXIT_PARSE, f"{path}: document root must be a mapping")
@@ -255,14 +255,10 @@ _EXPAND = {
 
 def _cmd_expand(args) -> int:
     expansion, params, units = _EXPAND[args.kind]
-    values = {}
-    for name in params:
-        v = getattr(args, name)
+    values = {name: getattr(args, name) for name in params}
+    for name, v in values.items():
         if v is None:
-            if name not in ("lam", "ell", "m"):
-                raise _Failure(EXIT_PARSE, f"expand --kind {args.kind} needs --{name}")
-            v = 0
-        values[name] = v
+            raise _Failure(EXIT_PARSE, f"expand --kind {args.kind} needs --{name}")
     order = args.order
     # a rotation number counts once per unit it divides by
     sized = [values[r] for r in units] + [values[n] for n in params if n not in units]
@@ -418,8 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(_EXPAND),
     )
-    for flag in ("a", "b", "c", "alpha", "m", "ell", "lam"):
+    for flag in ("a", "b", "c", "alpha"):
         p_exp.add_argument(f"--{flag}", type=int, default=None)
+    for flag in ("m", "ell", "lam"):  # a twist or degree left out is 0
+        p_exp.add_argument(f"--{flag}", type=int, default=0)
     p_exp.add_argument("--order", type=_int_in(0, MAX_ORDER), default=4)
     p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
     add_machine(p_exp)

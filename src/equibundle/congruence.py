@@ -27,6 +27,7 @@ from .action_model import (
     IsolatedPoint,
     LineIsotropy,
     Su2Isotropy,
+    _count_rule,
 )
 from .cyclotomic import (
     ZeroRotation,
@@ -36,7 +37,6 @@ from .cyclotomic import (
     _twist,
     eval_point_term,
     eval_sphere_term,
-    from_rational,
 )
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
 
@@ -143,12 +143,11 @@ def _require_units(action: GroupAction) -> None:
 def gsign_value(action: GroupAction, k: int) -> Rational:
     """Exact equivariant signature of the k-th group element power,
     summed from fixed point data.  Always rational."""
-    total = from_rational(action.p, 0)
-    for pt in action.points:
-        total = total + eval_point_term(action.p, k, pt.a, pt.b)
-    for s in action.spheres:
-        total = total + eval_sphere_term(action.p, k, s.c, s.alpha)
-    return total.rational_part()
+    terms = [eval_point_term(action.p, k, pt.a, pt.b) for pt in action.points]
+    terms += [eval_sphere_term(action.p, k, s.c, s.alpha) for s in action.spheres]
+    if not terms:
+        return Fraction(0)
+    return functools.reduce(operator.add, terms).rational_part()
 
 
 def gsignature_check(action: GroupAction) -> CongruenceReport:
@@ -514,21 +513,28 @@ def search_realizable(
     bijection, so this is exactly `check_rotation_relations(...).ok`,
     with no change of basis.  Prefixes come in lexicographic order, and
     the hits of one prefix in order of (last class, sphere choice).
+
+    The prime and the profile are checked by the call itself, before
+    the enumeration is first advanced.
     """
     _require_odd_prime(p)
     for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):
         if count < 0:
             raise InconsistentCounts(f"{name} = {count} must be >= 0")
-    if euler != b2 + 2:
-        raise InconsistentCounts(f"chi = {euler} but b2 + 2 = {b2 + 2}")
-    if n_points + 2 * n_spheres != b2 + 2:
-        raise InconsistentCounts(
-            f"|points| + 2|spheres| = {n_points + 2 * n_spheres} but b2 + 2 = {b2 + 2}"
-        )
+    for name, passed, detail in _count_rule(n_points, n_spheres, euler, b2):
+        if not passed:
+            raise InconsistentCounts(f"{name}: {detail}")
     if len(sphere_alphas) != n_spheres:
         raise InconsistentCounts(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"
         )
+    return _search(p, n_points, sphere_alphas, sign, euler, b2)
+
+
+def _search(
+    p: int, n_points: int, sphere_alphas: Sequence[int], sign: int, euler: int, b2: int
+) -> Iterator[GroupAction]:
+    """The enumeration of `search_realizable`, on a checked profile."""
     target = _rotation_target(p, sign)
     choices = list(_sphere_choices(p, sphere_alphas))
     needs = []  # the four relation residues the points must sum to, per sphere choice

@@ -8,7 +8,7 @@ series c * (1 + s)^e, divides by prod_r u_r and multiplies by s^(2-k);
 no closed-form coefficient tables are used.
 
 Coefficients are exact rationals; this is the engine of `expand`
-only.  `expand --p` reads them mod p by the rule of `rational_mod`,
+only.  `expand --p` reads them mod p through `exact_arith._mod_p`,
 which is legitimate because every coefficient is an integer divided by
 a product of powers of the rotation numbers, units mod p.  The bundle
 checks in `congruence` use closed forms of the first three.
@@ -125,7 +125,8 @@ def _powers(num, count: int) -> list[int]:
 
 def _expand(terms, order: int) -> PowerSeries:
     """Sum of the terms (num, units, k) times (t-1)^2 through s^order:
-    each numerator divided by prod_r u_r and shifted by s^(2-k).
+    each numerator divided by prod_r u_r and shifted by s^(2-k).  A zero
+    rotation r is refused even where the numerator cancels.
 
     A negative unit is u_r = -t^r * u_|r|, so 1/u_r = -t^|r| / u_|r|:
     the factor -t^|r| moves into the numerator and every divisor is the
@@ -136,6 +137,8 @@ def _expand(terms, order: int) -> PowerSeries:
     n = order + 1
     total = []
     for num, units, k in terms:
+        if 0 in units:
+            raise ZeroRotation(f"rotation numbers ({', '.join(map(str, units))}) must be nonzero")
         for r in units:
             if r < 0:
                 num = [(e - r, -c) for e, c in num]
@@ -170,15 +173,11 @@ def expand_point_term(a: int, b: int, lam: int, order: int) -> PowerSeries:
     The two s factors cancel the pole, so the result is a genuine
     series; its constant term is 4/(a*b).
     """
-    if a == 0 or b == 0:
-        raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
     return _expand([_twist(_point(a, b), [(lam, 1)])], order)
 
 
 def expand_sphere_term(c: int, alpha: int, lam: int, order: int) -> PowerSeries:
     """-4*alpha*t^c / (t^c-1)^2 * (t-1)^2 * t^lam; constant -4*alpha/c^2."""
-    if c == 0:
-        raise ZeroRotation("normal rotation must be nonzero")
     return _expand([_twist(_sphere(c, alpha), [(lam, 1)])], order)
 
 
@@ -188,15 +187,11 @@ def expand_boundary_term(c: int, m: int, lam: int, order: int) -> PowerSeries:
     One s factor survives, so the constant term is always zero and the
     s^1 coefficient is 4m/c.
     """
-    if c == 0:
-        raise ZeroRotation("normal rotation must be nonzero")
     return _expand([_twist(_boundary(c, m), [(lam, 1)])], order)
 
 
 def expand_su2_point_term(a: int, b: int, ell: int, order: int) -> PowerSeries:
     """Point term times the rank-two character t^ell + t^(-ell)."""
-    if a == 0 or b == 0:
-        raise ZeroRotation(f"rotation numbers ({a}, {b}) must be nonzero")
     return _expand([_twist(_point(a, b), [(ell, 1), (-ell, 1)])], order)
 
 
@@ -209,8 +204,6 @@ def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int) -> 
     The m part carries t^ell - t^-ell = s*(u_ell - u_-ell), so it only
     enters at s^2 and beyond.
     """
-    if c == 0:
-        raise ZeroRotation("normal rotation must be nonzero")
     terms = [
         _twist(_sphere(c, alpha), [(ell, 1), (-ell, 1)]),
         _twist(_boundary(c, m), [(ell, 1), (-ell, -1)]),

@@ -118,6 +118,16 @@ def test_linear_generator_degenerate_weights():
         linear_s4(5, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [(linear_cp2, (4, 1, 2)), (linear_cp2_bar, (9, 1)), (linear_s4, (5, 0, 1))],
+    ids=["cp2-composite-p", "cp2-bar-composite-p", "s4-zero-first-weight"],
+)
+def test_linear_models_refuse_a_composite_p_or_a_zero_weight(build, args):
+    with pytest.raises(BadWeights):
+        build(*args)
+
+
 def test_reverse_orientation_involutive():
     rng = random.Random(6102)
     for _ in range(20):
@@ -263,6 +273,19 @@ def test_document_errors():
         su2_isotropy_from_dict({"ell_points": [True], "c2": 1})
     with pytest.raises(DocumentError):
         su2_isotropy_from_dict({"ell_points": [1]})  # c2 required
+
+
+@pytest.mark.parametrize("doc", [[], {"c1_squared": True}, {"lambda_points": [1.5]}])
+def test_line_isotropy_reader_refuses(doc):
+    with pytest.raises(DocumentError):
+        line_isotropy_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [{"ell_points": [None], "c2": 0}, {"c2": None}])
+def test_su2_isotropy_reader_refuses(doc):
+    # only a line record may leave a slot free
+    with pytest.raises(DocumentError):
+        su2_isotropy_from_dict(doc)
 
 
 def test_line_isotropy_slots():

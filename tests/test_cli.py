@@ -339,6 +339,10 @@ def test_expand_zero_rotation_is_a_validation_failure(params, capsys):
     assert len(lines) == 1 and json.loads(lines[0])["ok"] is False
 
 
+def test_expand_zero_rotation_with_a_cancelled_numerator_exits_3():
+    assert main(["expand", "--kind", "sphere", "--c", "0", "--alpha", "0"]) == 3
+
+
 def test_expand_missing_parameter():
     assert main(["expand", "--kind", "point", "--a", "1"]) == 2
 
@@ -574,6 +578,31 @@ def test_search_inconsistent_profile():
         "--euler", "4", "--b2", "0",
     ]
     assert main(args) == 3
+
+
+@pytest.mark.parametrize("p, euler", [("7", "9"), ("4", "3")])
+def test_search_refuses_a_bad_profile_even_when_nothing_is_read(p, euler, capsys):
+    argv = [
+        "search", "--p", p, "--points", "2", "--sign", "1",
+        "--euler", euler, "--b2", "1", "--limit", "0", "--machine",
+    ]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+NESTED = "[" * 200_000
+
+
+def test_deeply_nested_document_is_parse_error(tmp_path, capsys):
+    path = _doc(tmp_path, "nested.json", raw=NESTED)
+    assert main(["check", path]) == 2
+    assert "not a valid document" in capsys.readouterr().err
+
+
+def test_deeply_nested_stdin_is_parse_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(NESTED))
+    assert main(["check", "-", "--machine"]) == 2
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_stdin_document(tmp_path, capsys, monkeypatch):

@@ -89,6 +89,10 @@ def test_gsign_value_equals_signature_on_models():
                 assert gsign_value(act, k) == Fraction(act.signature)
 
 
+def test_gsign_value_of_an_empty_fixed_set_is_zero():
+    assert gsign_value(GroupAction(5, (), (), 0, 0, -2), 1) == 0
+
+
 def test_gsign_reverses_sign_under_orientation_flip():
     rng = random.Random(8301)
     for _ in range(20):
@@ -930,6 +934,19 @@ def test_search_inconsistent_counts():
     ]:
         with pytest.raises(InconsistentCounts, match=name):
             list(search_realizable(*args))
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((9, 3, 0, [], 1, 3, 1), ValueError),  # composite p
+        ((7, 2, 0, [], 1, 9, 1), InconsistentCounts),
+        ((7, 1, 1, [], 1, 3, 1), InconsistentCounts),
+    ],
+)
+def test_search_checks_its_profile_before_it_is_advanced(args, error):
+    with pytest.raises(error):
+        search_realizable(*args)
 
 
 def test_search_results_canonical_and_valid():

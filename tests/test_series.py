@@ -270,6 +270,12 @@ def test_expansions_reject_a_zero_rotation(expand, args):
         expand(*args, 3)
 
 
+def test_a_zero_rotation_is_refused_before_a_cancelled_numerator():
+    # alpha = 0 cancels the whole numerator, but c = 0 is still refused
+    with pytest.raises(ZeroRotation):
+        expand_sphere_term(0, 0, 0, 3)
+
+
 def test_series_str_and_coeff_bounds():
     s = PowerSeries((Fraction(1, 2), 0, 3), 2)
     assert "s" in str(s)
