@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
-from ._poly import cleared, convolve
+from ._poly import convolve
 from .exact_arith import ModulusMismatch, Rational, is_prime
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ZeroRotation",
     "NotRational",
     "zeta_minus_one_inv",
-    "from_rational",
     "eval_point_term",
     "eval_sphere_term",
     "sin2_term",
@@ -57,20 +56,13 @@ def _require_prime(p: int) -> None:
 
 @dataclass(frozen=True, init=False)
 class CycloNum:
-    """sum_i num[i] * zeta^i / den in Q(zeta_p), built from the p-1 rationals
-    that `coeffs` reads back.  Lowest terms (den > 0, gcd(den, *num) == 1)
-    make the generated == and hash exact."""
+    """sum_i num[i] * zeta^i / den in Q(zeta_p), a result of the term
+    builders: only `_reduce` makes one.  Lowest terms (den > 0,
+    gcd(den, *num) == 1) make the generated == and hash exact."""
 
     p: int
     num: tuple[int, ...]
     den: int
-
-    def __init__(self, p: int, coeffs) -> None:
-        _require_prime(p)
-        num, den = cleared([Fraction(c) for c in coeffs])  # lowest terms: den is an lcm
-        if len(num) != p - 1:
-            raise ValueError(f"need {p - 1} coefficients for p = {p}, got {len(num)}")
-        self.__dict__.update(p=p, num=tuple(num), den=den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -96,15 +88,6 @@ class CycloNum:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "CycloNum":
-        return self + -other
-
-    def __rsub__(self, other) -> "CycloNum":
-        return (-self) + other
-
-    def __neg__(self) -> "CycloNum":
-        return _reduce(self.p, [-x for x in self.num], self.den)
-
     def __mul__(self, other) -> "CycloNum":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -115,10 +98,6 @@ class CycloNum:
     __rmul__ = __mul__
 
     # -- predicates ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
@@ -150,10 +129,6 @@ def _reduce(p: int, raw, den: int) -> CycloNum:
     x = object.__new__(CycloNum)
     x.__dict__.update(p=p, num=tuple(v // g for v in num), den=den // g)
     return x
-
-
-def from_rational(p: int, q) -> CycloNum:
-    return CycloNum(p, [q] + [0] * (p - 2))
 
 
 def _over_units(p: int, num, units) -> list[int]:
@@ -297,10 +272,11 @@ def galois_sum(p: int, f: Callable[[int], CycloNum]) -> Rational:
     the sum is Tr(f(1)), hence rational; a nonzero zeta part signals a
     family that is not stable and raises NotRational.
     """
-    total = from_rational(p, 0)
+    _require_prime(p)
+    total = None
     for k in range(1, p):
         term = f(k)
         if term.p != p:
             raise ModulusMismatch(f"term at k={k} lives in p={term.p}, expected {p}")
-        total = total + term
+        total = term if total is None else total + term
     return total.rational_part()

@@ -20,7 +20,6 @@ __all__ = [
     "NotCoprime",
     "ModulusMismatch",
     "is_prime",
-    "mod_inverse",
     "rational_mod",
     "crt_solve",
     "signed_rep",
@@ -113,16 +112,6 @@ def signed_rep(x: int, n: int) -> int:
     """Representative of x mod n lying in (-n/2, n/2]."""
     x %= n
     return x if 2 * x <= n else x - n
-
-
-def mod_inverse(a: int, n: int) -> Residue:
-    """Inverse of a modulo n; raises NotInvertible when gcd(a, n) != 1."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    try:
-        return Residue(pow(a, -1, n), n)
-    except ValueError:
-        raise NotInvertible(f"{a} is not invertible mod {n} (gcd={gcd(a, n)})") from None
 
 
 def _mod_p(num: int, den: int, p: int) -> int | None:

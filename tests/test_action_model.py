@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,26 @@ def test_su2_isotropy_reader_refuses(doc):
     # only a line record may leave a slot free
     with pytest.raises(DocumentError):
         su2_isotropy_from_dict(doc)
+
+
+_CP2 = action_to_dict(linear_cp2(5, 1, 0))
+_SPHERE_M = {**_CP2, "spheres": [{"c": 1, "alpha": 1, "m": 0}]}
+
+
+@pytest.mark.parametrize(
+    "reader, doc, where, key",
+    [
+        (action_from_dict, {**_CP2, "sign": 1}, "action", "sign"),
+        (action_from_dict, _SPHERE_M, "action.spheres", "m"),
+        (line_isotropy_from_dict, {"lambda_sphere": [4]}, "line_isotropy", "lambda_sphere"),
+        (su2_isotropy_from_dict, {"c2": 0, "c_2": 0}, "su2_isotropy", "c_2"),
+    ],
+    ids=["action", "sphere", "line", "su2"],
+)
+def test_a_reader_refuses_an_unknown_key(reader, doc, where, key):
+    # a misspelt key is named, not read as a missing field
+    with pytest.raises(DocumentError, match=re.escape(f"{where}: unknown field {key!r}")):
+        reader(doc)
 
 
 def test_line_isotropy_slots():

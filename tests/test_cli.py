@@ -217,6 +217,15 @@ def test_int_literal_over_the_digit_limit_is_parse_error(tmp_path, capsys):
     assert "not a valid document" in capsys.readouterr().err
 
 
+def test_misspelt_section_key_is_parse_error(tmp_path, capsys):
+    # read as a missing field, it used to exit 3 with "0 point weights for 3 points"
+    line = {"lambda_point": [0, 0, 0]}
+    doc = {"action": action_to_dict(linear_cp2(5, 1, 2)), "line_isotropy": line}
+    path = _doc(tmp_path, "misspelt.json", raw=json.dumps(doc))
+    assert main(["check", path, "--mode", "line"]) == 2
+    assert "'lambda_point'" in capsys.readouterr().err
+
+
 def test_invalid_action_document(tmp_path):
     # counts that cannot close up to a four-manifold
     doc = action_to_dict(linear_cp2(5, 1, 0))
@@ -658,6 +667,7 @@ def _or_junk(strategy):
 _WEIGHT = _or_junk(st.integers(-20, 20))
 _COUNT = _or_junk(st.integers(-3, 8))
 _PAIR = _or_junk(st.lists(_WEIGHT, min_size=1, max_size=3))
+_UNKNOWN = {"note": _WEIGHT}  # a key no reader knows: exit 2
 _SPHERE = _or_junk(st.fixed_dictionaries({"c": _WEIGHT, "alpha": _or_junk(st.integers(-4, 4))}))
 _ACTION = st.fixed_dictionaries(
     {
@@ -667,18 +677,20 @@ _ACTION = st.fixed_dictionaries(
         "signature": _COUNT,
         "euler": _COUNT,
         "b2": _COUNT,
-    }
+    },
+    optional=_UNKNOWN,
 )
 _SLOTS = _or_junk(st.lists(_or_junk(st.integers(-20, 20)), max_size=4))
 _LINE = _or_junk(
     st.fixed_dictionaries(
         {"lambda_points": _SLOTS, "lambda_spheres": _SLOTS, "m_spheres": _SLOTS},
-        optional={"c1_squared": _WEIGHT},
+        optional={"c1_squared": _WEIGHT, **_UNKNOWN},
     )
 )
 _SU2 = _or_junk(
     st.fixed_dictionaries(
-        {"ell_points": _SLOTS, "ell_spheres": _SLOTS, "m_spheres": _SLOTS, "c2": _WEIGHT}
+        {"ell_points": _SLOTS, "ell_spheres": _SLOTS, "m_spheres": _SLOTS, "c2": _WEIGHT},
+        optional=_UNKNOWN,
     )
 )
 

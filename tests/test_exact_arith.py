@@ -11,7 +11,6 @@ from equibundle.exact_arith import (
     Residue,
     crt_solve,
     is_prime,
-    mod_inverse,
     rational_mod,
     signed_rep,
 )
@@ -83,16 +82,19 @@ def test_is_prime_raises_beyond_its_bound():
 
 
 def test_mod_inverse_dense():
-    # every unit has an inverse, every non-unit raises
+    # the inverse of a mod n is 1/a reduced mod n: every unit has one, and
+    # every non-unit raises, DenominatorDivisible where n divides a
     for n in range(2, 200):
         for a in range(-n, 2 * n):
+            if a == 0:
+                continue  # 1/0 is no rational
             if gcd(a, n) == 1:
-                inv = mod_inverse(a, n)
+                inv = rational_mod(Fraction(1, a), n)
                 assert (inv.value * a) % n == 1
                 assert 0 <= inv.value < n
             else:
-                with pytest.raises(NotInvertible):
-                    mod_inverse(a, n)
+                with pytest.raises(DenominatorDivisible if a % n == 0 else NotInvertible):
+                    rational_mod(Fraction(1, a), n)
 
 
 def test_mod_inverse_sampled_large():
@@ -101,10 +103,10 @@ def test_mod_inverse_sampled_large():
         n = rng.randrange(200, 10**6)
         a = rng.randrange(1, n)
         if gcd(a, n) == 1:
-            assert mod_inverse(a, n).value * a % n == 1
+            assert rational_mod(Fraction(1, a), n).value * a % n == 1
         else:
             with pytest.raises(NotInvertible):
-                mod_inverse(a, n)
+                rational_mod(Fraction(1, a), n)
 
 
 def test_rational_mod_basic():

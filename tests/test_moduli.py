@@ -60,8 +60,8 @@ ORACLE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def _rho_lens_p_fold(p, a, b, ell):
-    return Fraction(2, p) * galois_sum(
-        p, lambda k: -(eval_point_term(p, k, a, b) * sin2_term(p, k * ell))
+    return Fraction(-2, p) * galois_sum(
+        p, lambda k: eval_point_term(p, k, a, b) * sin2_term(p, k * ell)
     )
 
 
