@@ -1,10 +1,11 @@
 """Congruence checks and solvers for rotation data and bundle isotropy.
 
-The G-signature check evaluates the fixed-point signature sum exactly
-in Q(zeta_p).  The rotation battery and the search read the same
-fixed-point terms mod p, as elements of Z[zeta]/p = F_p[t]/Phi_p(t) in
-the basis of zeta powers, by the sliding window of `cyclotomic` read
-mod p, at O(p) cost per fixed component.  The bundle checks read the
+The G-signature check reads the fixed-point signature sum exactly off
+the integral windows of `cyclotomic`, one per fixed component, and
+builds elements of Q(zeta_p) only to name an irrational value.  The
+rotation battery and the search read the same windows mod p, as
+elements of Z[zeta]/p = F_p[t]/Phi_p(t) in the basis of zeta powers,
+at O(p) cost per fixed component.  The bundle checks read the
 order-2 expansion of their twisted terms off the relation and weight
 sums in closed form.  The checks and the solver first make sure
 that p is an odd prime and that every rotation number is a unit mod
@@ -31,12 +32,13 @@ from .action_model import (
 )
 from .cyclotomic import (
     ZeroRotation,
+    _check,
     _over_units,
     _point,
     _sphere,
+    _term,
     _twist,
-    eval_point_term,
-    eval_sphere_term,
+    eval_point_term,  # noqa: F401 (kept importable here for perfbench)
 )
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
 
@@ -142,12 +144,53 @@ def _require_units(action: GroupAction) -> None:
 
 def gsign_value(action: GroupAction, k: int) -> Rational:
     """Exact equivariant signature of the k-th group element power,
-    summed from fixed point data.  Always rational."""
-    terms = [eval_point_term(action.p, k, pt.a, pt.b) for pt in action.points]
-    terms += [eval_sphere_term(action.p, k, s.c, s.alpha) for s in action.spheres]
+    summed from fixed point data.
+
+    Every point and sphere term has pole order 2, so the sum is
+    S(zeta)/(zeta - 1)^2, S the sum of their integral windows
+    (`cyclotomic._over_units`): O(p) integer operations per component.
+    It is a rational r exactly when S - r*(t - 1)^2 has p equal
+    coefficients, and r is read off S.  Otherwise S(zeta)/(zeta - 1)^2
+    is evaluated once in Q(zeta_p), and NotRational names its zeta part.
+    """
+    p = action.p
+    terms = []
+    for pt in action.points:
+        _check(p, k, pt.a, pt.b)
+        terms.append(_point(k * pt.a, k * pt.b))
+    for s in action.spheres:
+        _check(p, k, s.c)
+        terms.append(_sphere(k * s.c, s.alpha))
     if not terms:
         return Fraction(0)
-    return functools.reduce(operator.add, terms).rational_part()
+    windows = (_over_units(p, num, units) for num, units, _ in terms)
+    total = functools.reduce(_add_lists, windows)
+    value = _over_zeta_minus_one_squared(total)
+    if value is not None:
+        return value
+    return _term(p, list(enumerate(total)), (), 2).rational_part()
+
+
+def _add_lists(x: list[int], y: list[int]) -> list[int]:
+    return list(map(operator.add, x, y))
+
+
+def _over_zeta_minus_one_squared(v: list[int]) -> Rational | None:
+    """The rational r with sum_j v_j zeta^j = r (zeta - 1)^2, p = len(v),
+    or None if there is none.  Folded by t^p = 1, (t - 1)^2 is
+    T = [1, -2, 1, 0, ..., 0], or [2, -2] at p = 2, and r must make
+    v - r*T a multiple of Phi_p: p equal coefficients.  So
+    r = (v_0 - v_1)/(T_0 - T_1), which is v_0 - v_3 for p >= 5."""
+    head = (2, -2) if len(v) == 2 else (1, -2, 1)
+    d, n = head[0] - head[1], v[0] - v[1]
+    # v_j - r*T_j times d, for r = n/d: the same for every j
+    level = d * v[0] - n * head[0]
+    if any(d * x - n * t != level for x, t in zip(v, head)):
+        return None
+    tail = v[len(head) :]
+    if tail and (level % d or tail.count(level // d) != len(tail)):
+        return None
+    return Fraction(n, d)
 
 
 def gsignature_check(action: GroupAction) -> CongruenceReport:
@@ -155,15 +198,17 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     equals the ordinary signature; verify this exactly for each power.
 
     The value at g^k is sigma_k (zeta -> zeta^k) applied to the value
-    at g, and sigma_k fixes a rational, so one evaluation at k = 1
-    gives every record; an irrational value raises NotRational there.
+    at g, and sigma_k fixes a rational, so one `gsign_value` at k = 1,
+    read from integers, gives every record; an irrational value raises
+    NotRational there.
     """
     _require_units(action)
     want = Fraction(action.signature)
     got = gsign_value(action, 1)
+    ok = got == want
     return CongruenceReport(
         tuple(
-            RelationRecord(f"signature_power_{k}", got, want, got == want)
+            RelationRecord(f"signature_power_{k}", got, want, ok)
             for k in range(1, action.p)
         )
     )

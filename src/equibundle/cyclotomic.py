@@ -11,9 +11,10 @@ u_r = (t^r - 1)/(t - 1) it divides by and its pole order k at t = 1.
 `_twist` multiplies it by an isotropy character.  `_term` evaluates a
 description at t = zeta at O(p) per factor: a sliding window, exact
 over Z, divides by the units, and running sums divide by zeta - 1.
-The rotation battery in `congruence` reads the same window mod p, and
-`series` expands the same descriptions in s = t - 1.  Nothing is ever
-computed from floats.
+The G-signature value in `congruence` reads the same window over Z,
+and builds a `CycloNum` only to name an irrational sum; the rotation
+battery reads the window mod p, and `series` expands the same
+descriptions in s = t - 1.  Nothing is ever computed from floats.
 """
 
 from __future__ import annotations

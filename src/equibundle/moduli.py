@@ -1,13 +1,16 @@
 """Rho invariants of lens spaces and equivariant instanton dimensions.
 
-All rho values are computed twice: exactly, as the trace of one
-evaluation, and in floating point from the trigonometric form of the
-sum over k = 1..p-1.  Each summand at power k is sigma_k (zeta -> zeta^k)
-applied to the summand at k = 1, so the exact sum is the field trace
-of that single Q(zeta_p) element, built with the sin^2 factor in its
-numerator.  A disagreement beyond the float error bound of `RhoValue`
-(1e-9, or more at large p) is a hard error, not a warning; it would
-mean the exact encodings drifted from the analytic definitions.
+All rho values are computed twice: exactly, in closed form, and in
+floating point from the trigonometric form of the sum over
+k = 1..p-1.  The closed forms are classical and cost O(log p).  A
+surface term is a Fejer kernel sum, n(p - n) with n = ell/c mod p,
+plus a cotangent sum, p - 2n.  A lens term is a difference of shifted
+Dedekind-Rademacher sums, read off floor sums by a Euclid-like
+recursion.  The float witness costs O(p).  A disagreement beyond its
+error bound in `RhoValue` (1e-9, or more at large p) is a hard error,
+not a warning; it would mean the closed forms drifted from the
+analytic definitions.  The signature defect is one
+`congruence.gsign_value`, read from integers.
 """
 
 from __future__ import annotations
@@ -19,17 +22,7 @@ from fractions import Fraction
 
 from .action_model import GroupAction, Su2Isotropy, validate
 from .congruence import gsign_value
-from .cyclotomic import (  # noqa: F401 (eval_point_term stays importable here for perfbench)
-    _check,
-    _four_sin2,
-    _point,
-    _sphere,
-    _term,
-    _twist,
-    eval_point_term,
-    field_trace,
-    sin_cot_term,
-)
+from .cyclotomic import _check, eval_point_term  # noqa: F401 (kept importable here for perfbench)
 from .exact_arith import Rational
 
 __all__ = [
@@ -122,6 +115,46 @@ def _witnessed(exact: Rational, p: int, parts) -> RhoValue:
     return RhoValue(exact, approx, p * scale)
 
 
+def _floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """The sums over j = 0..n of f_j, j*f_j and f_j^2, where
+    f_j = floor((a*j + b)/c), for a, b, n >= 0 and c > 0.
+
+    The Euclid-like recursion: reduce a and b mod c, then swap the
+    roles of j and f_j, which exchanges a and c.  O(log c) steps.
+    """
+    if a >= c or b >= c:
+        qa, qb = a // c, b // c
+        f, g, h = _floor_sums(a % c, b % c, c, n)
+        s1, s2 = n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6
+        return (
+            f + qa * s1 + qb * (n + 1),
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + qb * qb * (n + 1) + 2 * qa * qb * s1 + 2 * qb * f + 2 * qa * g,
+        )
+    top = (a * n + b) // c
+    if top == 0:
+        return 0, 0, 0
+    f, g, h = _floor_sums(c, c - b - 1, a, top - 1)
+    total = n * top - f
+    return total, (top * n * (n + 1) - h - f) // 2, n * top * (top + 1) - 2 * g - 2 * f - total
+
+
+def _dedekind_sum(q: int, p: int, r: int) -> int:
+    """4p^2 * s(q, p; r), an integer, where
+    s(q, p; r) = sum_{j=0}^{p-1} ((j/p)) (((q*j + r)/p)) for a unit q
+    mod p and 0 <= q, r < p, and ((x)) = x - floor(x) - 1/2 off the
+    integers and 0 on them (Rademacher; Beck-Robins, ch. 8).
+
+    With x_j = (q*j + r) mod p, the j-th term is (j/p - 1/2)(x_j/p - 1/2)
+    but at j = 0 and at the j0 with x_j0 = 0.  The x_j run over 0..p-1,
+    so only sum_j j*x_j needs the floor sums.
+    """
+    g = _floor_sums(q, r, p, p - 1)[1]
+    jx = q * (p - 1) * p * (2 * p - 1) // 6 + r * p * (p - 1) // 2 - p * g
+    j0 = -r * pow(q, -1, p) % p
+    return 4 * jx - p * p * (p - 1) + 2 * p * r + (p * (2 * j0 - p) if j0 else 0)
+
+
 def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
     """Rho invariant of the flat SU(2) character t^ell + t^(-ell) on
     the lens space L(p; a, b):
@@ -129,15 +162,17 @@ def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
         (2/p) * sum_{k=1}^{p-1} cot(pi a k / p) cot(pi b k / p)
                                 * sin^2(pi k ell / p)
 
-    computed exactly as (2/p) * Tr(x), x the k = 1 summand encoded in
-    Q(zeta_p): the point term (which encodes -cot * cot) with
-    4 sin^2 = 2 - zeta^ell - zeta^(-ell) in its numerator.  Depends only
-    on the residues of a, b, ell; vanishes at ell = 0.
+    computed exactly as 4(s(q, p) - s(q, p; r)), q = b/a and r = ell/a
+    mod p, from shifted Dedekind-Rademacher sums in O(log p).  Depends
+    only on the residues of a, b, ell; vanishes at ell = 0, after p
+    and the rotations are checked.
     """
+    _check(p, 1, a, b)
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
-    _check(p, 1, a, b)
-    exact = Fraction(-1, 2 * p) * field_trace(_term(p, *_twist(_point(a, b), _four_sin2(ell))))
+    inv = pow(a, -1, p)
+    q, r = b * inv % p, ell * inv % p
+    exact = Fraction(_dedekind_sum(q, p, 0) - _dedekind_sum(q, p, r), p * p)
     terms = [
         _cot_at(p, a * k) * _cot_at(p, b * k) * math.sin(_angle(p, k * ell)) ** 2
         for k in range(1, p)
@@ -152,21 +187,21 @@ def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
         (2 alpha / p) * sum_k csc^2(pi c k / p) sin^2(pi k ell / p)
       - (4 m / p)     * sum_k sin(2 pi k ell / p) cot(pi c k / p)
 
-    with both sums exact, each the trace of its k = 1 summand (the first
-    is the sphere term with 4 sin^2 in its numerator); everything
-    vanishes when ell = 0.
+    With n = ell/c mod p in [0, p), the sums are n(p - n) (the Fejer
+    kernel) and p - 2n for n != 0, so the exact value is
+    (2 alpha n(p - n) - 4m(p - 2n))/p.  Everything vanishes when
+    ell = 0, after p and c are checked.
     """
+    _check(p, 1, c)
     if ell % p == 0:
         return RhoValue(Fraction(0), 0.0)
-    exact, parts, ks = Fraction(0), [], range(1, p)
+    n = ell * pow(c, -1, p) % p
+    exact = Fraction(2 * alpha * n * (p - n) - 4 * m * (p - 2 * n), p)
+    parts, ks = [], range(1, p)
     if alpha:
-        _check(p, 1, c)
-        term = _twist(_sphere(c, alpha), _four_sin2(ell))
-        exact += Fraction(1, 2 * p) * field_trace(_term(p, *term))
         terms = [(math.sin(_angle(p, k * ell)) / math.sin(_angle(p, c * k))) ** 2 for k in ks]
         parts.append((2.0 * alpha / p, terms))
     if m:
-        exact += Fraction(-4 * m, p) * field_trace(sin_cot_term(p, ell, c))
         terms = [math.sin(2 * _angle(p, k * ell)) * _cot_at(p, c * k) for k in ks]
         parts.append((-4.0 * m / p, terms))
     return _witnessed(exact, p, parts)
@@ -179,8 +214,9 @@ def defect_terms(action: GroupAction) -> tuple[Rational, Rational]:
     d_chi = (p-1) * (|points| + 2 |spheres|); d_sign sums the
     equivariant signatures of the nontrivial powers g^k.  The value at
     g^k is sigma_k of the value at g, and sigma_k fixes a rational, so
-    d_sign = (p-1) * Sign(g, X) from one evaluation; an irrational
-    value raises NotRational at k = 1.
+    d_sign = (p-1) * Sign(g, X) from one `gsign_value`, read from one
+    integral window per component in O(p); an irrational value raises
+    NotRational at k = 1.
     """
     n = len(action.points)
     s = len(action.spheres)
@@ -271,11 +307,10 @@ def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy, k: int) -> 
 
 def dim_involution(action: GroupAction, k: int) -> DimensionReport:
     """Invariant dimension for an involution with the standard odd
-    lift on every fixed component.  Closed form:
+    lift on every fixed component: the general formula with every
+    weight 1 and every m = 0.  At p = 2 it reduces to
 
         4k - (3/2)(chi + sign)(X/G) + |points| + sum_j (2 + alpha_j)
-
-    cross-checked against the general formula with all weights 1.
     """
     if action.p != 2:
         raise NotInvolution(f"p = {action.p} is not an involution")
@@ -285,15 +320,4 @@ def dim_involution(action: GroupAction, k: int) -> DimensionReport:
         (0,) * len(action.spheres),
         c2=k,
     )
-    report = dim_invariant_moduli(action, iso, k)
-    closed = (
-        Fraction(4 * k)
-        - Fraction(3, 2) * (report.chi_quot + report.sign_quot)
-        + len(action.points)
-        + sum(2 + s.alpha for s in action.spheres)
-    )
-    if closed != report.dimension:
-        raise ArithmeticError(
-            f"closed form {closed} disagrees with general formula {report.dimension}"
-        )
-    return report
+    return dim_invariant_moduli(action, iso, k)

@@ -1,5 +1,7 @@
 import bisect
+import functools
 import itertools
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -47,6 +49,7 @@ from equibundle.congruence import (
     theorem_a_condition,
 )
 from equibundle.cyclotomic import (
+    NotRational,
     ZeroRotation,
     _boundary,
     _point,
@@ -91,6 +94,69 @@ def test_gsign_value_equals_signature_on_models():
 
 def test_gsign_value_of_an_empty_fixed_set_is_zero():
     assert gsign_value(GroupAction(5, (), (), 0, 0, -2), 1) == 0
+
+
+def _gsign_in_the_field(action, k):
+    """The oracle: every fixed-point term a CycloNum, summed in Q(zeta_p)."""
+    terms = [eval_point_term(action.p, k, pt.a, pt.b) for pt in action.points]
+    terms += [eval_sphere_term(action.p, k, s.c, s.alpha) for s in action.spheres]
+    if not terms:
+        return Fraction(0)
+    return functools.reduce(operator.add, terms).rational_part()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotRational, ValueError) as exc:  # ZeroRotation is a ValueError
+        return type(exc), str(exc)
+
+
+def _random_action(draw, p):
+    r = st.integers(-p, 2 * p)
+    points = draw(st.lists(st.tuples(r, r), max_size=4))
+    spheres = draw(st.lists(st.tuples(r, st.integers(-4, 4)), max_size=2))
+    return GroupAction(
+        p,
+        tuple(IsolatedPoint(p, a, b) for a, b in points),
+        tuple(FixedSphere(p, c, alpha) for c, alpha in spheres),
+        0,
+        0,
+        0,
+    )
+
+
+@st.composite
+def _signature_data(draw):
+    """(action, k): a sum of linear models, whose values are rational, or
+    random fixed data at a prime up to 101, p = 2 and 3 included, where
+    most sums are irrational or hit a zero rotation; any power k."""
+    if draw(st.booleans()):
+        act = draw(_connected_sums())[0]
+    else:
+        act = _random_action(draw, draw(st.sampled_from([2, 3, 5, 7, 13, 29, 53, 101])))
+    return act, draw(st.integers(-act.p, 3 * act.p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signature_data())
+def test_gsign_value_equals_the_sum_in_the_field(case):
+    # the value read from integer windows, or the same error and message
+    act, k = case
+    assert _outcome(gsign_value, act, k) == _outcome(_gsign_in_the_field, act, k)
+
+
+def test_gsign_value_at_p_2_and_3_equals_the_sum_in_the_field():
+    # Q(zeta_2) = Q, and at p = 3 every point and sphere term is rational:
+    # (t - 1)^2 folds to [2, -2] and [1, -2, 1] there
+    for p in (2, 3):
+        classes = [(a, b) for a in range(1, p) for b in range(1, p)]
+        for points in itertools.combinations_with_replacement(classes, 3):
+            powers = [k for k in range(-p, 3 * p) if k % p]
+            for c, alpha, k in itertools.product(range(1, p), (-2, 1), powers):
+                fixed_points = tuple(IsolatedPoint(p, *pt) for pt in points)
+                act = GroupAction(p, fixed_points, (FixedSphere(p, c, alpha),), 0, 0, 0)
+                assert gsign_value(act, k) == _gsign_in_the_field(act, k)
 
 
 def test_gsign_reverses_sign_under_orientation_flip():
@@ -603,6 +669,34 @@ def test_condition_on_canonical_bundle_data():
         act = linear_cp2(p, a, b)
         iso = LineIsotropy((lam, lam + a, lam + b), (), ())
         assert theorem_a_condition(act, iso).ok
+
+
+@pytest.mark.parametrize(
+    "p, pairs",
+    [(5, [(1, 2), (1, 3), (2, 4)]), (7, [(1, 2), (1, 3), (2, 5)]), (11, [(1, 2), (3, 7), (2, 9)])],
+)
+def test_line_bundle_conditions_are_necessary_and_sufficient_on_linear_cp2(p, pairs):
+    # O(n) on linear CP^2 has fiber weights (k, k + n*a, k + n*b) at the
+    # points in the order linear_cp2 lists them, for any shift k, and
+    # c1^2 = n^2.  check_line_bundle accepts exactly these p^2 of the p^4
+    # records; the SU(2) check accepts each L + L^-1, with ell = lambda
+    # and c2 = -n^2.
+    for a, b in pairs:
+        act = linear_cp2(p, a, b)
+        geometric = {
+            (tuple((k + n * w) % p for w in (0, a, b)), n * n % p)
+            for k in range(p)
+            for n in range(p)
+        }
+        accepted = {
+            (lam, c1)
+            for lam in itertools.product(range(p), repeat=3)
+            for c1 in range(p)
+            if check_line_bundle(act, LineIsotropy(lam, (), (), c1)).ok
+        }
+        assert accepted == geometric
+        for lam, c1 in geometric:
+            assert check_su2(act, Su2Isotropy(lam, (), (), -c1)).ok
 
 
 def test_condition_requires_complete_record():

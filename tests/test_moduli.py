@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -20,8 +21,15 @@ from equibundle.action_model import (
 from equibundle.congruence import gsign_value, gsignature_check
 from equibundle.cyclotomic import (
     NotRational,
+    ZeroRotation,
+    _four_sin2,
+    _point,
+    _sphere,
+    _term,
+    _twist,
     eval_point_term,
     eval_sphere_term,
+    field_trace,
     galois_sum,
     sin2_term,
     sin_cot_term,
@@ -55,6 +63,11 @@ PINNED_SURFACE = [
 
 ORACLE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
+INVOLUTIONS = [
+    GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (), 0, 2, 0),
+    GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2),
+]
+
 
 # -- oracles: the p-fold sums, one field evaluation per group power k ------
 
@@ -71,6 +84,22 @@ def _rho_surface_p_fold(p, c, ell, alpha, m):
     )
     part2 = Fraction(-4 * m, p) * galois_sum(p, lambda k: sin_cot_term(p, k * ell, k * c))
     return part1 + part2
+
+
+# -- oracles: the trace of one Q(zeta_p) evaluation, the k = 1 summand ------
+
+
+def _rho_lens_trace(p, a, b, ell):
+    if ell % p == 0:
+        return Fraction(0)
+    return Fraction(-1, 2 * p) * field_trace(_term(p, *_twist(_point(a, b), _four_sin2(ell))))
+
+
+def _rho_surface_trace(p, c, ell, alpha, m):
+    if ell % p == 0:
+        return Fraction(0)
+    sphere = field_trace(_term(p, *_twist(_sphere(c, alpha), _four_sin2(ell))))
+    return Fraction(1, 2 * p) * sphere - Fraction(4 * m, p) * field_trace(sin_cot_term(p, ell, c))
 
 
 def _action_pool(p, rng):
@@ -251,9 +280,23 @@ def test_involution_dimension():
         2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2
     )
     rep2 = dim_involution(with_sphere, 1)
-    assert rep2.dimension == 1  # 4 - 3 + 2 + (2 - 4), cross-checked internally
+    assert rep2.dimension == 1  # 4 - 3 + 2 + (2 - 4)
     with pytest.raises(NotInvolution):
         dim_involution(linear_s4(5, 1, 2), 1)
+
+
+@pytest.mark.parametrize("action", INVOLUTIONS, ids=["points", "points-and-sphere"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_involution_dimension_matches_its_closed_form(action, k):
+    # 4k - (3/2)(chi + sign)(X/G) + |points| + sum_j (2 + alpha_j)
+    report = dim_involution(action, k)
+    closed = (
+        Fraction(4 * k)
+        - Fraction(3, 2) * (report.chi_quot + report.sign_quot)
+        + len(action.points)
+        + sum(2 + s.alpha for s in action.spheres)
+    )
+    assert closed == report.dimension
 
 
 def test_invariant_moduli_validates_action():
@@ -310,32 +353,35 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_signature_paths_evaluate_once_per_fixed_point(monkeypatch):
-    # O(#points) field evaluations at p = 31, not O(p * #points), and no
-    # p-fold Galois sum on any request path
+    # a passing signature or dimension request reads its values from
+    # integers and builds no field element; only an irrational sum is
+    # evaluated in Q(zeta_p), once for the summed window, to name its zeta part
     modules = (cyclotomic, congruence, moduli)
     point_calls = _count_calls(monkeypatch, "eval_point_term", modules)
     term_calls = _count_calls(monkeypatch, "_term", modules)
     galois_calls = _count_calls(monkeypatch, "galois_sum", modules)
     act = linear_cp2(31, 1, 2)
     assert gsignature_check(act).ok
-    assert len(point_calls) == len(act.points)
-    del term_calls[:]
     s4 = linear_s4(31, 1, 2)
     assert dim_invariant_moduli(s4, Su2Isotropy((1, 3), (), (), c2=1), 1).dimension == 1
-    # one signature evaluation and one rho_lens per point, each one
-    # call of the shared term builder
-    assert len(term_calls) == 2 * len(s4.points)
+    triple = triple_cp2_bar_action()
+    assert dim_invariant_moduli(triple, Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1), 1).dimension == 3
+    assert point_calls == [] and term_calls == [] and galois_calls == []
+    bad = GroupAction(5, (IsolatedPoint(5, 1, 2),), (), 1, 3, 1)
+    with pytest.raises(NotRational):
+        gsignature_check(bad)
+    assert point_calls == [] and len(term_calls) == 1
     assert galois_calls == []
 
 
 def test_request_paths_multiply_no_dense_field_elements(monkeypatch):
-    # every fixed-point term comes from the shared O(p) builder; the dense
-    # product of two CycloNums is left to the API and the oracles
+    # the signature, rho and dimension paths build no CycloNum: no term
+    # evaluation, sum or product in Q(zeta_p), and no dense product
     s4 = linear_s4(31, 1, 2)
     iso = Su2Isotropy((1, 3), (), (), c2=1)
     triple = triple_cp2_bar_action()  # a fixed sphere with m != 0
     triple_iso = Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1)
-    involution = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2)
+    involution = INVOLUTIONS[1]
 
     def run():
         return (
@@ -351,10 +397,85 @@ def test_request_paths_multiply_no_dense_field_elements(monkeypatch):
     want = run()
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense field multiplication on a request path")
+        raise AssertionError("a field element built on a request path")
 
-    monkeypatch.setattr(cyclotomic.CycloNum, "__mul__", forbidden)
-    monkeypatch.setattr(cyclotomic.CycloNum, "__rmul__", forbidden)
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(cyclotomic.CycloNum, name, forbidden)
+    monkeypatch.setattr(cyclotomic, "_reduce", forbidden)
     for module in (_poly, cyclotomic, series):
         monkeypatch.setattr(module, "convolve", forbidden)
     assert run() == want
+
+
+# -- closed forms against the field trace and their own definitions -----------
+
+
+def test_rho_closed_forms_equal_the_field_trace():
+    # the trace of the k = 1 summand, the exact route the closed forms
+    # replace, at primes up to 1009 and every weight class
+    rng = random.Random(9105)
+    primes = [2, 3, 5, 7, 11, 13, 31, 101, 257, 499, 1009]
+    for p in primes:
+        for _ in range(4 if p < 1000 else 2):
+            a, b, c, ell = (rng.randrange(1, p) for _ in range(4))
+            ell = rng.choice([ell, ell + p, -ell])
+            alpha, m = rng.randrange(-5, 6), rng.randrange(-3, 4)
+            assert rho_lens(p, a, b, ell).exact == _rho_lens_trace(p, a, b, ell)
+            assert rho_surface(p, c, ell, alpha, m).exact == _rho_surface_trace(p, c, ell, alpha, m)
+    for p in (2, 3, 5, 7):
+        for a, b, ell in itertools.product(range(1, p), range(1, p), range(p)):
+            assert rho_lens(p, a, b, ell).exact == _rho_lens_trace(p, a, b, ell)
+            assert rho_surface(p, a, ell, b, 1 - a).exact == _rho_surface_trace(p, a, ell, b, 1 - a)
+
+
+def test_floor_sums_equal_their_definition():
+    rng = random.Random(9106)
+    cases = [(0, 0, 1, 0), (0, 5, 3, 4), (7, 0, 7, 6), (1, 1, 1, 1)]
+    cases += [
+        (rng.randrange(0, 60), rng.randrange(0, 60), rng.randrange(1, 40), rng.randrange(0, 50))
+        for _ in range(300)
+    ]
+    for a, b, c, n in cases:
+        floors = [(a * j + b) // c for j in range(n + 1)]
+        want = (sum(floors), sum(j * f for j, f in enumerate(floors)), sum(f * f for f in floors))
+        assert moduli._floor_sums(a, b, c, n) == want, (a, b, c, n)
+
+
+def _sawtooth(x):
+    """((x)) = x - floor(x) - 1/2, and 0 at an integer."""
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+def test_dedekind_sum_equals_its_definition():
+    # 4p^2 s(q, p; r), s(q, p; r) = sum_j ((j/p)) (((q*j + r)/p)), j = 0..p-1
+    for p in (2, 3, 5, 7, 11, 13, 29):
+        for q, r in itertools.product(range(1, p), range(p)):
+            s = sum(
+                _sawtooth(Fraction(j, p)) * _sawtooth(Fraction(q * j + r, p)) for j in range(p)
+            )
+            assert moduli._dedekind_sum(q, p, r) == 4 * p * p * s
+
+
+RHO_BAD_ARGUMENTS = [
+    (rho_lens, (4, 1, 2, 0), ValueError),
+    (rho_lens, (9, 1, 2, 9), ValueError),
+    (rho_lens, (7, 0, 2, 0), ZeroRotation),
+    (rho_lens, (7, 3, 14, 7), ZeroRotation),
+    (rho_surface, (9, 1, 1, 0, 0), ValueError),
+    (rho_surface, (9, 1, 0, 2, 1), ValueError),
+    (rho_surface, (7, 0, 1, 0, 0), ZeroRotation),
+    (rho_surface, (7, 7, 0, 2, 1), ZeroRotation),
+]
+
+
+@pytest.mark.parametrize(
+    "rho, args, error",
+    RHO_BAD_ARGUMENTS,
+    ids=["-".join([rho.__name__, *map(str, args)]) for rho, args, _ in RHO_BAD_ARGUMENTS],
+)
+def test_rho_checks_p_and_rotations_before_any_shortcut(rho, args, error):
+    # a zero weight, a zero alpha or a zero m gives 0 only for valid arguments
+    with pytest.raises(error):
+        rho(*args)
