@@ -1,8 +1,8 @@
 """Exact arithmetic for cyclic group actions on four-manifolds:
 G-signature sums, rotation-number congruences, equivariant bundle
 realizability, lens space rho invariants and invariant instanton
-moduli dimensions.  Everything is integer or Fraction arithmetic;
-floating point appears only as a cross-check oracle.
+moduli dimensions.  Everything is integer or Fraction arithmetic; no
+float is computed at runtime.
 
 The public names are those the library modules list in `__all__`.
 They load on first use (PEP 562): `import equibundle` runs no library

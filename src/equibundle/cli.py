@@ -472,7 +472,7 @@ def main(argv=None) -> int:
         _fail(args, EXIT_PARSE, str(exc))
         return EXIT_PARSE
     except ArithmeticError as exc:
-        # NotSolvable, NonIntegerDimension, exact/float disagreement
+        # NotSolvable, NonIntegerDimension, NotRational
         _fail(args, EXIT_RELATION, str(exc))
         return EXIT_RELATION
     except ValueError as exc:

@@ -33,6 +33,7 @@ from .action_model import (
 from .cyclotomic import (
     ZeroRotation,
     _check,
+    _check_rotations,
     _over_units,
     _point,
     _sphere,
@@ -144,7 +145,8 @@ def _require_units(action: GroupAction) -> None:
 
 def gsign_value(action: GroupAction, k: int) -> Rational:
     """Exact equivariant signature of the k-th group element power,
-    summed from fixed point data.
+    summed from fixed point data.  p and k are checked once, before
+    the components, so an action with none is checked too.
 
     Every point and sphere term has pole order 2, so the sum is
     S(zeta)/(zeta - 1)^2, S the sum of their integral windows
@@ -154,12 +156,13 @@ def gsign_value(action: GroupAction, k: int) -> Rational:
     is evaluated once in Q(zeta_p), and NotRational names its zeta part.
     """
     p = action.p
+    _check(p, k)
     terms = []
     for pt in action.points:
-        _check(p, k, pt.a, pt.b)
+        _check_rotations(p, pt.a, pt.b)
         terms.append(_point(k * pt.a, k * pt.b))
     for s in action.spheres:
-        _check(p, k, s.c)
+        _check_rotations(p, s.c)
         terms.append(_sphere(k * s.c, s.alpha))
     if not terms:
         return Fraction(0)

@@ -36,8 +36,6 @@ __all__ = [
     "eval_point_term",
     "eval_sphere_term",
     "sin2_term",
-    "sin_cot_term",
-    "field_trace",
     "galois_sum",
 ]
 
@@ -209,13 +207,18 @@ def _four_sin2(ell: int) -> list[tuple[int, int]]:
     return [(0, 2), (ell, -1), (-ell, -1)]
 
 
-def _check(p: int, k: int, *rotations: int) -> None:
-    """Prime p; k and a point's two rotations or a sphere's one nonzero mod p."""
-    _require_prime(p)
+def _check_rotations(p: int, *rotations: int) -> None:
+    """A point's two rotations or a sphere's one nonzero mod p."""
     if any(r % p == 0 for r in rotations):
         if len(rotations) == 2:
             raise ZeroRotation(f"rotation numbers {rotations} must be nonzero mod {p}")
         raise ZeroRotation(f"normal rotation {rotations[0]} must be nonzero mod {p}")
+
+
+def _check(p: int, k: int, *rotations: int) -> None:
+    """Prime p; k and a point's two rotations or a sphere's one nonzero mod p."""
+    _require_prime(p)
+    _check_rotations(p, *rotations)
     if k % p == 0:
         raise ZeroRotation(f"group element power {k} must be nonzero mod {p}")
 
@@ -243,35 +246,13 @@ def sin2_term(p: int, e: int) -> CycloNum:
     return _term(p, _four_sin2(e), (), 0, 4)
 
 
-def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
-    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)), the boundary
-    term of degree 1 twisted by zeta^l - zeta^(-l), over 4.
-
-    Embeds to sin(2*pi*l/p) * cot(pi*c/p); the two imaginary factors
-    cancel, so the value is real under every embedding.
-    """
-    _check(p, 1, c)
-    return _term(p, *_twist(_boundary(c, 1), [(l, 1), (-l, -1)]), 4)
-
-
-def field_trace(x: CycloNum) -> Rational:
-    """Trace of x from Q(zeta_p) down to Q: the sum of its p-1 Galois
-    conjugates sigma_k(x), k = 1..p-1, where sigma_k sends zeta to zeta^k.
-
-    Tr(1) = p-1 and Tr(zeta^i) = -1 for 0 < i < p, so over the power
-    basis Tr(x) = p*c_0 - (c_0 + ... + c_(p-2)).  At p = 2 the field
-    is Q and the trace is the identity.
-    """
-    return Fraction(x.p * x.num[0] - sum(x.num), x.den)
-
-
 def galois_sum(p: int, f: Callable[[int], CycloNum]) -> Rational:
     """Sum f(k) over k = 1..p-1 and return the rational value.
 
-    This is the p-fold oracle kept for tests; request paths use
-    `field_trace`.  For a Galois-stable family (f(k) = sigma_k(f(1)))
-    the sum is Tr(f(1)), hence rational; a nonzero zeta part signals a
-    family that is not stable and raises NotRational.
+    This is the p-fold oracle kept for tests; no request path sums over
+    the group powers.  For a Galois-stable family (f(k) = sigma_k(f(1)))
+    the sum is the trace of f(1), hence rational; a nonzero zeta part
+    signals a family that is not stable and raises NotRational.
     """
     _require_prime(p)
     total = None

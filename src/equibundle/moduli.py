@@ -1,23 +1,17 @@
 """Rho invariants of lens spaces and equivariant instanton dimensions.
 
-All rho values are computed twice: exactly, in closed form, and in
-floating point from the trigonometric form of the sum over
-k = 1..p-1.  The closed forms are classical and cost O(log p).  A
-surface term is a Fejer kernel sum, n(p - n) with n = ell/c mod p,
+Every rho value is an exact rational in closed form, O(log p) each.
+A surface term is a Fejer kernel sum, n(p - n) with n = ell/c mod p,
 plus a cotangent sum, p - 2n.  A lens term is a difference of shifted
 Dedekind-Rademacher sums, read off floor sums by a Euclid-like
-recursion.  The float witness costs O(p).  A disagreement beyond its
-error bound in `RhoValue` (1e-9, or more at large p) is a hard error,
-not a warning; it would mean the closed forms drifted from the
-analytic definitions.  The signature defect is one
+recursion.  No float is computed: the trigonometric sums that define
+these values are test oracles only.  The signature defect is one
 `congruence.gsign_value`, read from integers.
 """
 
 from __future__ import annotations
 
-import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .action_model import GroupAction, Su2Isotropy, validate
@@ -26,11 +20,9 @@ from .cyclotomic import _check, eval_point_term  # noqa: F401 (kept importable h
 from .exact_arith import Rational
 
 __all__ = [
-    "FloatMismatch",
     "NonIntegerDimension",
     "NotInvolution",
     "ParityError",
-    "RhoValue",
     "DimensionReport",
     "rho_lens",
     "rho_surface",
@@ -40,13 +32,6 @@ __all__ = [
     "dim_invariant_moduli",
     "dim_involution",
 ]
-
-_FLOAT_TOL = 1e-9
-
-
-class FloatMismatch(ArithmeticError):
-    """Exact and floating point evaluations of a rho sum disagree."""
-
 
 class NonIntegerDimension(ArithmeticError):
     """The dimension formula did not sum to an integer.
@@ -67,52 +52,6 @@ class NotInvolution(ValueError):
 
 class ParityError(ValueError):
     """chi + sign must be even for the index formula."""
-
-
-@dataclass(frozen=True)
-class RhoValue:
-    """Exact rho invariant with its mandatory floating point witness.
-
-    The witness sums float terms x_k of cot, csc^2 and sin^2 at angles
-    pi*r/p, 0 < r < p.  Each angle is exact to about eps * pi, a relative
-    error of about eps * p in sin near r = p - 1: p is the condition
-    number of each factor.  So each x_k is off by a few eps * p * |x_k|,
-    and summing adds at most p * eps * S, S = sum_k |x_k|.  The witness
-    must match within max(1e-9, 4 * eps * p * S); sampled errors up to
-    p = 100003 stayed below 0.5 * eps * p * S.  `rho_lens` and
-    `rho_surface` set `_scale` = p * S from the terms they sum.
-    """
-
-    exact: Rational
-    float_check: float
-    _scale: float = field(default=0.0, repr=False, compare=False)
-
-    def __post_init__(self):
-        tol = max(_FLOAT_TOL, 4 * sys.float_info.epsilon * self._scale)
-        if abs(float(self.exact) - self.float_check) >= tol:
-            raise FloatMismatch(f"exact value {self.exact} vs float {self.float_check!r}")
-
-    def __str__(self) -> str:
-        return str(self.exact)
-
-
-def _angle(p: int, r: int) -> float:
-    """pi * r / p with r reduced mod p, so it is exact to about eps * pi;
-    cot, csc^2 and sin^2 have period pi, so no term changes."""
-    return math.pi * (r % p) / p
-
-
-def _cot_at(p: int, r: int) -> float:
-    return 1 / math.tan(_angle(p, r))
-
-
-def _witnessed(exact: Rational, p: int, parts) -> RhoValue:
-    """`exact` with the witness sum_j w_j * sum(terms_j), parts = [(w_j, terms_j)]."""
-    approx = scale = 0.0
-    for w, terms in parts:
-        approx += w * sum(terms)
-        scale += abs(w) * sum(map(abs, terms))
-    return RhoValue(exact, approx, p * scale)
 
 
 def _floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -155,7 +94,7 @@ def _dedekind_sum(q: int, p: int, r: int) -> int:
     return 4 * jx - p * p * (p - 1) + 2 * p * r + (p * (2 * j0 - p) if j0 else 0)
 
 
-def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
+def rho_lens(p: int, a: int, b: int, ell: int) -> Rational:
     """Rho invariant of the flat SU(2) character t^ell + t^(-ell) on
     the lens space L(p; a, b):
 
@@ -169,18 +108,13 @@ def rho_lens(p: int, a: int, b: int, ell: int) -> RhoValue:
     """
     _check(p, 1, a, b)
     if ell % p == 0:
-        return RhoValue(Fraction(0), 0.0)
+        return Fraction(0)
     inv = pow(a, -1, p)
     q, r = b * inv % p, ell * inv % p
-    exact = Fraction(_dedekind_sum(q, p, 0) - _dedekind_sum(q, p, r), p * p)
-    terms = [
-        _cot_at(p, a * k) * _cot_at(p, b * k) * math.sin(_angle(p, k * ell)) ** 2
-        for k in range(1, p)
-    ]
-    return _witnessed(exact, p, [(2.0 / p, terms)])
+    return Fraction(_dedekind_sum(q, p, 0) - _dedekind_sum(q, p, r), p * p)
 
 
-def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
+def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> Rational:
     """Rho contribution of a fixed surface of self-intersection alpha,
     normal weight c, fiber weight ell and twisting degree m:
 
@@ -194,17 +128,9 @@ def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> RhoValue:
     """
     _check(p, 1, c)
     if ell % p == 0:
-        return RhoValue(Fraction(0), 0.0)
+        return Fraction(0)
     n = ell * pow(c, -1, p) % p
-    exact = Fraction(2 * alpha * n * (p - n) - 4 * m * (p - 2 * n), p)
-    parts, ks = [], range(1, p)
-    if alpha:
-        terms = [(math.sin(_angle(p, k * ell)) / math.sin(_angle(p, c * k))) ** 2 for k in ks]
-        parts.append((2.0 * alpha / p, terms))
-    if m:
-        terms = [math.sin(2 * _angle(p, k * ell)) * _cot_at(p, c * k) for k in ks]
-        parts.append((-4.0 * m / p, terms))
-    return _witnessed(exact, p, parts)
+    return Fraction(2 * alpha * n * (p - n) - 4 * m * (p - 2 * n), p)
 
 
 def defect_terms(action: GroupAction) -> tuple[Rational, Rational]:
@@ -284,13 +210,13 @@ def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy, k: int) -> 
     m_count = sum(1 for e in iso.ell_points if e % p != 0)
     rho_l = Fraction(0)
     for pt, e in zip(action.points, iso.ell_points):
-        rho_l += rho_lens(p, pt.a, pt.b, e).exact
+        rho_l += rho_lens(p, pt.a, pt.b, e)
     sphere_euler = 0
     rho_s = Fraction(0)
     for s, e, mm in zip(action.spheres, iso.ell_spheres, iso.m_spheres):
         if e % p != 0:
             sphere_euler += 2
-        rho_s += rho_surface(p, s.c, e, s.alpha, mm).exact
+        rho_s += rho_surface(p, s.c, e, s.alpha, mm)
     total = t_inst + t_quot + m_count - rho_l + sphere_euler + rho_s
     terms = (
         ("instanton_8k/p", t_inst),

@@ -6,7 +6,8 @@ signature sums, the congruence batteries over large prime ranges, the
 displayed series coefficients, solver soundness against brute force,
 the boundary gluing congruences, and the closure property of the
 sphere connected sum.  Everything is exact rational arithmetic; the
-only tolerance anywhere is the 1e-9 float shadow on rho values.
+only tolerance anywhere is the 1e-9 of the test-side float oracle on
+rho values.
 """
 
 import itertools
@@ -50,6 +51,7 @@ from equibundle.series import (
     expand_su2_point_term,
     expand_su2_sphere_term,
 )
+from test_moduli import _rho_lens_float, _rho_surface_float
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -75,16 +77,18 @@ def test_criterion_01_worked_strata_dimensions_exact_within_one_second():
 
 
 def test_criterion_02_pinned_rho_invariants_with_float_oracle():
+    oracles = {rho_lens: _rho_lens_float, rho_surface: _rho_surface_float}
     cases = [
-        (rho_lens(5, 1, -1, 1), Fraction(-3, 5)),
-        (rho_lens(5, 2, -1, 1), Fraction(1, 5)),
-        (rho_lens(5, 2, -1, -3), Fraction(-1, 5)),
-        (rho_surface(5, 1, 1, -2, 0), Fraction(-16, 5)),
-        (rho_surface(5, 1, 1, -2, -1), Fraction(-4, 5)),
+        (rho_lens, (5, 1, -1, 1), Fraction(-3, 5)),
+        (rho_lens, (5, 2, -1, 1), Fraction(1, 5)),
+        (rho_lens, (5, 2, -1, -3), Fraction(-1, 5)),
+        (rho_surface, (5, 1, 1, -2, 0), Fraction(-16, 5)),
+        (rho_surface, (5, 1, 1, -2, -1), Fraction(-4, 5)),
     ]
-    for got, want in cases:
-        assert got.exact == want
-        assert abs(float(got.exact) - got.float_check) < 1e-9
+    for rho, args, want in cases:
+        assert rho(*args) == want
+        # the trigonometric definition, summed in floats by the test oracle
+        assert abs(float(want) - oracles[rho](*args)[0]) < 1e-9
 
 
 def _sum_family(p):

@@ -52,6 +52,7 @@ from equibundle.cyclotomic import (
     NotRational,
     ZeroRotation,
     _boundary,
+    _check,
     _point,
     _sphere,
     _term,
@@ -97,7 +98,9 @@ def test_gsign_value_of_an_empty_fixed_set_is_zero():
 
 
 def _gsign_in_the_field(action, k):
-    """The oracle: every fixed-point term a CycloNum, summed in Q(zeta_p)."""
+    """The oracle: every fixed-point term a CycloNum, summed in Q(zeta_p),
+    after p and k are checked once, as for an action with no components."""
+    _check(action.p, k)
     terms = [eval_point_term(action.p, k, pt.a, pt.b) for pt in action.points]
     terms += [eval_sphere_term(action.p, k, s.c, s.alpha) for s in action.spheres]
     if not terms:

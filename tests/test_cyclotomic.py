@@ -12,14 +12,15 @@ from equibundle.cyclotomic import (
     CycloNum,
     NotRational,
     ZeroRotation,
+    _boundary,
+    _check,
     _reduce,
     _term,
+    _twist,
     eval_point_term,
     eval_sphere_term,
-    field_trace,
     galois_sum,
     sin2_term,
-    sin_cot_term,
     zeta_minus_one_inv,
 )
 
@@ -37,6 +38,33 @@ def _cyclo(p: int, coeffs) -> CycloNum:
 def zeta_pow(p: int, e: int) -> CycloNum:
     """zeta^e as a canonical field element."""
     return _term(p, [(e, 1)], (), 0)
+
+
+# -- test oracles: the field trace and the twisted boundary term, which the
+# rho oracles of test_moduli read; the package computes neither -----------
+
+
+def field_trace(x: CycloNum) -> Fraction:
+    """Trace of x from Q(zeta_p) down to Q: the sum of its p-1 Galois
+    conjugates sigma_k(x), k = 1..p-1, where sigma_k sends zeta to zeta^k.
+
+    Tr(1) = p-1 and Tr(zeta^i) = -1 for 0 < i < p, so over the power
+    basis Tr(x) = p*c_0 - (c_0 + ... + c_(p-2)).  At p = 2 the field
+    is Q and the trace is the identity.
+    """
+    return Fraction(x.p * x.num[0] - sum(x.num), x.den)
+
+
+def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
+    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)), the boundary
+    term of degree 1 twisted by zeta^l - zeta^(-l), over 4.
+
+    Embeds to sin(2*pi*l/p) * cot(pi*c/p); the two imaginary factors
+    cancel, so the value is real under every embedding.  p and c are
+    checked as the package's term builders check them.
+    """
+    _check(p, 1, c)
+    return _term(p, *_twist(_boundary(c, 1), [(l, 1), (-l, -1)]), 4)
 
 
 def embed_complex(x: CycloNum, k: int = 1) -> complex:
@@ -202,6 +230,7 @@ NON_PRIME_BUILDERS = {
     "eval_sphere_term": lambda p: eval_sphere_term(p, 1, 1, 3),
     "eval_sphere_term_alpha_0": lambda p: eval_sphere_term(p, 1, 1, 0),
     "sin2_term": lambda p: sin2_term(p, 1),
+    # the test-side oracle above keeps the argument check of the builders
     "sin_cot_term": lambda p: sin_cot_term(p, 1, 1),
     "sin_cot_term_l_0": lambda p: sin_cot_term(p, 0, 1),
 }

@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equibundle import _poly, congruence, cyclotomic, moduli, series
 from equibundle.action_model import (
@@ -29,18 +32,15 @@ from equibundle.cyclotomic import (
     _twist,
     eval_point_term,
     eval_sphere_term,
-    field_trace,
     galois_sum,
     sin2_term,
-    sin_cot_term,
 )
+from equibundle.exact_arith import is_prime
 from equibundle.moduli import (
     DimensionReport,
-    FloatMismatch,
     NonIntegerDimension,
     NotInvolution,
     ParityError,
-    RhoValue,
     defect_terms,
     dim_invariant_moduli,
     dim_involution,
@@ -49,6 +49,7 @@ from equibundle.moduli import (
     rho_lens,
     rho_surface,
 )
+from test_cyclotomic import field_trace, sin_cot_term
 
 PINNED_LENS = [
     ((5, 1, -1, 1), Fraction(-3, 5)),
@@ -102,6 +103,60 @@ def _rho_surface_trace(p, c, ell, alpha, m):
     return Fraction(1, 2 * p) * sphere - Fraction(4 * m, p) * field_trace(sin_cot_term(p, ell, c))
 
 
+# -- oracles: the trigonometric sums that define the rho invariants, in floats
+
+
+def _angle(p, r):
+    """pi * r / p with r reduced mod p, so it is exact to about eps * pi;
+    cot, csc^2 and sin^2 have period pi, so no term changes."""
+    return math.pi * (r % p) / p
+
+
+def _cot_at(p, r):
+    return 1 / math.tan(_angle(p, r))
+
+
+def _float_sum(p, parts):
+    """(sum_j w_j * sum(terms_j), tolerance) for parts = [(w_j, terms_j)].
+
+    The terms x_k are cot, csc^2 and sin^2 products at angles pi*r/p,
+    0 < r < p.  Each angle is exact to about eps * pi, a relative error
+    of about eps * p in sin near r = p - 1: p is the condition number of
+    each factor.  So each x_k is off by a few eps * p * |x_k|, and
+    summing adds at most p * eps * S, S = sum_j |w_j| sum_k |x_k|.  The
+    tolerance is max(1e-9, 4 * eps * p * S); sampled errors up to
+    p = 100003 stayed below 0.5 * eps * p * S.
+    """
+    approx = scale = 0.0
+    for w, terms in parts:
+        approx += w * sum(terms)
+        scale += abs(w) * sum(map(abs, terms))
+    return approx, max(1e-9, 4 * sys.float_info.epsilon * p * scale)
+
+
+def _rho_lens_float(p, a, b, ell):
+    """(2/p) sum_k cot(pi a k/p) cot(pi b k/p) sin^2(pi k ell/p), with its tolerance."""
+    terms = [
+        _cot_at(p, a * k) * _cot_at(p, b * k) * math.sin(_angle(p, k * ell)) ** 2
+        for k in range(1, p)
+    ]
+    return _float_sum(p, [(2.0 / p, terms)])
+
+
+def _rho_surface_float(p, c, ell, alpha, m):
+    """(2 alpha/p) sum_k csc^2(pi c k/p) sin^2(pi k ell/p)
+    - (4m/p) sum_k sin(2 pi k ell/p) cot(pi c k/p), with its tolerance."""
+    ks = range(1, p)
+    csc2 = [(math.sin(_angle(p, k * ell)) / math.sin(_angle(p, c * k))) ** 2 for k in ks]
+    cot = [math.sin(2 * _angle(p, k * ell)) * _cot_at(p, c * k) for k in ks]
+    return _float_sum(p, [(2.0 * alpha / p, csc2), (-4.0 * m / p, cot)])
+
+
+def _matches_float(exact, oracle):
+    approx, tol = oracle
+    return abs(float(exact) - approx) < tol
+
+
 def _action_pool(p, rng):
     a = rng.randrange(1, p)
     pool = [linear_cp2(p, a, 0), linear_cp2_bar(p, a), linear_s4(p, a, rng.randrange(1, p))]
@@ -114,16 +169,21 @@ def _action_pool(p, rng):
 
 def test_pinned_lens_values():
     for args, want in PINNED_LENS:
-        got = rho_lens(*args)
-        assert got.exact == want
-        assert abs(float(want) - got.float_check) < 1e-9
+        assert rho_lens(*args) == want
+        assert _matches_float(want, _rho_lens_float(*args))
 
 
 def test_pinned_surface_values():
     for args, want in PINNED_SURFACE:
-        got = rho_surface(*args)
-        assert got.exact == want
-        assert abs(float(want) - got.float_check) < 1e-9
+        assert rho_surface(*args) == want
+        assert _matches_float(want, _rho_surface_float(*args))
+
+
+def test_rho_values_are_fractions():
+    # the exact value itself, also on the ell = 0 shortcut
+    for ell in (0, 5, 1):
+        assert type(rho_lens(5, 2, -1, ell)) is Fraction
+        assert type(rho_surface(5, 1, ell, -2, -1)) is Fraction
 
 
 def test_rho_zero_weight_vanishes():
@@ -131,10 +191,10 @@ def test_rho_zero_weight_vanishes():
     for _ in range(10):
         p = rng.choice([3, 5, 7, 11])
         a, b = rng.randrange(1, p), rng.randrange(1, p)
-        assert rho_lens(p, a, b, 0).exact == 0
-        assert rho_lens(p, a, b, 3 * p).exact == 0
+        assert rho_lens(p, a, b, 0) == 0
+        assert rho_lens(p, a, b, 3 * p) == 0
         c = rng.randrange(1, p)
-        assert rho_surface(p, c, 0, rng.randrange(-4, 5), rng.randrange(-3, 4)).exact == 0
+        assert rho_surface(p, c, 0, rng.randrange(-4, 5), rng.randrange(-3, 4)) == 0
 
 
 def test_rho_lens_symmetries():
@@ -143,13 +203,13 @@ def test_rho_lens_symmetries():
         p = rng.choice([3, 5, 7, 11, 13])
         a, b = rng.randrange(1, p), rng.randrange(1, p)
         ell = rng.randrange(1, p)
-        base = rho_lens(p, a, b, ell).exact
+        base = rho_lens(p, a, b, ell)
         # representative independence and evenness in the weight
-        assert rho_lens(p, a + p, b - 2 * p, ell).exact == base
-        assert rho_lens(p, a, b, ell + p).exact == base
-        assert rho_lens(p, a, b, -ell).exact == base
+        assert rho_lens(p, a + p, b - 2 * p, ell) == base
+        assert rho_lens(p, a, b, ell + p) == base
+        assert rho_lens(p, a, b, -ell) == base
         # orientation reversal of one rotation number flips the sign
-        assert rho_lens(p, a, -b, ell).exact == -base
+        assert rho_lens(p, a, -b, ell) == -base
 
 
 def test_rho_surface_linearity_in_twisting():
@@ -160,43 +220,53 @@ def test_rho_surface_linearity_in_twisting():
         c = rng.randrange(1, p)
         ell = rng.randrange(1, p)
         alpha = rng.randrange(-4, 5)
-        r0 = rho_surface(p, c, ell, alpha, 0).exact
-        r1 = rho_surface(p, c, ell, alpha, 1).exact
-        r2 = rho_surface(p, c, ell, alpha, 2).exact
+        r0 = rho_surface(p, c, ell, alpha, 0)
+        r1 = rho_surface(p, c, ell, alpha, 1)
+        r2 = rho_surface(p, c, ell, alpha, 2)
         assert r2 - r1 == r1 - r0
-        assert rho_surface(p, c, ell, 0, 0).exact == 0
+        assert rho_surface(p, c, ell, 0, 0) == 0
 
 
 def test_rho_float_agreement_larger_prime():
     # every exact value is independently shadowed by the trig sum
     for ell in (1, 7, 30):
-        v = rho_lens(61, 2, 5, ell)
-        assert abs(float(v.exact) - v.float_check) < 1e-9
-    w = rho_surface(61, 3, 11, -2, 4)
-    assert abs(float(w.exact) - w.float_check) < 1e-9
-
-
-def test_rho_value_rejects_disagreement():
-    with pytest.raises(FloatMismatch):
-        RhoValue(Fraction(1), 0.5)
+        assert _matches_float(rho_lens(61, 2, 5, ell), _rho_lens_float(61, 2, 5, ell))
+    assert _matches_float(rho_surface(61, 3, 11, -2, 4), _rho_surface_float(61, 3, 11, -2, 4))
 
 
 def test_rho_at_large_p_is_witnessed_within_its_float_error():
     # cot near a pole loses about eps * p of relative accuracy, so at
-    # p = 100003 the witness of (1, 1, 50001) is off by about 2e-7: the
+    # p = 100003 the float sum of (1, 1, 50001) is off by about 2e-7: the
     # tolerance scales with p * sum_k |x_k| there, and stays 1e-9 at small p
-    eps = sys.float_info.epsilon
-    wide = rho_lens(100003, 1, 1, 50001)
-    assert 1e-9 < 4 * eps * wide._scale
-    assert abs(float(wide.exact) - wide.float_check) < 4 * eps * wide._scale
+    approx, tol = _rho_lens_float(100003, 1, 1, 50001)
+    assert tol > 1e-9
+    assert abs(float(rho_lens(100003, 1, 1, 50001)) - approx) < tol
     # arguments reduced mod p keep the angles exact to eps * pi: with a*k
-    # up to p^2 unreduced, this witness was off by 1.7e-7
-    near_thirds = rho_lens(100003, 33334, 66669, 17)
-    assert abs(float(near_thirds.exact) - near_thirds.float_check) < 1e-9
-    surface = rho_surface(100003, 33334, 50001, -3, 2)
-    assert abs(float(surface.exact) - surface.float_check) < 4 * eps * surface._scale
-    for small in (rho_lens(61, 2, 5, 30), rho_surface(61, 3, 11, -2, 4)):
-        assert 4 * eps * small._scale < 1e-9
+    # up to p^2 unreduced, this float sum was off by 1.7e-7
+    approx, _ = _rho_lens_float(100003, 33334, 66669, 17)
+    assert abs(float(rho_lens(100003, 33334, 66669, 17)) - approx) < 1e-9
+    surface = _rho_surface_float(100003, 33334, 50001, -3, 2)
+    assert _matches_float(rho_surface(100003, 33334, 50001, -3, 2), surface)
+    for _, tol in (_rho_lens_float(61, 2, 5, 30), _rho_surface_float(61, 3, 11, -2, 4)):
+        assert tol == 1e-9
+
+
+PROPERTY_PRIMES = [n for n in range(2, 10_008) if is_prime(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rho_closed_forms_equal_the_float_oracle(data):
+    # the trigonometric definitions at primes up to 10007, every weight
+    # class, ell = 0 mod p included
+    p = data.draw(st.sampled_from(PROPERTY_PRIMES), label="p")
+    a, b, c = (data.draw(st.integers(1, p - 1)) for _ in range(3))
+    ell = data.draw(st.integers(-2 * p, 2 * p), label="ell")
+    alpha = data.draw(st.integers(-5, 5), label="alpha")
+    m = data.draw(st.integers(-3, 3), label="m")
+    assert _matches_float(rho_lens(p, a, b, ell), _rho_lens_float(p, a, b, ell))
+    got = rho_surface(p, c, ell, alpha, m)
+    assert _matches_float(got, _rho_surface_float(p, c, ell, alpha, m))
 
 
 def test_defects_and_quotient_on_triple_action():
@@ -314,8 +384,8 @@ def test_rho_equals_p_fold_galois_sum():
             a, b, c, ell = (rng.randrange(1, p) for _ in range(4))
             alpha = rng.choice([x for x in range(-5, 6) if x])
             m = rng.choice([x for x in range(-3, 4) if x])
-            assert rho_lens(p, a, b, ell).exact == _rho_lens_p_fold(p, a, b, ell)
-            got = rho_surface(p, c, ell, alpha, m).exact
+            assert rho_lens(p, a, b, ell) == _rho_lens_p_fold(p, a, b, ell)
+            got = rho_surface(p, c, ell, alpha, m)
             assert got == _rho_surface_p_fold(p, c, ell, alpha, m)
 
 
@@ -420,12 +490,12 @@ def test_rho_closed_forms_equal_the_field_trace():
             a, b, c, ell = (rng.randrange(1, p) for _ in range(4))
             ell = rng.choice([ell, ell + p, -ell])
             alpha, m = rng.randrange(-5, 6), rng.randrange(-3, 4)
-            assert rho_lens(p, a, b, ell).exact == _rho_lens_trace(p, a, b, ell)
-            assert rho_surface(p, c, ell, alpha, m).exact == _rho_surface_trace(p, c, ell, alpha, m)
+            assert rho_lens(p, a, b, ell) == _rho_lens_trace(p, a, b, ell)
+            assert rho_surface(p, c, ell, alpha, m) == _rho_surface_trace(p, c, ell, alpha, m)
     for p in (2, 3, 5, 7):
         for a, b, ell in itertools.product(range(1, p), range(1, p), range(p)):
-            assert rho_lens(p, a, b, ell).exact == _rho_lens_trace(p, a, b, ell)
-            assert rho_surface(p, a, ell, b, 1 - a).exact == _rho_surface_trace(p, a, ell, b, 1 - a)
+            assert rho_lens(p, a, b, ell) == _rho_lens_trace(p, a, b, ell)
+            assert rho_surface(p, a, ell, b, 1 - a) == _rho_surface_trace(p, a, ell, b, 1 - a)
 
 
 def test_floor_sums_equal_their_definition():
@@ -479,3 +549,22 @@ def test_rho_checks_p_and_rotations_before_any_shortcut(rho, args, error):
     # a zero weight, a zero alpha or a zero m gives 0 only for valid arguments
     with pytest.raises(error):
         rho(*args)
+
+
+SIGNATURE_BAD_ARGUMENTS = [
+    (gsign_value, (GroupAction(4, (), (), 0, 0, 0), 1), ValueError),
+    (gsign_value, (GroupAction(5, (), (), 0, 0, 0), 5), ZeroRotation),
+    (defect_terms, (GroupAction(9, (), (), 0, 2, 0),), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, error",
+    SIGNATURE_BAD_ARGUMENTS,
+    ids=["gsign_value-p4", "gsign_value-k5", "defect_terms-p9"],
+)
+def test_signature_checks_p_and_k_without_fixed_components(fn, args, error):
+    # p and k are checked once, before the components, so an action
+    # with no fixed points or spheres is checked too
+    with pytest.raises(error):
+        fn(*args)

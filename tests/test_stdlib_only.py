@@ -1,7 +1,7 @@
 """Static checks over the package sources.  The runtime is pure stdlib:
 every absolute import in the package names a standard library module.
-Every imported name is used, and no check hides in an `assert`
-statement, which `python -O` strips."""
+Every imported name is used, no check hides in an `assert`
+statement, which `python -O` strips, and no float is computed."""
 
 import ast
 import sys
@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equibundle").glob("*.py"))
+
+# the trigonometry of the rho sums, which only the test oracles evaluate
+FLOAT_MATH = {"sin", "cos", "tan", "pi"}
 
 # imported but unused on purpose: perfbench's smoke test rebinds every alias
 # of a traced name, and it looks for `eval_point_term` in `congruence` and
@@ -68,3 +71,26 @@ def test_every_imported_name_is_used(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_has_no_assert_statement(path):
     assert [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)] == []
+
+
+def _float_sites(tree: ast.AST):
+    """Line numbers of float literals, `float(...)` calls and the
+    trigonometry of `math`, by attribute or by `from math import`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr in FLOAT_MATH:
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name in FLOAT_MATH for alias in node.names):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_computes_no_float(path):
+    # every runtime value is exact; float sums are test oracles only
+    assert list(_float_sites(_tree(path))) == []
