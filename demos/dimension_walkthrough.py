@@ -44,7 +44,7 @@ lifts = {
 }
 
 for label, iso in lifts.items():
-    rep = dim_invariant_moduli(act, iso, 1)
+    rep = dim_invariant_moduli(act, iso)
     print(label)
     for name, value in rep.terms:
         print("    %-24s %s" % (name, value))

@@ -11,6 +11,7 @@ canonicalize so that equality means equality of equivalence classes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -236,7 +237,8 @@ class LineIsotropy:
     component, the restriction degree m at each sphere, and optionally
     the self-intersection of the first Chern class.
 
-    None marks a slot left free for the solver.
+    None marks a slot left free for the solver.  Every other entry must
+    be an integer: a float or a string is refused, not truncated.
     """
 
     lambda_points: tuple[Optional[int], ...]
@@ -246,8 +248,10 @@ class LineIsotropy:
 
     def __post_init__(self) -> None:
         for name in _SLOT_FIELDS.values():
-            slots = tuple(None if v is None else int(v) for v in getattr(self, name))
+            slots = tuple(None if v is None else operator.index(v) for v in getattr(self, name))
             object.__setattr__(self, name, slots)
+        if self.c1_squared is not None:
+            object.__setattr__(self, "c1_squared", operator.index(self.c1_squared))
 
     def check_shape(self, action: GroupAction) -> None:
         _check_shape(action, self.lambda_points, self.lambda_spheres, self.m_spheres)
@@ -272,31 +276,22 @@ class LineIsotropy:
 class Su2Isotropy:
     """Rank-two isotropy data: the fiber splits as t^ell + t^(-ell) over
     each fixed component, so ell is defined up to sign; m is the degree
-    of a local reduction over each sphere and flips with ell."""
+    of a local reduction over each sphere and flips with ell.  c2 is the
+    lift's charge, and every lift states it.  Each entry must be an
+    integer: a float or a string is refused, not truncated."""
 
     ell_points: tuple[int, ...]
     ell_spheres: tuple[int, ...]
     m_spheres: tuple[int, ...]
-    c2: int = 0
+    c2: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ell_points", tuple(int(v) for v in self.ell_points))
-        object.__setattr__(self, "ell_spheres", tuple(int(v) for v in self.ell_spheres))
-        object.__setattr__(self, "m_spheres", tuple(int(v) for v in self.m_spheres))
+        for name in ("ell_points", "ell_spheres", "m_spheres"):
+            object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
+        object.__setattr__(self, "c2", operator.index(self.c2))
 
     def check_shape(self, action: GroupAction) -> None:
         _check_shape(action, self.ell_points, self.ell_spheres, self.m_spheres)
-
-    def canonical(self, p: int) -> "Su2Isotropy":
-        """Fold every ell into [0, p/2]; sphere m flips sign with its ell."""
-        if len(self.ell_spheres) != len(self.m_spheres):
-            raise ShapeMismatch(
-                f"{len(self.ell_spheres)} sphere ells for {len(self.m_spheres)} sphere degrees"
-            )
-        pts = tuple(abs(signed_rep(e, p)) for e in self.ell_points)
-        sph = [(signed_rep(e, p), m) for e, m in zip(self.ell_spheres, self.m_spheres)]
-        ells = tuple(abs(e) for e, _ in sph)
-        return Su2Isotropy(pts, ells, tuple(-m if e < 0 else m for e, m in sph), self.c2)
 
 
 # -- linear models -------------------------------------------------------

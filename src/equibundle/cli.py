@@ -210,9 +210,8 @@ def _cmd_dimension(args) -> int:
     doc = _load_document(args.file)
     action = _validated_action(doc)
     iso = _section(doc, "su2_isotropy", su2_isotropy_from_dict)
-    k = args.k if args.k is not None else iso.c2
     try:
-        report = dim_invariant_moduli(action, iso, k)
+        report = dim_invariant_moduli(action, iso)
     except NonIntegerDimension as exc:
         lines = _dimension_rows(exc.terms)
         lines.append(f"  total: {exc.total} (not an integer)")
@@ -232,7 +231,7 @@ def _cmd_dimension(args) -> int:
         {
             "ok": True,
             "dimension": report.dimension,
-            "k": k,
+            "k": iso.c2,
             "terms": {name: str(value) for name, value in report.terms},
             "chi_quotient": str(report.chi_quot),
             "sign_quotient": str(report.sign_quot),
@@ -404,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dimension", help="invariant instanton moduli dimension")
     p_dim.add_argument("file")
-    p_dim.add_argument("--k", type=int, default=None, help="charge; defaults to c2 of the lift")
     add_machine(p_dim)
     p_dim.set_defaults(handler=_cmd_dimension)
 

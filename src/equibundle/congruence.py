@@ -52,6 +52,7 @@ __all__ = [
     "MissingChernSquare",
     "InconsistentCounts",
     "ZeroSelfIntersection",
+    "NotCoprimeRotation",
     "gsign_value",
     "gsignature_check",
     "check_rotation_relations",
@@ -469,7 +470,9 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
 
 def linking_form(n: int, a: int, b: int) -> Rational:
     """Self-linking a*b/n of the distinguished generator of the lens
-    space L(n; a, b), reduced into [0, 1)."""
+    space L(n; a, b), reduced into [0, 1), for n >= 1."""
+    if n < 1:
+        raise ValueError(f"the lens space order must be at least 1, got {n}")
     if gcd(a, n) != 1 or gcd(b, n) != 1:
         raise NotCoprimeRotation(f"({a}, {b}) must be coprime to {n}")
     return Fraction((a * b) % n, n)

@@ -7,6 +7,10 @@ Dedekind-Rademacher sums, read off floor sums by a Euclid-like
 recursion.  No float is computed: the trigonometric sums that define
 these values are test oracles only.  The signature defect is one
 `congruence.gsign_value`, read from integers.
+
+Besides the action, the invariant dimension reads one SU(2) lift: its
+charge is the lift's c2, and its weights are read as given, since each
+rho term is even in ell (s(q, p; -r) = s(q, p; r), and n -> p - n).
 """
 
 from __future__ import annotations
@@ -186,34 +190,33 @@ class DimensionReport:
         return "\n".join(_dimension_rows([*self.terms, ("dimension", self.dimension)]))
 
 
-def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy, k: int) -> DimensionReport:
-    """Dimension of the invariant part of the charge-k moduli space
-    for the equivariant lift described by the (adjoint) isotropy data:
+def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy) -> DimensionReport:
+    """Dimension of the invariant part of the moduli space of the
+    equivariant lift described by the (adjoint) isotropy data, whose
+    charge k is the lift's c2:
 
         8k/p - (3/2)(chi + sign)(X/G) + m - sum rho_lens
              + sum_{ell_j != 0} 2 + sum rho_surface
 
-    where m counts fixed points with nontrivial fiber rotation.  The
-    ell entries here are adjoint weights; they are folded into the
-    canonical range before evaluation, which leaves every rho term
-    unchanged.
+    where m counts fixed points with nontrivial fiber rotation.  Each
+    ell is read as given: every term depends on ell only up to sign
+    mod p, a sphere's (ell, m) together with (-ell, -m).
     """
     report = validate(action)
     if not report.ok:
         raise ValueError("invalid action: " + "; ".join(report.failures()))
     isotropy.check_shape(action)
     p = action.p
-    iso = isotropy.canonical(p)
     chi_q, sign_q = quotient_invariants(action)
-    t_inst = Fraction(8 * k, p)
+    t_inst = Fraction(8 * isotropy.c2, p)
     t_quot = Fraction(-3, 2) * (chi_q + sign_q)
-    m_count = sum(1 for e in iso.ell_points if e % p != 0)
+    m_count = sum(1 for e in isotropy.ell_points if e % p != 0)
     rho_l = Fraction(0)
-    for pt, e in zip(action.points, iso.ell_points):
+    for pt, e in zip(action.points, isotropy.ell_points):
         rho_l += rho_lens(p, pt.a, pt.b, e)
     sphere_euler = 0
     rho_s = Fraction(0)
-    for s, e, mm in zip(action.spheres, iso.ell_spheres, iso.m_spheres):
+    for s, e, mm in zip(action.spheres, isotropy.ell_spheres, isotropy.m_spheres):
         if e % p != 0:
             sphere_euler += 2
         rho_s += rho_surface(p, s.c, e, s.alpha, mm)
@@ -240,10 +243,5 @@ def dim_involution(action: GroupAction, k: int) -> DimensionReport:
     """
     if action.p != 2:
         raise NotInvolution(f"p = {action.p} is not an involution")
-    iso = Su2Isotropy(
-        (1,) * len(action.points),
-        (1,) * len(action.spheres),
-        (0,) * len(action.spheres),
-        c2=k,
-    )
-    return dim_invariant_moduli(action, iso, k)
+    n, s = len(action.points), len(action.spheres)
+    return dim_invariant_moduli(action, Su2Isotropy((1,) * n, (1,) * s, (0,) * s, c2=k))

@@ -65,8 +65,8 @@ def test_criterion_01_worked_strata_dimensions_exact_within_one_second():
     act = triple_cp2_bar_action()
     lift1 = Su2Isotropy((1, -3, 1), (1,), (0,), c2=1)
     lift2 = Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1)
-    d1 = dim_invariant_moduli(act, lift1, 1)
-    d2 = dim_invariant_moduli(act, lift2, 1)
+    d1 = dim_invariant_moduli(act, lift1)
+    d2 = dim_invariant_moduli(act, lift2)
     elapsed = time.perf_counter() - start
     assert d1.dimension == 1
     assert d2.dimension == 3

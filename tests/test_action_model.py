@@ -327,26 +327,29 @@ def test_shape_mismatch():
         Su2Isotropy((1, 2, 3), (9,), (0,), c2=1).check_shape(act)
 
 
-def test_su2_canonical_folding():
-    # ell ~ -ell mod p, with the sphere twisting degree flipping sign
-    iso = Su2Isotropy((4, 6), (3,), (2,), c2=1).canonical(5)
-    assert iso.ell_points == (1, 1)
-    assert iso.ell_spheres == (2,)
-    assert iso.m_spheres == (-2,)
-    # already-canonical data is untouched
-    iso2 = Su2Isotropy((1, 2), (2,), (5,), c2=3)
-    assert iso2.canonical(5) == iso2
-    # p = 2: 1 = p/2 is already canonical, so no m flips
-    assert Su2Isotropy((1, 2, 3), (1, 3), (4, 5), c2=1).canonical(2) == Su2Isotropy(
-        (1, 0, 1), (1, 1), (4, 5), c2=1
-    )
-    # a sphere ell just above p/2 folds and flips m; one just below, or 0, does not
-    assert Su2Isotropy((), (4, 3, 7), (2, 2, 2), c2=0).canonical(7) == Su2Isotropy(
-        (), (3, 3, 0), (-2, 2, 2), c2=0
-    )
-    # sphere lists of unequal length are refused, not truncated
-    with pytest.raises(ShapeMismatch):
-        Su2Isotropy((1,), (2, 3), (5,)).canonical(7)
+NON_INTEGER_RECORDS = {
+    "su2-ell-float": lambda: Su2Isotropy((1.5,), (), (), 1),
+    "su2-ell-str": lambda: Su2Isotropy(("3",), (), (), 1),
+    "su2-m-float": lambda: Su2Isotropy((), (1,), (2.0,), 1),
+    "su2-c2-float": lambda: Su2Isotropy((1,), (), (), 1.0),
+    "line-lambda-float": lambda: LineIsotropy((2.9,), (), ()),
+    "line-lambda-str": lambda: LineIsotropy(("3",), (None,), ()),
+    "line-c1-squared-float": lambda: LineIsotropy((2,), (), (), c1_squared=2.5),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_RECORDS.values(), ids=NON_INTEGER_RECORDS)
+def test_isotropy_records_refuse_a_non_integer(build):
+    # a float or a string is refused, not truncated to an integer
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_isotropy_records_keep_integers_and_free_slots():
+    su2 = Su2Isotropy([1, -3], (), (), c2=2)
+    assert (su2.ell_points, su2.c2) == ((1, -3), 2)
+    line = LineIsotropy([2, None], (None,), (4,), c1_squared=-1)
+    assert (line.lambda_points, line.lambda_spheres, line.c1_squared) == ((2, None), (None,), -1)
 
 
 # -- document round trips ----------------------------------------------------

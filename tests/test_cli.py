@@ -314,14 +314,6 @@ def test_dimension_non_integer_exit(tmp_path, capsys):
     assert payload["total"] == "3/5"
 
 
-def test_dimension_k_flag(tmp_path, capsys):
-    act = linear_s4(5, 1, 2)
-    path = _doc(tmp_path, "dk.json", action=act, su2=Su2Isotropy((1, 3), (), (), c2=1))
-    assert main(["dimension", path, "--k", "1", "--machine"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["dimension"] == 1
-
-
 def test_expand_point(capsys):
     code = main(["expand", "--kind", "point", "--a", "1", "--b", "2", "--order", "2", "--machine"])
     assert code == 0

@@ -964,6 +964,12 @@ def test_linking_form():
     assert linking_form(7, 3, 5) == Fraction(1, 7)  # 15 = 14 + 1
     with pytest.raises(NotCoprimeRotation):
         linking_form(6, 2, 1)
+    # the order of the lens space is checked before any arithmetic
+    with pytest.raises(ValueError, match="at least 1"):
+        linking_form(0, 1, 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        linking_form(-5, 1, 2)
+    assert linking_form(1, 3, 4) == 0
 
 
 def test_flat_chern_class():

@@ -230,9 +230,6 @@ NON_PRIME_BUILDERS = {
     "eval_sphere_term": lambda p: eval_sphere_term(p, 1, 1, 3),
     "eval_sphere_term_alpha_0": lambda p: eval_sphere_term(p, 1, 1, 0),
     "sin2_term": lambda p: sin2_term(p, 1),
-    # the test-side oracle above keeps the argument check of the builders
-    "sin_cot_term": lambda p: sin_cot_term(p, 1, 1),
-    "sin_cot_term_l_0": lambda p: sin_cot_term(p, 0, 1),
 }
 
 
@@ -241,6 +238,14 @@ NON_PRIME_BUILDERS = {
 def test_every_public_builder_rejects_non_prime_p(builder, p):
     with pytest.raises(ValueError, match="must be prime"):
         NON_PRIME_BUILDERS[builder](p)
+
+
+@pytest.mark.parametrize("p", [4, 9])
+@pytest.mark.parametrize("l", [1, 0], ids=["sin_cot_term", "sin_cot_term_l_0"])
+def test_sin_cot_oracle_rejects_non_prime_p(l, p):
+    # the test-side oracle keeps the argument check of the builders
+    with pytest.raises(ValueError, match="must be prime"):
+        sin_cot_term(p, l, 1)
 
 
 def test_zeta_power_reduction():

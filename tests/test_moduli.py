@@ -35,7 +35,7 @@ from equibundle.cyclotomic import (
     galois_sum,
     sin2_term,
 )
-from equibundle.exact_arith import is_prime
+from equibundle.exact_arith import is_prime, signed_rep
 from equibundle.moduli import (
     DimensionReport,
     NonIntegerDimension,
@@ -292,8 +292,8 @@ def test_headline_dimensions():
     act = triple_cp2_bar_action()
     lift1 = Su2Isotropy((1, -3, 1), (1,), (0,), c2=1)
     lift2 = Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1)
-    r1 = dim_invariant_moduli(act, lift1, 1)
-    r2 = dim_invariant_moduli(act, lift2, 1)
+    r1 = dim_invariant_moduli(act, lift1)
+    r2 = dim_invariant_moduli(act, lift2)
     assert r1.dimension == 1
     assert r2.dimension == 3
     assert isinstance(r1, DimensionReport)
@@ -306,7 +306,7 @@ def test_headline_dimensions():
 
 def test_dimension_breakdown_displays():
     act = triple_cp2_bar_action()
-    rep = dim_invariant_moduli(act, Su2Isotropy((1, -3, 1), (1,), (0,), c2=1), 1)
+    rep = dim_invariant_moduli(act, Su2Isotropy((1, -3, 1), (1,), (0,), c2=1))
     text = rep.display()
     assert "dimension" in text and "1" in text
 
@@ -314,24 +314,88 @@ def test_dimension_breakdown_displays():
 def test_non_integer_dimension_carries_terms():
     act = linear_s4(5, 1, 2)
     with pytest.raises(NonIntegerDimension) as info:
-        dim_invariant_moduli(act, Su2Isotropy((1, 1), (), (), c2=1), 1)
+        dim_invariant_moduli(act, Su2Isotropy((1, 1), (), (), c2=1))
     assert info.value.total == Fraction(3, 5)
     assert len(info.value.terms) > 0
 
 
 def test_dimension_invariance_under_weight_conventions():
     act = triple_cp2_bar_action()
-    base = dim_invariant_moduli(act, Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1), 1)
-    shifted = dim_invariant_moduli(act, Su2Isotropy((6, 1, 1), (1,), (-1,), c2=1), 1)
-    flipped = dim_invariant_moduli(act, Su2Isotropy((-1, 1, 1), (1,), (-1,), c2=1), 1)
-    flip_all = dim_invariant_moduli(act, Su2Isotropy((-1, -1, -1), (-1,), (1,), c2=1), 1)
+    base = dim_invariant_moduli(act, Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1))
+    shifted = dim_invariant_moduli(act, Su2Isotropy((6, 1, 1), (1,), (-1,), c2=1))
+    flipped = dim_invariant_moduli(act, Su2Isotropy((-1, 1, 1), (1,), (-1,), c2=1))
+    flip_all = dim_invariant_moduli(act, Su2Isotropy((-1, -1, -1), (-1,), (1,), c2=1))
     assert base.dimension == shifted.dimension == flipped.dimension == flip_all.dimension
+
+
+# -- the weights are read as given: the retired fold is the oracle ------------
+
+
+def _fold(iso, p):
+    """Every ell into [0, p/2], a sphere's m flipping sign with its ell:
+    the fold the dimension applied before it read each weight as given."""
+    points = tuple(abs(signed_rep(e, p)) for e in iso.ell_points)
+    spheres = [(signed_rep(e, p), m) for e, m in zip(iso.ell_spheres, iso.m_spheres)]
+    ells = tuple(abs(e) for e, _ in spheres)
+    return Su2Isotropy(points, ells, tuple(-m if e < 0 else m for e, m in spheres), iso.c2)
+
+
+def _dimension_or_total(action, iso):
+    """The report, or the total and terms of a non-integer dimension."""
+    try:
+        return dim_invariant_moduli(action, iso)
+    except NonIntegerDimension as exc:
+        return exc.total, exc.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rho_terms_are_even_in_ell(data):
+    # s(q, p; -r) = s(q, p; r) for the lens term, n -> p - n for the surface term
+    p = data.draw(st.sampled_from(PROPERTY_PRIMES), label="p")
+    a, b, c = (data.draw(st.integers(1, p - 1)) for _ in range(3))
+    ell = data.draw(st.integers(-2 * p, 2 * p), label="ell")
+    alpha = data.draw(st.integers(-5, 5), label="alpha")
+    m = data.draw(st.integers(-3, 3), label="m")
+    assert rho_lens(p, a, b, ell) == rho_lens(p, a, b, -ell)
+    assert rho_surface(p, c, ell, alpha, m) == rho_surface(p, c, -ell, alpha, -m)
+
+
+FOLD_MODELS = {
+    "cp2": linear_cp2,
+    "cp2-sphere": lambda p, a, b: linear_cp2(p, a, 0),
+    "cp2-bar": lambda p, a, b: linear_cp2_bar(p, a),
+    "s4": linear_s4,
+    "triple": lambda p, a, b: triple_cp2_bar_action(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dimension_of_a_lift_equals_that_of_its_fold(data):
+    # on linear models at primes up to 10007 and on the triple action,
+    # with weights anywhere in [-2p, 2p]; a non-integer total is compared too
+    p = data.draw(st.sampled_from(PROPERTY_PRIMES[1:]), label="p")
+    a = data.draw(st.integers(1, p - 1), label="a")
+    b = data.draw(st.integers(1, p - 1).filter(lambda b: b != a), label="b")
+    model = data.draw(st.sampled_from(sorted(FOLD_MODELS)), label="model")
+    act = FOLD_MODELS[model](p, a, b)
+    q = act.p
+    weights = st.integers(-2 * q, 2 * q)
+    n_pts, n_sph = len(act.points), len(act.spheres)
+    iso = Su2Isotropy(
+        data.draw(st.lists(weights, min_size=n_pts, max_size=n_pts), label="ell_points"),
+        data.draw(st.lists(weights, min_size=n_sph, max_size=n_sph), label="ell_spheres"),
+        data.draw(st.lists(st.integers(-3, 3), min_size=n_sph, max_size=n_sph), label="m"),
+        data.draw(st.integers(-3, 3), label="c2"),
+    )
+    assert _dimension_or_total(act, iso) == _dimension_or_total(act, _fold(iso, q))
 
 
 def test_isolated_only_path():
     act = linear_s4(5, 1, 2)
     iso = Su2Isotropy((1, 3), (), (), c2=1)
-    assert dim_invariant_moduli(act, iso, 1).dimension == 1
+    assert dim_invariant_moduli(act, iso).dimension == 1
 
 
 def test_nonequivariant_dimension():
@@ -372,7 +436,7 @@ def test_involution_dimension_matches_its_closed_form(action, k):
 def test_invariant_moduli_validates_action():
     bad = GroupAction(5, (IsolatedPoint(5, 1, 2),), (), 1, 3, 1)
     with pytest.raises(ValueError):
-        dim_invariant_moduli(bad, Su2Isotropy((1,), (), (), c2=1), 1)
+        dim_invariant_moduli(bad, Su2Isotropy((1,), (), (), c2=1))
 
 
 def test_rho_equals_p_fold_galois_sum():
@@ -433,9 +497,9 @@ def test_signature_paths_evaluate_once_per_fixed_point(monkeypatch):
     act = linear_cp2(31, 1, 2)
     assert gsignature_check(act).ok
     s4 = linear_s4(31, 1, 2)
-    assert dim_invariant_moduli(s4, Su2Isotropy((1, 3), (), (), c2=1), 1).dimension == 1
+    assert dim_invariant_moduli(s4, Su2Isotropy((1, 3), (), (), c2=1)).dimension == 1
     triple = triple_cp2_bar_action()
-    assert dim_invariant_moduli(triple, Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1), 1).dimension == 3
+    assert dim_invariant_moduli(triple, Su2Isotropy((1, 1, 1), (1,), (-1,), c2=1)).dimension == 3
     assert point_calls == [] and term_calls == [] and galois_calls == []
     bad = GroupAction(5, (IsolatedPoint(5, 1, 2),), (), 1, 3, 1)
     with pytest.raises(NotRational):
@@ -459,8 +523,8 @@ def test_request_paths_multiply_no_dense_field_elements(monkeypatch):
             defect_terms(triple),
             rho_lens(31, 2, 5, 7),
             rho_surface(31, 3, 11, -2, 4),
-            dim_invariant_moduli(s4, iso, 1),
-            dim_invariant_moduli(triple, triple_iso, 1),
+            dim_invariant_moduli(s4, iso),
+            dim_invariant_moduli(triple, triple_iso),
             dim_involution(involution, 1),
         )
 
