@@ -73,7 +73,7 @@ print()
 
 print("== boundary data at a fixed sphere ==")
 sphere = FixedSphere(5, 1, -2)
-r = boundary_chern_data(sphere, 1, 0, 5)
+r = boundary_chern_data(sphere, 1, 0)
 print("  alpha=-2, lambda=1, m=0  ->", r)
 
 print()

@@ -4,9 +4,11 @@ connected sums, and the document serialization used by the CLI.
 
 An action of Z/p is recorded by its fixed point set: isolated points
 carry tangential rotation numbers (a, b), fixed 2-spheres carry a
-normal rotation c and a self-intersection alpha.  Rotation pairs are
-defined up to order and simultaneous sign change; constructors
-canonicalize so that equality means equality of equivalence classes.
+normal rotation c and a self-intersection alpha.  Every rotation is a
+unit mod p, and the constructors refuse a zero one (ZeroRotation).
+Rotation pairs are defined up to order and simultaneous sign change;
+constructors canonicalize so that equality means equality of
+equivalence classes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from .cyclotomic import ZeroRotation
 from .exact_arith import ModulusMismatch, is_prime, signed_rep
 
 __all__ = [
@@ -71,8 +74,10 @@ class IsolatedPoint:
     """Isolated fixed point with tangential rotation numbers (a, b) mod p.
 
     Stored canonically: the lexicographically least representative of
-    {(a,b), (b,a), (-a,-b), (-b,-a)} with entries in [0, p).  Zero
-    entries are representable so that validation can flag them.
+    {(a,b), (b,a), (-a,-b), (-b,-a)} with entries in (0, p).  Both
+    rotations must be units mod p, as every congruence divides by
+    them: a rotation divisible by p raises ZeroRotation here, so no
+    later check repeats the rule.
     """
 
     p: int
@@ -84,13 +89,11 @@ class IsolatedPoint:
         if p < 2:
             raise ValueError(f"modulus must be >= 2, got {p}")
         a, b = self.a % p, self.b % p
-        best = min((a, b), (b, a), ((-a) % p, (-b) % p), ((-b) % p, (-a) % p))
+        if a == 0 or b == 0:
+            raise ZeroRotation(f"rotation numbers ({self.a}, {self.b}) must be nonzero mod {p}")
+        best = min((a, b), (b, a), (p - a, p - b), (p - b, p - a))
         object.__setattr__(self, "a", best[0])
         object.__setattr__(self, "b", best[1])
-
-    @property
-    def degenerate(self) -> bool:
-        return self.a == 0 or self.b == 0
 
     def orientation_reversed(self) -> "IsolatedPoint":
         """The class of the same point in the reversed-orientation manifold."""
@@ -102,7 +105,9 @@ class IsolatedPoint:
 
 @dataclass(frozen=True)
 class FixedSphere:
-    """Fixed 2-sphere with normal rotation c mod p and self-intersection alpha."""
+    """Fixed 2-sphere with normal rotation c mod p and self-intersection
+    alpha.  c is stored in (0, p); a c divisible by p raises
+    ZeroRotation here, as for the rotations of an `IsolatedPoint`."""
 
     p: int
     c: int
@@ -111,11 +116,9 @@ class FixedSphere:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise ValueError(f"modulus must be >= 2, got {self.p}")
+        if self.c % self.p == 0:
+            raise ZeroRotation(f"normal rotation {self.c} must be nonzero mod {self.p}")
         object.__setattr__(self, "c", self.c % self.p)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.c == 0
 
     def weight_class(self) -> int:
         # c and -c describe the same unoriented normal rotation
@@ -164,14 +167,6 @@ class GroupAction:
     def same_data(self, other: "GroupAction") -> bool:
         return self.data_key() == other.data_key()
 
-    def display(self) -> str:
-        pts = ", ".join(pt.display() for pt in self.points) or "none"
-        sph = ", ".join(s.display() for s in self.spheres) or "none"
-        return (
-            f"p={self.p}  points: {pts}  spheres: {sph}  "
-            f"Sign={self.signature} chi={self.euler} b2={self.b2}"
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -198,17 +193,14 @@ def _count_rule(n_points: int, n_spheres: int, euler: int, b2: int) -> list[tupl
 
 
 def validate(action: GroupAction) -> ValidationReport:
-    """Structural checks: prime order, nonzero rotations and the count rule."""
+    """Structural checks: prime order and the count rule.  Nonzero
+    rotations need no entry: `IsolatedPoint` and `FixedSphere` refuse
+    a zero one when they are built."""
     entries = []
     warnings = []
     entries.append(("prime_order", is_prime(action.p), f"p = {action.p}"))
     if action.p == 2:
         warnings.append("p = 2: dimension formulas only, congruence checks need odd p")
-    bad = [pt.display() for pt in action.points if pt.degenerate]
-    bad += [s.display() for s in action.spheres if s.degenerate]
-    entries.append(
-        ("nonzero_rotations", not bad, "zero rotation at " + ", ".join(bad) if bad else "all nonzero")
-    )
     entries += _count_rule(len(action.points), len(action.spheres), action.euler, action.b2)
     return ValidationReport(tuple(entries), tuple(warnings))
 

@@ -8,8 +8,8 @@ elements of Z[zeta]/p = F_p[t]/Phi_p(t) in the basis of zeta powers,
 at O(p) cost per fixed component.  The bundle checks read the
 order-2 expansion of their twisted terms off the relation and weight
 sums in closed form.  The checks and the solver first make sure
-that p is an odd prime and that every rotation number is a unit mod
-p, since the relations divide by them.
+that p is an odd prime; every rotation number is a unit mod p, since
+`IsolatedPoint` and `FixedSphere` refuse a zero one when they are built.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ from .action_model import (
     _count_rule,
 )
 from .cyclotomic import (
-    ZeroRotation,
-    _check,
-    _check_rotations,
     _over_units,
     _point,
+    _require_prime,
     _sphere,
     _term,
     _twist,
@@ -126,28 +124,17 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"congruence checks need an odd prime, got p = {p}")
 
 
-def _require_units(action: GroupAction) -> None:
-    """Odd prime p and every rotation number a unit mod p; names the
-    first offending point or sphere by its index."""
-    p = action.p
-    _require_odd_prime(p)
-    for i, pt in enumerate(action.points):
-        if pt.degenerate:
-            raise ZeroRotation(
-                f"point {i}: rotation numbers ({pt.a}, {pt.b}) must be nonzero mod {p}"
-            )
-    for j, s in enumerate(action.spheres):
-        if s.degenerate:
-            raise ZeroRotation(f"sphere {j}: normal rotation {s.c} must be nonzero mod {p}")
-
-
 # -- exact signature sums ------------------------------------------------
 
 
-def gsign_value(action: GroupAction, k: int) -> Rational:
-    """Exact equivariant signature of the k-th group element power,
-    summed from fixed point data.  p and k are checked once, before
-    the components, so an action with none is checked too.
+def gsign_value(action: GroupAction) -> Rational:
+    """Exact equivariant signature of the generator, summed from fixed
+    point data.  p is checked before the components, so an action with
+    none is checked too; the rotations are units by construction.
+
+    The value at a power g^k is sigma_k (zeta -> zeta^k) of this one,
+    and sigma_k maps a rational to itself and an irrational value to an
+    irrational one, so the generator's value answers for every power.
 
     Every point and sphere term has pole order 2, so the sum is
     S(zeta)/(zeta - 1)^2, S the sum of their integral windows
@@ -157,14 +144,9 @@ def gsign_value(action: GroupAction, k: int) -> Rational:
     is evaluated once in Q(zeta_p), and NotRational names its zeta part.
     """
     p = action.p
-    _check(p, k)
-    terms = []
-    for pt in action.points:
-        _check_rotations(p, pt.a, pt.b)
-        terms.append(_point(k * pt.a, k * pt.b))
-    for s in action.spheres:
-        _check_rotations(p, s.c)
-        terms.append(_sphere(k * s.c, s.alpha))
+    _require_prime(p)
+    terms = [_point(pt.a, pt.b) for pt in action.points]
+    terms += [_sphere(s.c, s.alpha) for s in action.spheres]
     if not terms:
         return Fraction(0)
     windows = (_over_units(p, num, units) for num, units, _ in terms)
@@ -202,13 +184,13 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     equals the ordinary signature; verify this exactly for each power.
 
     The value at g^k is sigma_k (zeta -> zeta^k) applied to the value
-    at g, and sigma_k fixes a rational, so one `gsign_value` at k = 1,
-    read from integers, gives every record; an irrational value raises
+    at g, and sigma_k fixes a rational, so one `gsign_value`, read from
+    integers, gives every record; an irrational value raises
     NotRational there.
     """
-    _require_units(action)
+    _require_odd_prime(action.p)
     want = Fraction(action.signature)
-    got = gsign_value(action, 1)
+    got = gsign_value(action)
     ok = got == want
     return CongruenceReport(
         tuple(
@@ -218,8 +200,9 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     )
 
 
-def _vector_sum(p: int, vectors: list[list[int]], length: int) -> list[int]:
-    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * length
+def _vector_sum(p: int, vectors: list[list[int]]) -> list[int]:
+    """The summed component vectors mod p; p + 3 zeros when there are none."""
+    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * (p + 3)
 
 
 # -- rotation data congruences ---------------------------------------------
@@ -323,10 +306,10 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     once, for its records.
     """
     p = action.p
-    _require_units(action)
+    _require_odd_prime(p)
     vectors = [_point_vector(p, pt.a, pt.b) for pt in action.points]
     vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
-    total = _vector_sum(p, vectors, p + 3)
+    total = _vector_sum(p, vectors)
     sign = action.signature % p
     # Sign * s^2 in the s basis, through s^(p-2): zero when p = 3
     target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
@@ -386,7 +369,7 @@ def theorem_a_condition(action: GroupAction, isotropy: LineIsotropy) -> Congruen
     """The single realizability congruence for fiber weights on a
     circle bundle: sum of lambda/(ab) over points plus
     (c*m - lambda*alpha)/c^2 over spheres vanishes mod p."""
-    _require_units(action)
+    _require_odd_prime(action.p)
     isotropy.check_shape(action)
     if isotropy.free_slots():
         raise Underdetermined("condition check needs a fully specified isotropy record")
@@ -405,7 +388,7 @@ def solve_theorem_a(action: GroupAction, partial: LineIsotropy) -> LineIsotropy:
     balances (0 is returned) and nothing works otherwise (NotSolvable).
     """
     p = action.p
-    _require_units(action)
+    _require_odd_prime(p)
     partial.check_shape(action)
     slots = partial.free_slots()
     if not slots:
@@ -431,7 +414,7 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
     bundle, plus the expansion check through order min(2, p-2) whose
     second-order target is Sign(X) + 2*c1^2."""
     p = action.p
-    _require_units(action)
+    _require_odd_prime(p)
     isotropy.check_shape(action)
     if isotropy.free_slots():
         raise Underdetermined("bundle check needs a fully specified isotropy record")
@@ -454,7 +437,7 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     fiber character t^ell + t^(-ell), target -c2; the expansion check
     through order min(2, p-2) targets 2*Sign(X) - 4*c2 at order 2."""
     p = action.p
-    _require_units(action)
+    _require_odd_prime(p)
     isotropy.check_shape(action)
     lhs = _weight_sum(action, isotropy.ell_points, isotropy.ell_spheres, isotropy.m_spheres, 2)
     want = (-isotropy.c2) % p
@@ -480,14 +463,17 @@ def linking_form(n: int, a: int, b: int) -> Rational:
 
 def flat_chern_class(n: int, a: int, b: int, lam: int) -> Residue:
     """Chern coefficient lambda/(ab) mod n of the flat circle bundle
-    with holonomy weight lambda over L(n; a, b)."""
+    with holonomy weight lambda over L(n; a, b), for n >= 2."""
+    if n < 2:
+        raise ValueError(f"the lens space order must be at least 2, got {n}")
     if gcd(a * b, n) != 1:
         raise NotCoprimeRotation(f"a*b = {a * b} must be coprime to {n}")
     return Residue(lam * pow(a * b, -1, n), n)
 
 
-def boundary_chern_data(sphere: FixedSphere, lam: int, m: int, p: int) -> Residue:
-    """The residue class ell mod p*|alpha| determined by
+def boundary_chern_data(sphere: FixedSphere, lam: int, m: int) -> Residue:
+    """The residue class ell mod p*|alpha|, p = sphere.p a prime,
+    determined by
 
         ell = -lam * alpha   mod p^(e+1)
         ell = c * m          mod abar
@@ -496,8 +482,8 @@ def boundary_chern_data(sphere: FixedSphere, lam: int, m: int, p: int) -> Residu
     ratio ell/c^2 is the Chern coefficient of the induced bundle on
     the boundary lens space of the sphere's neighbourhood.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p = sphere.p
+    _require_prime(p)
     if sphere.alpha == 0:
         raise ZeroSelfIntersection("alpha = 0 leaves no boundary congruence")
     abar = abs(sphere.alpha)
@@ -606,7 +592,7 @@ def _search(
             ws = choices[k]
             vecs = [vector(_point_vector, *classes[i]) for i in idx]
             vecs += [vector(_sphere_vector, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-            if _vector_sum(p, vecs, p + 3) == target:
+            if _vector_sum(p, vecs) == target:
                 yield GroupAction(
                     p,
                     tuple(IsolatedPoint(p, *classes[i]) for i in idx),

@@ -146,12 +146,12 @@ def defect_terms(action: GroupAction) -> tuple[Rational, Rational]:
     g^k is sigma_k of the value at g, and sigma_k fixes a rational, so
     d_sign = (p-1) * Sign(g, X) from one `gsign_value`, read from one
     integral window per component in O(p); an irrational value raises
-    NotRational at k = 1.
+    NotRational.
     """
     n = len(action.points)
     s = len(action.spheres)
     d_chi = Fraction((action.p - 1) * (n + 2 * s))
-    d_sign = (action.p - 1) * gsign_value(action, 1)
+    d_sign = (action.p - 1) * gsign_value(action)
     return d_chi, d_sign
 
 

@@ -32,6 +32,7 @@ from equibundle.action_model import (
     triple_cp2_bar_action,
     validate,
 )
+from equibundle.cyclotomic import ZeroRotation
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -59,11 +60,41 @@ def test_sphere_weight_class():
     assert FixedSphere(7, 2, 3).weight_class() == 2
 
 
-def test_validate_flags_zero_rotation():
-    act = GroupAction(5, (IsolatedPoint(5, 5, 1),), (), 0, 3, 1)
-    rep = validate(act)
-    assert not rep.ok
-    assert any("rotation" in f for f in rep.failures())
+def test_a_zero_rotation_is_refused_where_it_is_built():
+    for build, message in [
+        (lambda: IsolatedPoint(5, 0, 1), r"rotation numbers \(0, 1\) must be nonzero mod 5"),
+        (lambda: IsolatedPoint(5, 5, 2), r"rotation numbers \(5, 2\) must be nonzero mod 5"),
+        (lambda: FixedSphere(5, 10, 1), "normal rotation 10 must be nonzero mod 5"),
+    ]:
+        with pytest.raises(ZeroRotation, match=message):
+            build()
+    # validate has nothing left to say about rotations
+    names = [name for name, _, _ in validate(linear_cp2(5, 1, 2)).entries]
+    assert names == ["prime_order", "fixed_set_count", "euler_betti"]
+
+
+@st.composite
+def _rotations(draw):
+    """(p, rotations): one or two rotations at a modulus up to 60, a
+    multiple of p about half the time."""
+    p = draw(st.integers(2, 60))
+    rotation = st.one_of(st.integers(-3, 3).map(lambda q: q * p), st.integers(-200, 200))
+    return p, draw(st.lists(rotation, min_size=1, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rotations(), st.integers(-4, 4))
+def test_a_point_or_sphere_is_built_only_with_nonzero_rotations(case, alpha):
+    p, rotations = case
+    if len(rotations) == 2:
+        build, stored = (lambda: IsolatedPoint(p, *rotations)), (lambda pt: (pt.a, pt.b))
+    else:
+        build, stored = (lambda: FixedSphere(p, rotations[0], alpha)), (lambda s: (s.c,))
+    if any(r % p == 0 for r in rotations):
+        with pytest.raises(ZeroRotation, match=f"must be nonzero mod {p}$"):
+            build()
+    else:
+        assert all(0 < r < p for r in stored(build()))
 
 
 def test_validate_counts():
@@ -360,8 +391,9 @@ _SMALL = st.integers(-40, 40)
 @st.composite
 def _actions(draw):
     p = draw(st.integers(2, 60))
-    points = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=5))
-    spheres = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=3))
+    rotation = _SMALL.filter(lambda r: r % p)
+    points = draw(st.lists(st.tuples(rotation, rotation), max_size=5))
+    spheres = draw(st.lists(st.tuples(rotation, _SMALL), max_size=3))
     return GroupAction(
         p,
         tuple(IsolatedPoint(p, a, b) for a, b in points),

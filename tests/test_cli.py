@@ -235,6 +235,22 @@ def test_invalid_action_document(tmp_path):
     assert main(["check", str(path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "points, spheres, message",
+    [
+        ([[0, 1], [1, 2]], [], "rotation numbers (0, 1) must be nonzero mod 5"),
+        ([[1, 2]], [{"c": 10, "alpha": 1}], "normal rotation 10 must be nonzero mod 5"),
+    ],
+    ids=["point", "sphere"],
+)
+def test_zero_rotation_document_is_validation_error(tmp_path, capsys, points, spheres, message):
+    # refused where the point or sphere is built, in the constructor's words
+    action = {"p": 5, "points": points, "spheres": spheres, "signature": 0, "euler": 2, "b2": 0}
+    path = _doc(tmp_path, "zero.json", raw=json.dumps({"action": action}))
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_null_slot(tmp_path, capsys):
     act = linear_cp2(5, 1, 0)
     iso = LineIsotropy((2,), (1,), (None,))

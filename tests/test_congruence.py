@@ -86,15 +86,17 @@ def _model_pool(p, rng, count=4):
 
 
 def test_gsign_value_equals_signature_on_models():
+    # the generator's value, and the field sum at every power
     rng = random.Random(8300)
     for p in PRIMES:
         for act in _model_pool(p, rng, 5):
+            assert gsign_value(act) == Fraction(act.signature)
             for k in range(1, p):
-                assert gsign_value(act, k) == Fraction(act.signature)
+                assert _gsign_in_the_field(act, k) == Fraction(act.signature)
 
 
 def test_gsign_value_of_an_empty_fixed_set_is_zero():
-    assert gsign_value(GroupAction(5, (), (), 0, 0, -2), 1) == 0
+    assert gsign_value(GroupAction(5, (), (), 0, 0, -2)) == 0
 
 
 def _gsign_in_the_field(action, k):
@@ -116,7 +118,7 @@ def _outcome(f, *args):
 
 
 def _random_action(draw, p):
-    r = st.integers(-p, 2 * p)
+    r = st.integers(-p, 2 * p).filter(lambda x: x % p)
     points = draw(st.lists(st.tuples(r, r), max_size=4))
     spheres = draw(st.lists(st.tuples(r, st.integers(-4, 4)), max_size=2))
     return GroupAction(
@@ -133,20 +135,27 @@ def _random_action(draw, p):
 def _signature_data(draw):
     """(action, k): a sum of linear models, whose values are rational, or
     random fixed data at a prime up to 101, p = 2 and 3 included, where
-    most sums are irrational or hit a zero rotation; any power k."""
+    most sums are irrational; any unit power k."""
     if draw(st.booleans()):
         act = draw(_connected_sums())[0]
     else:
         act = _random_action(draw, draw(st.sampled_from([2, 3, 5, 7, 13, 29, 53, 101])))
-    return act, draw(st.integers(-act.p, 3 * act.p))
+    return act, draw(st.integers(-act.p, 3 * act.p).filter(lambda k: k % act.p))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_signature_data())
 def test_gsign_value_equals_the_sum_in_the_field(case):
-    # the value read from integer windows, or the same error and message
+    # the value read from integer windows, or the same error and message;
+    # the field sum at any unit power is that rational, or irrational too
     act, k = case
-    assert _outcome(gsign_value, act, k) == _outcome(_gsign_in_the_field, act, k)
+    value = _outcome(gsign_value, act)
+    assert value == _outcome(_gsign_in_the_field, act, 1)
+    at_k = _outcome(_gsign_in_the_field, act, k)
+    if isinstance(value, Fraction):
+        assert at_k == value
+    else:
+        assert at_k[0] is value[0] is NotRational
 
 
 def test_gsign_value_at_p_2_and_3_equals_the_sum_in_the_field():
@@ -159,7 +168,7 @@ def test_gsign_value_at_p_2_and_3_equals_the_sum_in_the_field():
             for c, alpha, k in itertools.product(range(1, p), (-2, 1), powers):
                 fixed_points = tuple(IsolatedPoint(p, *pt) for pt in points)
                 act = GroupAction(p, fixed_points, (FixedSphere(p, c, alpha),), 0, 0, 0)
-                assert gsign_value(act, k) == _gsign_in_the_field(act, k)
+                assert gsign_value(act) == _gsign_in_the_field(act, k)
 
 
 def test_gsign_reverses_sign_under_orientation_flip():
@@ -169,8 +178,9 @@ def test_gsign_reverses_sign_under_orientation_flip():
         a = rng.randrange(1, p)
         act = linear_cp2(p, a, 0)
         rev = reverse_orientation(act)
-        for k in range(1, p):
-            assert gsign_value(rev, k) == -gsign_value(act, k)
+        assert gsign_value(rev) == -gsign_value(act)
+        for k in range(2, p):
+            assert _gsign_in_the_field(rev, k) == -_gsign_in_the_field(act, k)
 
 
 def test_gsignature_check_on_connected_sums():
@@ -237,7 +247,7 @@ def test_gsignature_records_equal_every_power():
     rng = random.Random(8303)
     for p in PRIMES_TO_31:
         for act in _model_pool(p, rng):
-            values = [gsign_value(act, k) for k in range(1, p)]
+            values = [_gsign_in_the_field(act, k) for k in range(1, p)]
             for claimed in (act, replace(act, signature=0)):
                 report = gsignature_check(claimed)
                 assert [r.name for r in report.records] == [
@@ -569,16 +579,16 @@ def test_battery_and_search_use_no_series_division(monkeypatch):
     assert check_su2(linear_cp2_bar(5, 1), Su2Isotropy((3,), (3,), (-1,), c2=1)).ok
 
 
-# (0, 1) at p = 5 and a sphere with c = 0: data validation would reject
-# both, but the library entry points must still name the culprit
+# (0, 1) at p = 5 and a sphere with c = 0: the constructors refuse both,
+# naming the rotation and p, so no entry point is reached with them
 DEGENERATE = [
     (
-        GroupAction(5, (IsolatedPoint(5, 1, 2), IsolatedPoint(5, 0, 1)), (), 0, 2, 0),
-        r"point 1: rotation numbers \(0, 1\) must be nonzero mod 5",
+        lambda: GroupAction(5, (IsolatedPoint(5, 1, 2), IsolatedPoint(5, 0, 1)), (), 0, 2, 0),
+        r"rotation numbers \(0, 1\) must be nonzero mod 5",
     ),
     (
-        GroupAction(5, (IsolatedPoint(5, 1, 2),), (FixedSphere(5, 0, 1),), 1, 3, 1),
-        "sphere 0: normal rotation 0 must be nonzero mod 5",
+        lambda: GroupAction(5, (IsolatedPoint(5, 1, 2),), (FixedSphere(5, 0, 1),), 1, 3, 1),
+        "normal rotation 0 must be nonzero mod 5",
     ),
 ]
 
@@ -605,10 +615,11 @@ UNIT_CHECKED = {
 
 
 @pytest.mark.parametrize("entry", sorted(UNIT_CHECKED))
-@pytest.mark.parametrize("act, message", DEGENERATE, ids=["point", "sphere"])
-def test_non_unit_rotation_names_the_component(entry, act, message):
+@pytest.mark.parametrize("build, message", DEGENERATE, ids=["point", "sphere"])
+def test_non_unit_rotation_names_the_component(entry, build, message):
+    # the data is refused where it is built, before the entry point runs
     with pytest.raises(ZeroRotation, match=message):
-        UNIT_CHECKED[entry](act)
+        UNIT_CHECKED[entry](build())
 
 
 def test_relation_two_is_implied_by_relation_one_and_series():
@@ -976,6 +987,10 @@ def test_flat_chern_class():
     r = flat_chern_class(5, 1, 2, 3)
     assert (r.value * 2) % 5 == 3
     assert r.modulus == 5
+    # n is refused before any arithmetic, in the wording of linking_form
+    for n in (0, 1, -5):
+        with pytest.raises(ValueError, match=f"lens space order must be at least 2, got {n}"):
+            flat_chern_class(n, 1, 1, 3)
 
 
 def test_boundary_chern_data_small_grid():
@@ -993,20 +1008,26 @@ def test_boundary_chern_data_small_grid():
                     e += 1
                 for lam in range(p):
                     for m in range(abar):
-                        r = boundary_chern_data(sphere, lam, m, p)
+                        r = boundary_chern_data(sphere, lam, m)
                         assert r.modulus == p * abs(alpha)
                         assert (r.value + lam * alpha) % p ** (e + 1) == 0
                         if abar > 1:
                             assert (r.value - c * m) % abar == 0
-    # p = 1 would divide alpha forever and p = 0 would divide by zero
-    for p in (0, -3, 1):
-        with pytest.raises(ValueError, match="p must be prime"):
-            boundary_chern_data(FixedSphere(5, 1, 3), 1, 1, p)
+    # the sphere's own p is the prime: a composite one is refused
+    for p in (4, 9):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            boundary_chern_data(FixedSphere(p, 1, 3), 1, 1)
+
+
+def test_boundary_chern_data_reads_p_from_the_sphere():
+    # p = 5 from the sphere: -lam*alpha = 2 mod 5 and c*m = 2 mod 3
+    r = boundary_chern_data(FixedSphere(5, 2, 3), 1, 1)
+    assert (r.value, r.modulus) == (2, 15)
 
 
 def test_boundary_chern_zero_alpha():
     with pytest.raises(ZeroSelfIntersection):
-        boundary_chern_data(FixedSphere(5, 1, 0), 1, 1, 5)
+        boundary_chern_data(FixedSphere(5, 1, 0), 1, 1)
 
 
 def test_search_includes_linear_model():
@@ -1225,7 +1246,7 @@ def _sphere_choices_with_vectors(p, sphere_alphas):
             continue
         seen.add(key)
         vecs = [congruence._sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-        yield ws, congruence._vector_sum(p, vecs, p + 3)
+        yield ws, congruence._vector_sum(p, vecs)
 
 
 def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
@@ -1273,7 +1294,7 @@ def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2
             if start == len(bucket):
                 continue
             if partial is None:
-                partial = _vector_sum(p, [vectors[i] for i in prefix], p + 3)
+                partial = _vector_sum(p, [vectors[i] for i in prefix])
             last = [(x - y) % p for x, y in zip(need, partial)]
             hits += [(j, k) for j in bucket[start:] if vectors[j] == last]
         hits.sort()

@@ -49,6 +49,7 @@ from equibundle.moduli import (
     rho_lens,
     rho_surface,
 )
+from test_congruence import _gsign_in_the_field
 from test_cyclotomic import field_trace, sin_cot_term
 
 PINNED_LENS = [
@@ -457,10 +458,10 @@ def test_signature_defect_equals_sum_over_powers():
     rng = random.Random(9104)
     for p in ORACLE_PRIMES[1:]:
         for act in _action_pool(p, rng):
-            want = sum(gsign_value(act, k) for k in range(1, p))
+            want = sum(_gsign_in_the_field(act, k) for k in range(1, p))
             assert defect_terms(act)[1] == want
     inv = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2)
-    assert defect_terms(inv)[1] == gsign_value(inv, 1)
+    assert defect_terms(inv)[1] == gsign_value(inv)
 
 
 def test_irrational_signature_still_raises_at_the_first_power():
@@ -616,8 +617,7 @@ def test_rho_checks_p_and_rotations_before_any_shortcut(rho, args, error):
 
 
 SIGNATURE_BAD_ARGUMENTS = [
-    (gsign_value, (GroupAction(4, (), (), 0, 0, 0), 1), ValueError),
-    (gsign_value, (GroupAction(5, (), (), 0, 0, 0), 5), ZeroRotation),
+    (gsign_value, (GroupAction(4, (), (), 0, 0, 0),), ValueError),
     (defect_terms, (GroupAction(9, (), (), 0, 2, 0),), ValueError),
 ]
 
@@ -625,10 +625,10 @@ SIGNATURE_BAD_ARGUMENTS = [
 @pytest.mark.parametrize(
     "fn, args, error",
     SIGNATURE_BAD_ARGUMENTS,
-    ids=["gsign_value-p4", "gsign_value-k5", "defect_terms-p9"],
+    ids=["gsign_value-p4", "defect_terms-p9"],
 )
 def test_signature_checks_p_and_k_without_fixed_components(fn, args, error):
-    # p and k are checked once, before the components, so an action
-    # with no fixed points or spheres is checked too
+    # p is checked before the components, so an action with no fixed
+    # points or spheres is checked too
     with pytest.raises(error):
         fn(*args)
