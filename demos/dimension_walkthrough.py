@@ -28,9 +28,9 @@ print("  spheres:", ", ".join(s.display() for s in act.spheres))
 print("  Sign = %d, chi = %d, b2 = %d" % (act.signature, act.euler, act.b2))
 print()
 
-# sanity: the data closes up and satisfies every congruence it must
-report = validate(act)
-assert report.ok, report.display()
+# sanity: the data closes up (validate raises InconsistentCounts if
+# not) and satisfies every congruence it must
+validate(act)
 assert gsignature_check(act).ok
 assert check_rotation_relations(act).ok
 chi_q, sign_q = quotient_invariants(act)

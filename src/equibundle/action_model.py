@@ -4,8 +4,11 @@ connected sums, and the document serialization used by the CLI.
 
 An action of Z/p is recorded by its fixed point set: isolated points
 carry tangential rotation numbers (a, b), fixed 2-spheres carry a
-normal rotation c and a self-intersection alpha.  Every rotation is a
-unit mod p, and the constructors refuse a zero one (ZeroRotation).
+normal rotation c and a self-intersection alpha.  p is prime and every
+rotation is a unit mod p: the constructors refuse a p that is not
+prime (ValueError) and a zero rotation (ZeroRotation), so no later
+code checks either.  `validate` checks the one rule left, the count
+rule, and raises InconsistentCounts.
 Rotation pairs are defined up to order and simultaneous sign change;
 constructors canonicalize so that equality means equality of
 equivalence classes.
@@ -17,7 +20,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .cyclotomic import ZeroRotation
+from .cyclotomic import ZeroRotation, _require_prime
 from .exact_arith import ModulusMismatch, is_prime, signed_rep
 
 __all__ = [
@@ -26,8 +29,8 @@ __all__ = [
     "GroupAction",
     "LineIsotropy",
     "Su2Isotropy",
-    "ValidationReport",
     "BadWeights",
+    "InconsistentCounts",
     "IncompatiblePoints",
     "IncompatibleSpheres",
     "ShapeMismatch",
@@ -69,15 +72,20 @@ class DocumentError(ValueError):
     """A document is structurally unusable (missing or mistyped fields)."""
 
 
+class InconsistentCounts(ValueError):
+    """Fixed point data or a search profile that breaks the count rule."""
+
+
 @dataclass(frozen=True)
 class IsolatedPoint:
     """Isolated fixed point with tangential rotation numbers (a, b) mod p.
 
     Stored canonically: the lexicographically least representative of
-    {(a,b), (b,a), (-a,-b), (-b,-a)} with entries in (0, p).  Both
-    rotations must be units mod p, as every congruence divides by
-    them: a rotation divisible by p raises ZeroRotation here, so no
-    later check repeats the rule.
+    {(a,b), (b,a), (-a,-b), (-b,-a)} with entries in (0, p).  p must be
+    prime and both rotations units mod p, as every congruence divides
+    by them: a p that is not prime raises ValueError here, and a
+    rotation divisible by p ZeroRotation, so no later check repeats
+    either rule.
     """
 
     p: int
@@ -86,8 +94,7 @@ class IsolatedPoint:
 
     def __post_init__(self) -> None:
         p = self.p
-        if p < 2:
-            raise ValueError(f"modulus must be >= 2, got {p}")
+        _require_prime(p)
         a, b = self.a % p, self.b % p
         if a == 0 or b == 0:
             raise ZeroRotation(f"rotation numbers ({self.a}, {self.b}) must be nonzero mod {p}")
@@ -106,16 +113,15 @@ class IsolatedPoint:
 @dataclass(frozen=True)
 class FixedSphere:
     """Fixed 2-sphere with normal rotation c mod p and self-intersection
-    alpha.  c is stored in (0, p); a c divisible by p raises
-    ZeroRotation here, as for the rotations of an `IsolatedPoint`."""
+    alpha.  c is stored in (0, p); a p that is not prime and a c
+    divisible by p are refused here, as for an `IsolatedPoint`."""
 
     p: int
     c: int
     alpha: int
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.p}")
+        _require_prime(self.p)
         if self.c % self.p == 0:
             raise ZeroRotation(f"normal rotation {self.c} must be nonzero mod {self.p}")
         object.__setattr__(self, "c", self.c % self.p)
@@ -133,7 +139,9 @@ class GroupAction:
     """A homologically trivial Z/p action recorded by fixed point data.
 
     Insertion order of points and spheres is preserved: isotropy lists
-    supplied alongside an action refer to entries by position.
+    supplied alongside an action refer to entries by position.  p must
+    be prime, and is checked here too, so an action with an empty fixed
+    set is checked as well; every point and sphere must have this p.
     """
 
     p: int
@@ -144,6 +152,7 @@ class GroupAction:
     b2: int
 
     def __post_init__(self) -> None:
+        _require_prime(self.p)
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "spheres", tuple(self.spheres))
         for pt in self.points:
@@ -168,41 +177,25 @@ class GroupAction:
         return self.data_key() == other.data_key()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    entries: tuple[tuple[str, bool, str], ...]
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.entries)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, passed, detail in self.entries if not passed]
-
-
-def _count_rule(n_points: int, n_spheres: int, euler: int, b2: int) -> list[tuple[str, bool, str]]:
+def _count_rule(what: str, n_points: int, n_spheres: int, euler: int, b2: int) -> None:
     """The fixed point count |points| + 2|spheres| = b2 + 2 and chi = b2 + 2,
-    forced by the Lefschetz trace of a homologically trivial action, as
-    (name, passed, detail) entries."""
+    forced by the Lefschetz trace of a homologically trivial action.
+    InconsistentCounts names `what` failed and every entry that fails."""
     count = n_points + 2 * n_spheres
-    return [
-        ("fixed_set_count", count == b2 + 2, f"|points| + 2|spheres| = {count}, b2 + 2 = {b2 + 2}"),
-        ("euler_betti", euler == b2 + 2, f"chi = {euler}, b2 + 2 = {b2 + 2}"),
-    ]
+    failures = []
+    if count != b2 + 2:
+        failures.append(f"fixed_set_count: |points| + 2|spheres| = {count}, b2 + 2 = {b2 + 2}")
+    if euler != b2 + 2:
+        failures.append(f"euler_betti: chi = {euler}, b2 + 2 = {b2 + 2}")
+    if failures:
+        raise InconsistentCounts(f"{what} fails validation: " + "; ".join(failures))
 
 
-def validate(action: GroupAction) -> ValidationReport:
-    """Structural checks: prime order and the count rule.  Nonzero
-    rotations need no entry: `IsolatedPoint` and `FixedSphere` refuse
-    a zero one when they are built."""
-    entries = []
-    warnings = []
-    entries.append(("prime_order", is_prime(action.p), f"p = {action.p}"))
-    if action.p == 2:
-        warnings.append("p = 2: dimension formulas only, congruence checks need odd p")
-    entries += _count_rule(len(action.points), len(action.spheres), action.euler, action.b2)
-    return ValidationReport(tuple(entries), tuple(warnings))
+def validate(action: GroupAction) -> None:
+    """The count rule, the one rule on an action that its constructors
+    cannot check one component at a time: raises InconsistentCounts.
+    A prime p and units as rotations hold by construction."""
+    _count_rule("action", len(action.points), len(action.spheres), action.euler, action.b2)
 
 
 # -- isotropy records ----------------------------------------------------

@@ -5,7 +5,8 @@ Documents are JSON with an "action" section and optional
 schema.  Exit codes: 0 all checks pass, 1 a relation fails or a solve
 or dimension has no consistent answer, 2 unreadable document or bad
 parameters, 3 structurally valid input that fails validation (missing
-section, wrong shape, inconsistent counts, degenerate rotation data),
+section, wrong shape, inconsistent counts, a p that is not prime, a
+rotation number divisible by p),
 141 stdout closed before the output was written.
 
 With --machine every subcommand prints one line of JSON, as
@@ -109,13 +110,13 @@ def _section(doc: dict, name: str, from_dict):
 
 
 def _validated_action(doc: dict) -> GroupAction:
+    """The document's action, built (a prime p, unit rotations) and
+    validated (the count rule); each failure is a ValueError, exit 3."""
     action = _section(doc, "action", action_from_dict)
-    report = validate(action)
-    for warning in report.warnings:
+    if action.p == 2:
+        warning = "p = 2: dimension formulas only, congruence checks need odd p"
         print(f"warning: {warning}", file=sys.stderr)
-    if not report.ok:
-        lines = "; ".join(report.failures())
-        raise _Failure(EXIT_VALIDATION, f"action fails validation: {lines}")
+    validate(action)
     return action
 
 
@@ -475,7 +476,8 @@ def main(argv=None) -> int:
         return EXIT_RELATION
     except ValueError as exc:
         # shape mismatches, under/overdetermined solves, inconsistent
-        # counts, degenerate data: structurally parseable but invalid
+        # counts, a p that is not prime, a zero rotation: structurally
+        # parseable but invalid
         _fail(args, EXIT_VALIDATION, str(exc))
         return EXIT_VALIDATION
 

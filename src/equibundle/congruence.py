@@ -7,9 +7,11 @@ rotation battery and the search read the same windows mod p, as
 elements of Z[zeta]/p = F_p[t]/Phi_p(t) in the basis of zeta powers,
 at O(p) cost per fixed component.  The bundle checks read the
 order-2 expansion of their twisted terms off the relation and weight
-sums in closed form.  The checks and the solver first make sure
-that p is an odd prime; every rotation number is a unit mod p, since
-`IsolatedPoint` and `FixedSphere` refuse a zero one when they are built.
+sums in closed form.  An action's p is prime and its rotation numbers
+are units mod p, since `GroupAction`, `IsolatedPoint` and `FixedSphere`
+refuse anything else when they are built; the checks and the solver
+refuse only p = 2.  The search takes a bare p and checks that it is an
+odd prime.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .action_model import (
     FixedSphere,
     GroupAction,
+    InconsistentCounts,
     IsolatedPoint,
     LineIsotropy,
     Su2Isotropy,
@@ -33,10 +36,8 @@ from .action_model import (
 from .cyclotomic import (
     _over_units,
     _point,
-    _require_prime,
     _sphere,
     _term,
-    _twist,
     eval_point_term,  # noqa: F401 (kept importable here for perfbench)
 )
 from .exact_arith import Rational, Residue, crt_solve, is_prime, signed_rep
@@ -48,7 +49,6 @@ __all__ = [
     "Underdetermined",
     "Overdetermined",
     "MissingChernSquare",
-    "InconsistentCounts",
     "ZeroSelfIntersection",
     "NotCoprimeRotation",
     "gsign_value",
@@ -79,10 +79,6 @@ class Overdetermined(ValueError):
 
 class MissingChernSquare(ValueError):
     """The quadratic relation needs c1_squared in the isotropy record."""
-
-
-class InconsistentCounts(ValueError):
-    """Search profile violating the fixed point count constraint."""
 
 
 class ZeroSelfIntersection(ValueError):
@@ -119,8 +115,10 @@ class CongruenceReport:
         return "\n".join(r.display() for r in self.records)
 
 
-def _require_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
+def _require_odd(p: int, prime: bool = True) -> None:
+    """Refuse p = 2, and a p that is not `prime`.  An action's p is prime
+    by construction; only the search, which takes a bare p, tests it."""
+    if p == 2 or not prime:
         raise ValueError(f"congruence checks need an odd prime, got p = {p}")
 
 
@@ -129,8 +127,9 @@ def _require_odd_prime(p: int) -> None:
 
 def gsign_value(action: GroupAction) -> Rational:
     """Exact equivariant signature of the generator, summed from fixed
-    point data.  p is checked before the components, so an action with
-    none is checked too; the rotations are units by construction.
+    point data.  p is prime and the rotations are units by construction
+    (`GroupAction`), so nothing is checked here; an action with no fixed
+    component gives 0.
 
     The value at a power g^k is sigma_k (zeta -> zeta^k) of this one,
     and sigma_k maps a rational to itself and an irrational value to an
@@ -144,7 +143,6 @@ def gsign_value(action: GroupAction) -> Rational:
     is evaluated once in Q(zeta_p), and NotRational names its zeta part.
     """
     p = action.p
-    _require_prime(p)
     terms = [_point(pt.a, pt.b) for pt in action.points]
     terms += [_sphere(s.c, s.alpha) for s in action.spheres]
     if not terms:
@@ -188,7 +186,7 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     integers, gives every record; an irrational value raises
     NotRational there.
     """
-    _require_odd_prime(action.p)
+    _require_odd(action.p)
     want = Fraction(action.signature)
     got = gsign_value(action)
     ok = got == want
@@ -216,11 +214,10 @@ def _vector_sum(p: int, vectors: list[list[int]]) -> list[int]:
 
 
 def _residues(p: int, term) -> list[int]:
-    """A term of `cyclotomic` times (t-1)^2, in F_p[t]/Phi_p(t) in the
-    basis 1, t, ..., t^(p-2): its numerator times (t-1)^(2-k), the shared
-    window over Z, then t^(p-1) = -(1 + t + ... + t^(p-2)) mod p."""
-    for _ in range(2 - term[2]):
-        term = _twist(term, [(1, 1), (0, -1)])
+    """A point or sphere term of `cyclotomic` times (t-1)^2, in
+    F_p[t]/Phi_p(t) in the basis 1, t, ..., t^(p-2): both have pole order
+    2, so this is their numerator over the units, the shared window over
+    Z, then t^(p-1) = -(1 + t + ... + t^(p-2)) mod p."""
     num, units, _ = term
     v = _over_units(p, num, units)
     top = v[-1]
@@ -306,7 +303,7 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     once, for its records.
     """
     p = action.p
-    _require_odd_prime(p)
+    _require_odd(p)
     vectors = [_point_vector(p, pt.a, pt.b) for pt in action.points]
     vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
     total = _vector_sum(p, vectors)
@@ -369,7 +366,7 @@ def theorem_a_condition(action: GroupAction, isotropy: LineIsotropy) -> Congruen
     """The single realizability congruence for fiber weights on a
     circle bundle: sum of lambda/(ab) over points plus
     (c*m - lambda*alpha)/c^2 over spheres vanishes mod p."""
-    _require_odd_prime(action.p)
+    _require_odd(action.p)
     isotropy.check_shape(action)
     if isotropy.free_slots():
         raise Underdetermined("condition check needs a fully specified isotropy record")
@@ -388,7 +385,7 @@ def solve_theorem_a(action: GroupAction, partial: LineIsotropy) -> LineIsotropy:
     balances (0 is returned) and nothing works otherwise (NotSolvable).
     """
     p = action.p
-    _require_odd_prime(p)
+    _require_odd(p)
     partial.check_shape(action)
     slots = partial.free_slots()
     if not slots:
@@ -414,7 +411,7 @@ def check_line_bundle(action: GroupAction, isotropy: LineIsotropy) -> Congruence
     bundle, plus the expansion check through order min(2, p-2) whose
     second-order target is Sign(X) + 2*c1^2."""
     p = action.p
-    _require_odd_prime(p)
+    _require_odd(p)
     isotropy.check_shape(action)
     if isotropy.free_slots():
         raise Underdetermined("bundle check needs a fully specified isotropy record")
@@ -437,7 +434,7 @@ def check_su2(action: GroupAction, isotropy: Su2Isotropy) -> CongruenceReport:
     fiber character t^ell + t^(-ell), target -c2; the expansion check
     through order min(2, p-2) targets 2*Sign(X) - 4*c2 at order 2."""
     p = action.p
-    _require_odd_prime(p)
+    _require_odd(p)
     isotropy.check_shape(action)
     lhs = _weight_sum(action, isotropy.ell_points, isotropy.ell_spheres, isotropy.m_spheres, 2)
     want = (-isotropy.c2) % p
@@ -472,8 +469,8 @@ def flat_chern_class(n: int, a: int, b: int, lam: int) -> Residue:
 
 
 def boundary_chern_data(sphere: FixedSphere, lam: int, m: int) -> Residue:
-    """The residue class ell mod p*|alpha|, p = sphere.p a prime,
-    determined by
+    """The residue class ell mod p*|alpha|, p = sphere.p (a prime by
+    construction), determined by
 
         ell = -lam * alpha   mod p^(e+1)
         ell = c * m          mod abar
@@ -483,7 +480,6 @@ def boundary_chern_data(sphere: FixedSphere, lam: int, m: int) -> Residue:
     the boundary lens space of the sphere's neighbourhood.
     """
     p = sphere.p
-    _require_prime(p)
     if sphere.alpha == 0:
         raise ZeroSelfIntersection("alpha = 0 leaves no boundary congruence")
     abar = abs(sphere.alpha)
@@ -554,13 +550,11 @@ def search_realizable(
     The prime and the profile are checked by the call itself, before
     the enumeration is first advanced.
     """
-    _require_odd_prime(p)
+    _require_odd(p, is_prime(p))
     for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):
         if count < 0:
             raise InconsistentCounts(f"{name} = {count} must be >= 0")
-    for name, passed, detail in _count_rule(n_points, n_spheres, euler, b2):
-        if not passed:
-            raise InconsistentCounts(f"{name}: {detail}")
+    _count_rule("search profile", n_points, n_spheres, euler, b2)
     if len(sphere_alphas) != n_spheres:
         raise InconsistentCounts(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"

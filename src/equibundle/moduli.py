@@ -6,7 +6,9 @@ plus a cotangent sum, p - 2n.  A lens term is a difference of shifted
 Dedekind-Rademacher sums, read off floor sums by a Euclid-like
 recursion.  No float is computed: the trigonometric sums that define
 these values are test oracles only.  The signature defect is one
-`congruence.gsign_value`, read from integers.
+`congruence.gsign_value`, read from integers.  An action's p is prime
+and its rotations units by construction (`GroupAction`); the rho
+functions take bare integers and check p and the rotations themselves.
 
 Besides the action, the invariant dimension reads one SU(2) lift: its
 charge is the lift's c2, and its weights are read as given, since each
@@ -20,7 +22,8 @@ from fractions import Fraction
 
 from .action_model import GroupAction, Su2Isotropy, validate
 from .congruence import gsign_value
-from .cyclotomic import _check, eval_point_term  # noqa: F401 (kept importable here for perfbench)
+from .cyclotomic import _check_rotations, _require_prime
+from .cyclotomic import eval_point_term  # noqa: F401 (kept importable here for perfbench)
 from .exact_arith import Rational
 
 __all__ = [
@@ -110,7 +113,8 @@ def rho_lens(p: int, a: int, b: int, ell: int) -> Rational:
     only on the residues of a, b, ell; vanishes at ell = 0, after p
     and the rotations are checked.
     """
-    _check(p, 1, a, b)
+    _require_prime(p)
+    _check_rotations(p, a, b)
     if ell % p == 0:
         return Fraction(0)
     inv = pow(a, -1, p)
@@ -130,7 +134,8 @@ def rho_surface(p: int, c: int, ell: int, alpha: int, m: int) -> Rational:
     (2 alpha n(p - n) - 4m(p - 2n))/p.  Everything vanishes when
     ell = 0, after p and c are checked.
     """
-    _check(p, 1, c)
+    _require_prime(p)
+    _check_rotations(p, c)
     if ell % p == 0:
         return Fraction(0)
     n = ell * pow(c, -1, p) % p
@@ -200,11 +205,10 @@ def dim_invariant_moduli(action: GroupAction, isotropy: Su2Isotropy) -> Dimensio
 
     where m counts fixed points with nontrivial fiber rotation.  Each
     ell is read as given: every term depends on ell only up to sign
-    mod p, a sphere's (ell, m) together with (-ell, -m).
+    mod p, a sphere's (ell, m) together with (-ell, -m).  An action
+    that breaks the count rule raises InconsistentCounts (`validate`).
     """
-    report = validate(action)
-    if not report.ok:
-        raise ValueError("invalid action: " + "; ".join(report.failures()))
+    validate(action)
     isotropy.check_shape(action)
     p = action.p
     chi_q, sign_q = quotient_invariants(action)

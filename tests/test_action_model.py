@@ -13,6 +13,7 @@ from equibundle.action_model import (
     GroupAction,
     IncompatiblePoints,
     IncompatibleSpheres,
+    InconsistentCounts,
     IsolatedPoint,
     LineIsotropy,
     ShapeMismatch,
@@ -33,8 +34,10 @@ from equibundle.action_model import (
     validate,
 )
 from equibundle.cyclotomic import ZeroRotation
+from equibundle.exact_arith import is_prime
 
 PRIMES = [3, 5, 7, 11, 13]
+PRIMES_TO_60 = [p for p in range(61) if is_prime(p)]
 
 
 def test_point_canonicalization():
@@ -68,29 +71,35 @@ def test_a_zero_rotation_is_refused_where_it_is_built():
     ]:
         with pytest.raises(ZeroRotation, match=message):
             build()
-    # validate has nothing left to say about rotations
-    names = [name for name, _, _ in validate(linear_cp2(5, 1, 2)).entries]
-    assert names == ["prime_order", "fixed_set_count", "euler_betti"]
 
 
 @st.composite
 def _rotations(draw):
-    """(p, rotations): one or two rotations at a modulus up to 60, a
-    multiple of p about half the time."""
-    p = draw(st.integers(2, 60))
+    """(p, rotations): no, one or two rotations at a modulus from 2 to
+    60, a prime about half the time, and a multiple of p about half the
+    time.  No rotation stands for an action with an empty fixed set."""
+    p = draw(st.one_of(st.sampled_from(PRIMES_TO_60), st.integers(2, 60)))
     rotation = st.one_of(st.integers(-3, 3).map(lambda q: q * p), st.integers(-200, 200))
-    return p, draw(st.lists(rotation, min_size=1, max_size=2))
+    return p, draw(st.lists(rotation, max_size=2))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_rotations(), st.integers(-4, 4))
 def test_a_point_or_sphere_is_built_only_with_nonzero_rotations(case, alpha):
+    # built iff p is prime and every rotation is nonzero mod p; p is
+    # checked first, and `GroupAction` checks it with no component too
     p, rotations = case
     if len(rotations) == 2:
         build, stored = (lambda: IsolatedPoint(p, *rotations)), (lambda pt: (pt.a, pt.b))
-    else:
+    elif rotations:
         build, stored = (lambda: FixedSphere(p, rotations[0], alpha)), (lambda s: (s.c,))
-    if any(r % p == 0 for r in rotations):
+    else:
+        build, stored = (lambda: GroupAction(p, (), (), 0, 2, 0)), (lambda act: ())
+    if not is_prime(p):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$") as caught:
+            build()
+        assert not isinstance(caught.value, ZeroRotation)
+    elif any(r % p == 0 for r in rotations):
         with pytest.raises(ZeroRotation, match=f"must be nonzero mod {p}$"):
             build()
     else:
@@ -98,20 +107,29 @@ def test_a_point_or_sphere_is_built_only_with_nonzero_rotations(case, alpha):
 
 
 def test_validate_counts():
-    # chi = b2 + 2 and |points| + 2|spheres| = b2 + 2 both enforced
+    # chi = b2 + 2 and |points| + 2|spheres| = b2 + 2 both enforced, and
+    # the message names every entry that fails
     good = linear_cp2(5, 1, 2)
-    assert validate(good).ok
+    assert validate(good) is None
     bad_counts = GroupAction(5, good.points, (FixedSphere(5, 1, 1),), 1, 3, 1)
-    assert not validate(bad_counts).ok
+    with pytest.raises(InconsistentCounts) as caught:
+        validate(bad_counts)
+    assert str(caught.value) == (
+        "action fails validation: fixed_set_count: |points| + 2|spheres| = 5, b2 + 2 = 3"
+    )
     bad_euler = GroupAction(5, good.points, good.spheres, 1, 6, 1)
-    assert not validate(bad_euler).ok
-
-
-def test_validate_involution_warning():
-    act = GroupAction(2, (IsolatedPoint(2, 1, 1), IsolatedPoint(2, 1, 1)), (), 0, 2, 0)
-    rep = validate(act)
-    assert rep.ok
-    assert any("p = 2" in w for w in rep.warnings)
+    with pytest.raises(InconsistentCounts) as caught:
+        validate(bad_euler)
+    assert str(caught.value) == "action fails validation: euler_betti: chi = 6, b2 + 2 = 3"
+    both = GroupAction(5, good.points, good.spheres, 1, 6, 3)
+    with pytest.raises(InconsistentCounts) as caught:
+        validate(both)
+    assert str(caught.value) == (
+        "action fails validation: fixed_set_count: |points| + 2|spheres| = 3, b2 + 2 = 5; "
+        "euler_betti: chi = 6, b2 + 2 = 5"
+    )
+    # p = 2 is an action like any other: its warning is the CLI's
+    assert validate(GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (), 0, 2, 0)) is None
 
 
 def test_linear_generators_validate():
@@ -120,11 +138,11 @@ def test_linear_generators_validate():
         for _ in range(10):
             a = rng.randrange(1, p)
             b = rng.randrange(1, p)
-            assert validate(linear_cp2(p, a, 0)).ok
-            assert validate(linear_cp2_bar(p, a)).ok
+            validate(linear_cp2(p, a, 0))
+            validate(linear_cp2_bar(p, a))
             if a != b:
-                assert validate(linear_cp2(p, a, b)).ok
-            assert validate(linear_s4(p, a, b)).ok
+                validate(linear_cp2(p, a, b))
+            validate(linear_s4(p, a, b))
 
 
 def test_linear_cp2_shapes():
@@ -198,7 +216,7 @@ def test_connected_sum_points_with_reversed_copy():
             assert merged.signature == 0
             assert merged.euler == 4
             assert len(merged.points) == 4
-            assert validate(merged).ok
+            validate(merged)
 
 
 def test_connected_sum_spheres():
@@ -260,7 +278,7 @@ def test_triple_action_matches_literal():
     assert len(act.points) == 3 and len(act.spheres) == 1
     assert act.spheres[0] == FixedSphere(5, 1, -2)
     assert sorted((pt.a, pt.b) for pt in act.points) == [(1, 3), (1, 3), (1, 4)]
-    assert validate(act).ok
+    validate(act)
 
 
 def test_action_round_trip():
@@ -390,7 +408,7 @@ _SMALL = st.integers(-40, 40)
 
 @st.composite
 def _actions(draw):
-    p = draw(st.integers(2, 60))
+    p = draw(st.sampled_from(PRIMES_TO_60))
     rotation = _SMALL.filter(lambda r: r % p)
     points = draw(st.lists(st.tuples(rotation, rotation), max_size=5))
     spheres = draw(st.lists(st.tuples(rotation, _SMALL), max_size=3))

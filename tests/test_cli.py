@@ -226,13 +226,17 @@ def test_misspelt_section_key_is_parse_error(tmp_path, capsys):
     assert "'lambda_point'" in capsys.readouterr().err
 
 
-def test_invalid_action_document(tmp_path):
-    # counts that cannot close up to a four-manifold
+def test_invalid_action_document(tmp_path, capsys):
+    # counts that cannot close up to a four-manifold: every failing entry is named
     doc = action_to_dict(linear_cp2(5, 1, 0))
     doc["b2"] = 7
     path = tmp_path / "badcounts.json"
     path.write_text(json.dumps({"action": doc}))
     assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: action fails validation: fixed_set_count: |points| + 2|spheres| = 3, b2 + 2 = 9; "
+        "euler_betti: chi = 3, b2 + 2 = 9\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -249,6 +253,40 @@ def test_zero_rotation_document_is_validation_error(tmp_path, capsys, points, sp
     path = _doc(tmp_path, "zero.json", raw=json.dumps({"action": action}))
     assert main(["check", path]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        {"p": 9, "points": [[1, 2], [1, 7]], "spheres": [], "signature": 0, "euler": 2, "b2": 0},
+        {"p": 4, "points": [], "spheres": [], "signature": 0, "euler": 2, "b2": 0},
+    ],
+    ids=["p9-points", "p4-no-fixed-set"],
+)
+def test_composite_p_document_is_validation_error(tmp_path, capsys, action):
+    # refused where the action is built, even with no fixed component
+    path = _doc(tmp_path, "composite.json", raw=json.dumps({"action": action}))
+    message = f"p must be prime, got {action['p']}"
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["gsign", path, "--machine"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"ok": False, "error": message}
+    assert err == f"error: {message}\n"
+
+
+def test_p_2_document_prints_the_involution_warning(tmp_path, capsys):
+    # a p = 2 action passes validation; the CLI warns that only the
+    # dimension formulas apply, and the congruence checks refuse it
+    action = {"p": 2, "points": [[1, 1], [1, 1]], "spheres": [], "signature": 0, "euler": 2, "b2": 0}
+    su2 = {"ell_points": [1, 1], "ell_spheres": [], "m_spheres": [], "c2": 1}
+    path = _doc(tmp_path, "p2.json", raw=json.dumps({"action": action, "su2_isotropy": su2}))
+    warning = "warning: p = 2: dimension formulas only, congruence checks need odd p\n"
+    assert main(["dimension", path, "--machine"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["dimension"] == 3 and err == warning
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == warning + "error: congruence checks need an odd prime, got p = 2\n"
 
 
 def test_solve_null_slot(tmp_path, capsys):

@@ -235,7 +235,7 @@ def test_connected_sums_keep_the_rotation_and_signature_conditions(case):
     # every sum of linear models validates and passes both batteries
     act, sign = case
     assert act.signature == sign
-    assert validate(act).ok
+    validate(act)
     report = check_rotation_relations(act)
     assert report.ok, [r.display() for r in report.failures()]
     assert gsignature_check(act).ok
@@ -494,10 +494,12 @@ def test_pascal_transform_matches_binomial_sums():
 
 
 def test_rotation_target_closed_form_matches_the_residue_route():
-    # Sign * (t-1)^2 read through `_residues`, as a component term is
+    # Sign * (t-1)^2 read through `_residues`, as a component term is:
+    # the term Sign * (t-1)^2 / (t-1)^2, of pole order 2
     for p in [q for q in range(3, 102, 2) if is_prime(q)]:
         for sign in range(-3, 4):
-            want = [0, 3 * sign % p, 0, 0] + congruence._residues(p, ([(0, sign)], (), 0))
+            sign_term = ([(0, sign), (1, -2 * sign), (2, sign)], (), 2)
+            want = [0, 3 * sign % p, 0, 0] + congruence._residues(p, sign_term)
             assert congruence._rotation_target(p, sign) == want, (p, sign)
 
 
@@ -1013,10 +1015,10 @@ def test_boundary_chern_data_small_grid():
                         assert (r.value + lam * alpha) % p ** (e + 1) == 0
                         if abar > 1:
                             assert (r.value - c * m) % abar == 0
-    # the sphere's own p is the prime: a composite one is refused
+    # p is the sphere's, so a composite one is refused before the call
     for p in (4, 9):
         with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
-            boundary_chern_data(FixedSphere(p, 1, 3), 1, 1)
+            FixedSphere(p, 1, 3)
 
 
 def test_boundary_chern_data_reads_p_from_the_sphere():
@@ -1078,7 +1080,7 @@ def test_search_results_canonical_and_valid():
 
     found = list(search_realizable(5, 3, 1, [-2], -3, 5, 3))
     for act in found:
-        assert validate(act).ok
+        validate(act)
         # every yielded dataset satisfies the full battery by contract
         assert check_rotation_relations(act).ok
     triple = triple_cp2_bar_action()

@@ -12,6 +12,7 @@ from equibundle import _poly, congruence, cyclotomic, moduli, series
 from equibundle.action_model import (
     FixedSphere,
     GroupAction,
+    InconsistentCounts,
     IsolatedPoint,
     Su2Isotropy,
     connected_sum_spheres,
@@ -436,7 +437,7 @@ def test_involution_dimension_matches_its_closed_form(action, k):
 
 def test_invariant_moduli_validates_action():
     bad = GroupAction(5, (IsolatedPoint(5, 1, 2),), (), 1, 3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentCounts, match="^action fails validation: fixed_set_count: "):
         dim_invariant_moduli(bad, Su2Isotropy((1,), (), (), c2=1))
 
 
@@ -616,19 +617,9 @@ def test_rho_checks_p_and_rotations_before_any_shortcut(rho, args, error):
         rho(*args)
 
 
-SIGNATURE_BAD_ARGUMENTS = [
-    (gsign_value, (GroupAction(4, (), (), 0, 0, 0),), ValueError),
-    (defect_terms, (GroupAction(9, (), (), 0, 2, 0),), ValueError),
-]
-
-
-@pytest.mark.parametrize(
-    "fn, args, error",
-    SIGNATURE_BAD_ARGUMENTS,
-    ids=["gsign_value-p4", "defect_terms-p9"],
-)
-def test_signature_checks_p_and_k_without_fixed_components(fn, args, error):
-    # p is checked before the components, so an action with no fixed
-    # points or spheres is checked too
-    with pytest.raises(error):
-        fn(*args)
+@pytest.mark.parametrize("p, euler", [(4, 0), (9, 2)], ids=["p4", "p9"])
+def test_an_action_with_no_fixed_component_is_refused_at_a_composite_p(p, euler):
+    # p is checked where the action is built, even with no fixed point
+    # or sphere, so `gsign_value` and `defect_terms` only see a prime p
+    with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+        GroupAction(p, (), (), 0, euler, 0)

@@ -61,7 +61,6 @@ PUBLIC_NAMES = [
     "ShapeMismatch",
     "Su2Isotropy",
     "Underdetermined",
-    "ValidationReport",
     "ZeroRotation",
     "ZeroSelfIntersection",
     "action_from_dict",
