@@ -549,6 +549,11 @@ def search_realizable(
 
     The prime and the profile are checked by the call itself, before
     the enumeration is first advanced.
+
+    A result is promised the rotation congruences only, not an integral
+    G-signature: at p = 5 the points (1, 1), (1, 1), (1, 1), (1, 3) with
+    Sign 2, chi 4 and b2 2 pass the battery, and `gsign_value` raises
+    NotRational on them.
     """
     _require_odd(p, is_prime(p))
     for name, count in (("points", n_points), ("spheres", n_spheres), ("b2", b2)):

@@ -15,8 +15,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from equibundle.action_model import (
     FixedSphere,
     GroupAction,
@@ -33,7 +31,6 @@ from equibundle.action_model import (
 )
 from equibundle.congruence import (
     NotSolvable,
-    boundary_chern_data,
     check_line_bundle,
     check_rotation_relations,
     check_su2,
@@ -42,7 +39,6 @@ from equibundle.congruence import (
     theorem_a_condition,
 )
 from equibundle.cyclotomic import ZeroRotation
-from equibundle.exact_arith import is_prime
 from equibundle.moduli import dim_invariant_moduli, rho_lens, rho_surface
 from equibundle.series import (
     expand_boundary_term,
@@ -51,14 +47,18 @@ from equibundle.series import (
     expand_su2_point_term,
     expand_su2_sphere_term,
 )
-from test_congruence import _gsign_in_the_field
-from test_moduli import _rho_lens_float, _rho_surface_float
-
-SMALL_PRIMES = [3, 5, 7, 11, 13]
-
-
-def _primes_up_to(n):
-    return [p for p in range(3, n + 1) if is_prime(p)]
+from oracles import (
+    SMALL_PRIMES,
+    _boundary_data_by_scan,
+    _gsign_in_the_field,
+    _rho_lens_float,
+    _rho_surface_float,
+    _solve_by_scan,
+    _solver_round_trips,
+    connected_sums,
+    fixed_models,
+    primes,
+)
 
 
 def test_criterion_01_worked_strata_dimensions_exact_within_one_second():
@@ -94,22 +94,10 @@ def test_criterion_02_pinned_rho_invariants_with_float_oracle():
 
 def _sum_family(p):
     """Linear models and the connected sums among them that glue."""
-    models = [linear_cp2(p, 1, 0), linear_cp2_bar(p, 1), linear_s4(p, 1, 2)]
-    if p > 3:
-        models.append(linear_cp2(p, 1, 2))
-        models.append(linear_cp2_bar(p, 2))
+    models = fixed_models(p)[:5]
     sums = []
     for a, b in itertools.product(models, repeat=2):
-        for i, j in itertools.product(range(len(a.points)), range(len(b.points))):
-            try:
-                sums.append(connected_sum_points(a, i, b, j))
-            except ValueError:
-                pass
-        for i, j in itertools.product(range(len(a.spheres)), range(len(b.spheres))):
-            try:
-                sums.append(connected_sum_spheres(a, i, b, j))
-            except ValueError:
-                pass
+        sums += connected_sums(a, b)
     for m in models:
         rev = reverse_orientation(m)
         for i in range(len(m.points)):
@@ -137,18 +125,9 @@ def test_criterion_03_equivariant_signature_sums_are_exact():
         assert _gsign_in_the_field(triple, k) == Fraction(triple.signature)
 
 
-def _battery_models(p):
-    out = [linear_cp2(p, 1, 0), linear_cp2_bar(p, 1), linear_s4(p, 1, 2)]
-    if p > 3:
-        out += [linear_cp2(p, 1, 2), linear_cp2_bar(p, 2)]
-    if p > 5:
-        out += [linear_cp2(p, 2, 5), linear_s4(p, 2, 3)]
-    return out
-
-
 def test_criterion_04_rotation_congruence_battery_to_97():
-    for p in _primes_up_to(97):
-        for act in _battery_models(p):
+    for p in primes(3, 97):
+        for act in fixed_models(p):
             report = check_rotation_relations(act)
             assert report.ok, (p, [r.display() for r in report.failures()])
     # single-unit perturbations of the 3-point model are all rejected:
@@ -169,7 +148,7 @@ def test_criterion_04_rotation_congruence_battery_to_97():
 
 def test_criterion_05_line_bundle_conditions_on_cp2_for_all_primes_to_50():
     rng = random.Random(50501)
-    for p in _primes_up_to(50):
+    for p in primes(3, 50):
         for a in range(1, p):
             for b in range(1, p):
                 if a == b:
@@ -188,7 +167,7 @@ def test_criterion_05_line_bundle_conditions_on_cp2_for_all_primes_to_50():
 
 
 def test_criterion_06_su2_conditions_on_s4_and_cp2bar_to_50():
-    for p in _primes_up_to(50):
+    for p in primes(3, 50):
         inv2 = pow(2, p - 2, p)
         for a in range(1, p):
             for b in range(1, p):
@@ -262,7 +241,7 @@ def test_criterion_07_displayed_series_coefficients_at_random_tuples():
 
 
 def _random_action_pool(p, rng):
-    pool = [linear_cp2(p, 1, 0), linear_cp2_bar(p, 1), linear_s4(p, 1, 2)]
+    pool = fixed_models(p)[:3]
     a = rng.randrange(1, p)
     b = rng.randrange(1, p)
     if a != b:
@@ -272,60 +251,9 @@ def _random_action_pool(p, rng):
 
 
 def test_criterion_08_solver_round_trips_and_exhaustive_scan():
-    rng = random.Random(80808)
-    done = 0
-    while done < 200:
-        p = rng.choice(SMALL_PRIMES)
-        act = rng.choice(_random_action_pool(p, rng))
-        n, s = len(act.points), len(act.spheres)
-        iso = LineIsotropy(
-            tuple(rng.randrange(0, p) for _ in range(n)),
-            tuple(rng.randrange(0, p) for _ in range(s)),
-            tuple(rng.randrange(-3, 4) for _ in range(s)),
-        )
-        slots = [("lambda", i) for i in range(n)]
-        slots += [("lambda_sphere", j) for j in range(s)]
-        slots += [("m", j) for j in range(s)]
-        kind, idx = rng.choice(slots)
-        try:
-            completed = solve_theorem_a(act, iso.with_slot(kind, idx, None))
-        except NotSolvable:
-            continue
-        assert theorem_a_condition(act, completed).ok
-        done += 1
+    _solver_round_trips(random.Random(80808), _random_action_pool)
     # exhaustive oracle on one-point-one-sphere data
-    for p in (3, 5):
-        for a in range(1, p):
-            for b in range(1, p):
-                for c in range(1, p):
-                    for alpha in (1, -1, p):
-                        act = GroupAction(
-                            p, (IsolatedPoint(p, a, b),), (FixedSphere(p, c, alpha),), 0, 5, 3
-                        )
-                        for kind in ("lambda", "lambda_sphere", "m"):
-                            blank = LineIsotropy(
-                                (None,) if kind == "lambda" else (1,),
-                                (None,) if kind == "lambda_sphere" else (1,),
-                                (None,) if kind == "m" else (1,),
-                            )
-                            hits = [
-                                v
-                                for v in range(p)
-                                if theorem_a_condition(act, blank.with_slot(kind, 0, v)).ok
-                            ]
-                            if not hits:
-                                with pytest.raises(NotSolvable):
-                                    solve_theorem_a(act, blank)
-                                continue
-                            got = solve_theorem_a(act, blank)
-                            val = {
-                                "lambda": got.lambda_points[0],
-                                "lambda_sphere": got.lambda_spheres[0],
-                                "m": got.m_spheres[0],
-                            }[kind]
-                            assert val % p in hits
-                            if len(hits) == 1:
-                                assert val % p == hits[0]
+    _solve_by_scan()
 
 
 def test_criterion_09_boundary_gluing_congruences_exhaustive():
@@ -334,19 +262,7 @@ def test_criterion_09_boundary_gluing_congruences_exhaustive():
         for alpha in range(-max_alpha, max_alpha + 1):
             if alpha == 0:
                 continue
-            abar = abs(alpha)
-            e = 0
-            while abar % p == 0:
-                abar //= p
-                e += 1
-            sphere = FixedSphere(p, 1 + (alpha % 2), alpha)  # vary c a little
-            for lam in range(p):
-                for m in range(abar):
-                    r = boundary_chern_data(sphere, lam, m)
-                    assert r.modulus == p * abs(alpha)
-                    assert (r.value + lam * alpha) % p ** (e + 1) == 0
-                    if abar > 1:
-                        assert (r.value - sphere.c * m) % abar == 0
+            _boundary_data_by_scan(FixedSphere(p, 1 + (alpha % 2), alpha))  # vary c a little
 
 
 def _extension_after_sphere_sum(act, iso, j):

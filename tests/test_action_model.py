@@ -35,9 +35,9 @@ from equibundle.action_model import (
 )
 from equibundle.cyclotomic import ZeroRotation
 from equibundle.exact_arith import is_prime
+from oracles import SMALL_PRIMES, primes
 
-PRIMES = [3, 5, 7, 11, 13]
-PRIMES_TO_60 = [p for p in range(61) if is_prime(p)]
+PRIMES_TO_60 = primes(2, 60)
 
 
 def test_point_canonicalization():
@@ -48,7 +48,7 @@ def test_point_canonicalization():
     assert len(set(variants)) == 1
     rng = random.Random(6100)
     for _ in range(100):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
         base = IsolatedPoint(p, a, b)
@@ -64,9 +64,11 @@ def test_sphere_weight_class():
 
 
 def test_a_zero_rotation_is_refused_where_it_is_built():
+    # the constructor names the rotation and p, so no entry point sees it
     for build, message in [
         (lambda: IsolatedPoint(5, 0, 1), r"rotation numbers \(0, 1\) must be nonzero mod 5"),
         (lambda: IsolatedPoint(5, 5, 2), r"rotation numbers \(5, 2\) must be nonzero mod 5"),
+        (lambda: FixedSphere(5, 0, 1), "normal rotation 0 must be nonzero mod 5"),
         (lambda: FixedSphere(5, 10, 1), "normal rotation 10 must be nonzero mod 5"),
     ]:
         with pytest.raises(ZeroRotation, match=message):
@@ -134,7 +136,7 @@ def test_validate_counts():
 
 def test_linear_generators_validate():
     rng = random.Random(6101)
-    for p in PRIMES:
+    for p in SMALL_PRIMES:
         for _ in range(10):
             a = rng.randrange(1, p)
             b = rng.randrange(1, p)
@@ -181,7 +183,7 @@ def test_linear_models_refuse_a_composite_p_or_a_zero_weight(build, args):
 def test_reverse_orientation_involutive():
     rng = random.Random(6102)
     for _ in range(20):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         act = linear_cp2(p, a, 0)
         rev = reverse_orientation(act)
@@ -204,7 +206,7 @@ def test_connected_sum_points_requires_matching_data():
 def test_connected_sum_points_with_reversed_copy():
     rng = random.Random(6103)
     for _ in range(20):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
         if a == b or (a + b) % p == 0:
@@ -285,7 +287,7 @@ def test_action_round_trip():
     rng = random.Random(6104)
     actions = [triple_cp2_bar_action()]
     for _ in range(10):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         actions.append(linear_cp2(p, a, 0))
         actions.append(linear_cp2_bar(p, a))

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,8 +32,8 @@ from equibundle.cli import (
     MAX_SEARCH_P,
     main,
 )
+from oracles import ROOT, SMALL_PRIMES, _forbidden, _reference_report_line, src_env
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _doc(tmp_path, name, action=None, line=None, su2=None, raw=None):
@@ -118,15 +117,6 @@ def test_check_su2_mode(tmp_path):
 # -- the --machine report line -----------------------------------------------
 
 
-def _reference_report_line(mode, ok, records) -> str:
-    """The report line as one json.dumps of per-record dicts."""
-    rows = [
-        {"name": r.name, "lhs": str(r.lhs), "required": str(r.required), "passed": r.passed}
-        for r in records
-    ]
-    return json.dumps({"mode": mode, "ok": ok, "records": rows}, sort_keys=True)
-
-
 # quotes, backslashes, control characters, DEL, a line separator, non-ASCII,
 # astral characters and lone surrogates, among any other character
 _AWKWARD = st.text(
@@ -168,7 +158,7 @@ def test_report_line_equals_json_dumps(mode, records):
     assert code == (0 if report.ok else 1)
 
 
-DEMO_DOCUMENTS = sorted((SRC.parent / "demos" / "documents").glob("*.json"))
+DEMO_DOCUMENTS = sorted((ROOT / "demos" / "documents").glob("*.json"))
 
 
 @pytest.mark.parametrize("mode", ["rotation", "gsign", "line", "su2"])
@@ -447,10 +437,8 @@ def _expand_bound_argv(kind, order, **params):
     ],
 )
 def test_expand_over_a_bound_exits_before_expanding(argv, bound, monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("expanded a request over the bound")
-
     # `expand` looks its expansion up in `series` by name, on each call
+    refuse = _forbidden("expanded a request over the bound")
     monkeypatch.setattr(series, cli._EXPAND[argv[2]][0], refuse)
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -582,15 +570,13 @@ def test_closed_stdout_exits_quietly(extra):
     before the command starts, so its first write always fails."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     argv = [
         "search", "--p", "13", "--points", "3", "--sign", "1", "--euler", "3", "--b2", "1",
     ]
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "equibundle", *argv, *extra],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=src_env(), text=True, timeout=120,
         )
     finally:
         os.close(write_end)
@@ -614,10 +600,7 @@ def test_search_composite_p_is_validation_error(capsys):
 def test_search_p_above_the_bound_is_validation_error(monkeypatch, capsys):
     # the class table is built before the first result, so the bound is
     # checked before the search starts; 1013 is the next prime
-    def forbidden(*args, **kwargs):
-        raise AssertionError("search started above the bound")
-
-    monkeypatch.setattr(cli, "search_realizable", forbidden)
+    monkeypatch.setattr(cli, "search_realizable", _forbidden("search started above the bound"))
     argv = [
         "search", "--p", "1013", "--points", "1", "--spheres", "1",
         "--alphas", "1", "--sign", "1", "--euler", "3", "--b2", "1", "--limit", "1",
@@ -671,17 +654,14 @@ def test_stdin_document(tmp_path, capsys, monkeypatch):
 
 def test_shipped_documents_round_trip():
     # serialize(parse(doc)) must parse back to an equal action
-    import pathlib
-
     from equibundle.action_model import (
         action_from_dict,
         line_isotropy_from_dict,
         su2_isotropy_from_dict,
     )
 
-    docs = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("demos/documents/*.json"))
-    assert len(docs) >= 10
-    for path in docs:
+    assert len(DEMO_DOCUMENTS) >= 10
+    for path in DEMO_DOCUMENTS:
         doc = json.loads(path.read_text())
         act = action_from_dict(doc["action"])
         again = action_from_dict(json.loads(json.dumps(action_to_dict(act))))
@@ -746,7 +726,7 @@ def _model_documents(draw):
     """A linear model with isotropy sections of its shape: these pass
     validation, so the relations, the solver and the dimension formula
     are reached."""
-    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    p = draw(st.sampled_from(SMALL_PRIMES))
     a, b = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
     build = draw(
         st.sampled_from(
@@ -862,7 +842,7 @@ def _search_argv(draw):
     b2 = points + 2 * spheres - 2
     alphas = ",".join(str(rng.randint(-3, 3)) for _ in range(spheres))
     values = {
-        "p": _maybe(rng, rng.choice([3, 5, 7, 11, 13]), [-3, 0, 1, 2, 9, 998244359987710471, "x"]),
+        "p": _maybe(rng, rng.choice(SMALL_PRIMES), [-3, 0, 1, 2, 9, 998244359987710471, "x"]),
         "points": _maybe(rng, points, [-1, 4, "x"]),
         "spheres": _maybe(rng, spheres, [-1, 3, "x"]),
         "alphas": _maybe(rng, alphas, ["1", "1,x", ",", "0,3,1"]),

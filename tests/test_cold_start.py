@@ -5,17 +5,15 @@ import checks run in subprocesses, because this process has every
 module loaded already."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import equibundle
 from equibundle import action_model, congruence, cyclotomic, exact_arith, moduli, series
+from oracles import ROOT, src_env
 
-ROOT = Path(__file__).resolve().parents[1]
 D = "demos/documents"
 LIBRARY = (exact_arith, cyclotomic, series, action_model, congruence, moduli)
 SURFACE = [name for mod in LIBRARY for name in mod.__all__]
@@ -30,10 +28,8 @@ def _fresh(code: str) -> dict:
         "out['loaded'] = sorted(n.partition('.')[2] for n in sys.modules if n.startswith('equibundle.'))\n"
         "print(json.dumps(out))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])

@@ -1,7 +1,4 @@
-import bisect
-import functools
 import itertools
-import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -48,19 +45,7 @@ from equibundle.congruence import (
     solve_theorem_a,
     theorem_a_condition,
 )
-from equibundle.cyclotomic import (
-    NotRational,
-    ZeroRotation,
-    _boundary,
-    _check,
-    _point,
-    _sphere,
-    _term,
-    _twist,
-    eval_point_term,
-    eval_sphere_term,
-)
-from equibundle.exact_arith import is_prime, rational_mod
+from equibundle.cyclotomic import NotRational, _term, eval_point_term, eval_sphere_term
 from equibundle.series import (
     expand_boundary_term,
     expand_point_term,
@@ -68,13 +53,35 @@ from equibundle.series import (
     expand_su2_point_term,
     expand_su2_sphere_term,
 )
+from oracles import (
+    SMALL_PRIMES,
+    _TERMS,
+    _battery_by_expansion,
+    _binomial_sums,
+    _boundary_data_by_scan,
+    _count_calls,
+    _exact_mod_p,
+    _field_mod_p,
+    _forbidden,
+    _gf,
+    _gf_expand,
+    _gsign_in_the_field,
+    _point_class,
+    _search_by_filtering,
+    _search_by_relation_1,
+    _series_records_by_gf,
+    _solve_by_scan,
+    _solver_round_trips,
+    connected_sums,
+    fixed_models,
+    primes,
+)
 
-PRIMES = [3, 5, 7, 11, 13]
-PRIMES_TO_31 = PRIMES + [17, 19, 23, 29, 31]
+PRIMES_TO_31 = primes(3, 31)
 
 
 def _model_pool(p, rng, count=4):
-    pool = [linear_cp2(p, 1, 0), linear_cp2_bar(p, 1), linear_s4(p, 1, 2 % p or 1)]
+    pool = fixed_models(p)[:3]
     while len(pool) < count:
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
@@ -88,7 +95,7 @@ def _model_pool(p, rng, count=4):
 def test_gsign_value_equals_signature_on_models():
     # the generator's value, and the field sum at every power
     rng = random.Random(8300)
-    for p in PRIMES:
+    for p in SMALL_PRIMES:
         for act in _model_pool(p, rng, 5):
             assert gsign_value(act) == Fraction(act.signature)
             for k in range(1, p):
@@ -97,17 +104,6 @@ def test_gsign_value_equals_signature_on_models():
 
 def test_gsign_value_of_an_empty_fixed_set_is_zero():
     assert gsign_value(GroupAction(5, (), (), 0, 0, -2)) == 0
-
-
-def _gsign_in_the_field(action, k):
-    """The oracle: every fixed-point term a CycloNum, summed in Q(zeta_p),
-    after p and k are checked once, as for an action with no components."""
-    _check(action.p, k)
-    terms = [eval_point_term(action.p, k, pt.a, pt.b) for pt in action.points]
-    terms += [eval_sphere_term(action.p, k, s.c, s.alpha) for s in action.spheres]
-    if not terms:
-        return Fraction(0)
-    return functools.reduce(operator.add, terms).rational_part()
 
 
 def _outcome(f, *args):
@@ -174,7 +170,7 @@ def test_gsign_value_at_p_2_and_3_equals_the_sum_in_the_field():
 def test_gsign_reverses_sign_under_orientation_flip():
     rng = random.Random(8301)
     for _ in range(20):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         act = linear_cp2(p, a, 0)
         rev = reverse_orientation(act)
@@ -241,6 +237,52 @@ def test_connected_sums_keep_the_rotation_and_signature_conditions(case):
     assert gsignature_check(act).ok
 
 
+@st.composite
+def _count_rule_actions(draw):
+    """An action at p <= 13 that meets the count rule: a model of
+    `fixed_models`, a connected sum of two of them (the second reversed
+    or not), or random fixed data with chi and b2 read off the count rule."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    models = st.sampled_from(fixed_models(p))
+    kind = draw(st.sampled_from(["model", "sum", "random"]))
+    if kind == "model":
+        return draw(models)
+    if kind == "sum":
+        x, y = draw(models), draw(models)
+        sums = connected_sums(x, reverse_orientation(y) if draw(st.booleans()) else y)
+        return draw(st.sampled_from(sums)) if sums else x
+    act = _random_action(draw, p)
+    b2 = len(act.points) + 2 * len(act.spheres) - 2
+    return replace(act, euler=b2 + 2, b2=b2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_count_rule_actions())
+def test_an_integral_g_signature_passes_the_battery(act):
+    # the battery is the G-signature identity read mod p: with Sign set to
+    # an integral G-signature, every rotation congruence holds
+    validate(act)
+    try:
+        value = gsign_value(act)
+    except NotRational:
+        return
+    if value.denominator == 1:
+        report = check_rotation_relations(replace(act, signature=int(value)))
+        assert report.ok, [r.display() for r in report.failures()]
+
+
+def test_the_battery_does_not_imply_an_integral_g_signature():
+    # at p = 5 these points pass every rotation congruence with Sign 2, and
+    # `search_realizable` finds them, but their G-signature is irrational:
+    # the search promises the rotation congruences only
+    act = GroupAction(5, tuple(IsolatedPoint(5, 1, b) for b in (1, 1, 1, 3)), (), 2, 4, 2)
+    validate(act)
+    assert check_rotation_relations(act).ok
+    assert any(found.same_data(act) for found in search_realizable(5, 4, 0, [], 2, 4, 2))
+    with pytest.raises(NotRational):
+        gsign_value(act)
+
+
 def test_gsignature_records_equal_every_power():
     # one evaluation at k = 1 stands for all p-1 records; each must
     # equal the value evaluated at its own power, wrong signature too
@@ -261,72 +303,6 @@ def test_gsignature_check_requires_odd_prime():
     act = GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (), 0, 2, 0)
     with pytest.raises(ValueError):
         gsignature_check(act)
-
-
-def _exact_mod_p(series, p, order):
-    out = []
-    for j in range(order + 1):
-        out.append(rational_mod(series.coeff(j), p).value)
-    return out
-
-
-# -- the GF(p) oracle ---------------------------------------------------------
-# `series` expands over Q.  This oracle runs the same expansion directly
-# over GF(p): binomial series reduced mod p, one division recurrence
-# per unit u_r with the inverse of its constant term mod p, then the
-# shift by s^(2-k).  It checks the Q expansion reduced mod p, the
-# battery's zeta-basis vectors and the bundle checks.
-
-
-def _gf_powers(p, num, count):
-    out = [0] * count
-    for e, c in num:
-        for j in range(count):
-            out[j] += c
-            c = c * (e - j) // (j + 1)
-    return [x % p for x in out]
-
-
-def _gf_div(p, x, y):
-    inv0, q = pow(y[0], -1, p), []
-    for k, acc in enumerate(x):
-        for j in range(1, min(k, len(y) - 1) + 1):
-            acc -= y[j] * q[k - j]
-        q.append(acc * inv0 % p)
-    return q
-
-
-def _gf_expand(p, terms, order):
-    """The terms (num, units, k) of `cyclotomic` times (t-1)^2, through
-    s^order, over GF(p)."""
-    n = order + 1
-    total = [0] * n
-    for num, units, k in terms:
-        x = _gf_powers(p, num, n)
-        for r in units:
-            x = _gf_div(p, x, _gf_powers(p, [(r, 1), (0, -1)], n + 1)[1:])
-        for j in range(2 - k, n):
-            total[j] += x[j - 2 + k]
-    return [x % p for x in total]
-
-
-# each public expansion, as the term descriptions it sums
-_TERMS = {
-    expand_point_term: lambda a, b, lam: [_twist(_point(a, b), [(lam, 1)])],
-    expand_sphere_term: lambda c, alpha, lam: [_twist(_sphere(c, alpha), [(lam, 1)])],
-    expand_boundary_term: lambda c, m, lam: [_twist(_boundary(c, m), [(lam, 1)])],
-    expand_su2_point_term: lambda a, b, ell: [_twist(_point(a, b), [(ell, 1), (-ell, 1)])],
-    expand_su2_sphere_term: lambda c, alpha, m, ell: [
-        _twist(_sphere(c, alpha), [(ell, 1), (-ell, 1)]),
-        _twist(_boundary(c, m), [(ell, 1), (-ell, -1)]),
-    ],
-}
-
-
-def _gf(p, expand, *args):
-    """`expand(*args)` computed by the GF(p) oracle; the last argument is the order."""
-    *params, order = args
-    return _gf_expand(p, _TERMS[expand](*params), order)
 
 
 def test_gf_oracle_on_known_expansions():
@@ -352,7 +328,7 @@ def _assert_gf_matches_exact(p, a, b, c, alpha, m, lam, ell):
 
 def test_gf_expansions_match_exact_series():
     rng = random.Random(8302)
-    for p in PRIMES:
+    for p in SMALL_PRIMES:
         for _ in range(6):
             a = rng.randrange(1, p)
             b = rng.randrange(1, p)
@@ -390,7 +366,7 @@ def test_gf_binomial_is_rational_binomial_mod_p(p, e):
 
 def test_rotation_relations_pass_on_linear_models():
     rng = random.Random(8303)
-    for p in PRIMES:
+    for p in SMALL_PRIMES:
         for act in _model_pool(p, rng, 5):
             report = check_rotation_relations(act)
             assert report.ok, [r.display() for r in report.failures()]
@@ -424,8 +400,6 @@ def test_rotation_relations_need_odd_prime():
 # 1, t, ..., t^(p-2); the Pascal transform to s = t - 1 must give the
 # expansion through s^(p-2) that the GF(p) oracle computes.
 
-SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
-
 
 def _point_series(p, a, b):
     return congruence._to_s_basis(p, congruence._point_vector(p, a, b)[4:])
@@ -435,7 +409,7 @@ def _sphere_series(p, c, alpha):
     return congruence._to_s_basis(p, congruence._sphere_vector(p, c, alpha)[4:])
 
 
-@pytest.mark.parametrize("p", SMALL_PRIMES)
+@pytest.mark.parametrize("p", primes(3, 23))
 def test_zeta_basis_vectors_are_the_gf_expansions(p):
     n = p - 2
     for a in range(1, p):
@@ -450,12 +424,6 @@ def _component_cases(draw):
     p = draw(st.sampled_from(PRIMES_TO_31))
     unit = st.integers(-5 * p, 5 * p).filter(lambda x: x % p)
     return p, draw(unit), draw(unit), draw(st.integers(-4 * p, 4 * p))
-
-
-def _field_mod_p(x):
-    # a p-integral element of Q(zeta_p) reduced mod p, in the basis of zeta powers
-    inv = pow(x.den, -1, x.p)
-    return [c * inv % x.p for c in x.num]
 
 
 @settings(max_examples=80, deadline=None)
@@ -474,19 +442,9 @@ def test_zeta_basis_is_a_ring_homomorphism_image(case):
     assert congruence._to_s_basis(p, sphere) == _gf(p, expand_sphere_term, a, alpha, 0, n)
 
 
-def _binomial_sums(p, v):
-    # sum_m v_m * C(m, k) mod p, row by row of Pascal's triangle
-    out, row = [0] * len(v), [1]
-    for x in v:
-        for k, c in enumerate(row):
-            out[k] += x * c
-        row = [1] + [(u + w) % p for u, w in zip(row, row[1:])] + [1]
-    return [y % p for y in out]
-
-
 def test_pascal_transform_matches_binomial_sums():
     rng = random.Random(8310)
-    for p in SMALL_PRIMES + [31, 97, 401, 1009]:
+    for p in primes(3, 23) + [31, 97, 401, 1009]:
         v = [rng.randrange(p) for _ in range(p - 1)]
         assert congruence._to_s_basis(p, v) == _binomial_sums(p, v)
     assert _binomial_sums(7, [1, 2, 3]) == [6, 8 % 7, 3]  # 1 + 2(1+s) + 3(1+s)^2
@@ -496,32 +454,11 @@ def test_pascal_transform_matches_binomial_sums():
 def test_rotation_target_closed_form_matches_the_residue_route():
     # Sign * (t-1)^2 read through `_residues`, as a component term is:
     # the term Sign * (t-1)^2 / (t-1)^2, of pole order 2
-    for p in [q for q in range(3, 102, 2) if is_prime(q)]:
+    for p in primes(3, 101):
         for sign in range(-3, 4):
             sign_term = ([(0, sign), (1, -2 * sign), (2, sign)], (), 2)
             want = [0, 3 * sign % p, 0, 0] + congruence._residues(p, sign_term)
             assert congruence._rotation_target(p, sign) == want, (p, sign)
-
-
-def _battery_by_expansion(action):
-    """The records of `check_rotation_relations`, with the series part
-    summed from the GF(p) oracle's expansions through s^(p-2)."""
-    p, n = action.p, action.p - 2
-    vectors = [
-        congruence._point_vector(p, pt.a, pt.b)[:4] + _gf(p, expand_point_term, pt.a, pt.b, 0, n)
-        for pt in action.points
-    ]
-    vectors += [
-        congruence._sphere_vector(p, s.c, s.alpha)[:4]
-        + _gf(p, expand_sphere_term, s.c, s.alpha, 0, n)
-        for s in action.spheres
-    ]
-    total = [sum(col) % p for col in zip(*vectors)]
-    target = [0, 3 * action.signature % p, 0, 0] + [0] * (n + 1)
-    if n >= 2:  # Sign * s^2 is truncated away at p = 3
-        target[6] = action.signature % p
-    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(n + 1)]
-    return tuple(RelationRecord(*r, r[1] == r[2]) for r in zip(names, total, target))
 
 
 def test_battery_at_large_p_equals_expansion_oracle():
@@ -547,10 +484,7 @@ def test_battery_at_large_p_equals_expansion_oracle():
 def test_passing_battery_changes_no_basis(monkeypatch):
     # a sum equal to the target reads as the target's s coefficients;
     # only a failing sum is turned into powers of s
-    def forbidden(*args, **kwargs):
-        raise AssertionError("change of basis")
-
-    monkeypatch.setattr(congruence, "_to_s_basis", forbidden)
+    monkeypatch.setattr(congruence, "_to_s_basis", _forbidden("change of basis"))
     for act in (linear_cp2(401, 133, 268), linear_cp2_bar(31, 10), triple_cp2_bar_action()):
         assert check_rotation_relations(act).ok
     with pytest.raises(AssertionError, match="change of basis"):
@@ -558,9 +492,7 @@ def test_passing_battery_changes_no_basis(monkeypatch):
 
 
 def test_battery_and_search_use_no_series_division(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("series expansion or convolution on the battery path")
-
+    forbidden = _forbidden("series expansion or convolution on the battery path")
     for module in (series, congruence):
         for name in dir(series):
             if name.startswith("expand_") and hasattr(module, name):
@@ -581,55 +513,12 @@ def test_battery_and_search_use_no_series_division(monkeypatch):
     assert check_su2(linear_cp2_bar(5, 1), Su2Isotropy((3,), (3,), (-1,), c2=1)).ok
 
 
-# (0, 1) at p = 5 and a sphere with c = 0: the constructors refuse both,
-# naming the rotation and p, so no entry point is reached with them
-DEGENERATE = [
-    (
-        lambda: GroupAction(5, (IsolatedPoint(5, 1, 2), IsolatedPoint(5, 0, 1)), (), 0, 2, 0),
-        r"rotation numbers \(0, 1\) must be nonzero mod 5",
-    ),
-    (
-        lambda: GroupAction(5, (IsolatedPoint(5, 1, 2),), (FixedSphere(5, 0, 1),), 1, 3, 1),
-        "normal rotation 0 must be nonzero mod 5",
-    ),
-]
-
-
-def _line_iso(act, free=False):
-    n, s = len(act.points), len(act.spheres)
-    lam = (None if free else 1,) + (1,) * (n - 1)
-    return LineIsotropy(lam, (1,) * s, (0,) * s, c1_squared=1)
-
-
-def _su2_iso(act):
-    s = len(act.spheres)
-    return Su2Isotropy((1,) * len(act.points), (1,) * s, (0,) * s, c2=1)
-
-
-UNIT_CHECKED = {
-    "gsignature_check": gsignature_check,
-    "check_rotation_relations": check_rotation_relations,
-    "theorem_a_condition": lambda act: theorem_a_condition(act, _line_iso(act)),
-    "solve_theorem_a": lambda act: solve_theorem_a(act, _line_iso(act, free=True)),
-    "check_line_bundle": lambda act: check_line_bundle(act, _line_iso(act)),
-    "check_su2": lambda act: check_su2(act, _su2_iso(act)),
-}
-
-
-@pytest.mark.parametrize("entry", sorted(UNIT_CHECKED))
-@pytest.mark.parametrize("build, message", DEGENERATE, ids=["point", "sphere"])
-def test_non_unit_rotation_names_the_component(entry, build, message):
-    # the data is refused where it is built, before the entry point runs
-    with pytest.raises(ZeroRotation, match=message):
-        UNIT_CHECKED[entry](build())
-
-
 def test_relation_two_is_implied_by_relation_one_and_series():
     # random fixed data adjusted so relation (1) holds and Sign is read
     # off the order-2 series coefficient: relation (2) must follow
     rng = random.Random(8304)
     for _ in range(100):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         n_pts = rng.randrange(1, 5)
         n_sph = rng.randrange(1, 3)
         points = tuple(
@@ -664,7 +553,7 @@ def test_constant_isotropy_satisfies_condition():
     # with every fiber weight equal and no twisting, the condition is
     # lam * relation(1), which vanishes on data passing the battery
     rng = random.Random(8305)
-    for p in PRIMES:
+    for p in SMALL_PRIMES:
         for act in _model_pool(p, rng, 4):
             lam = rng.randrange(0, 3 * p)
             iso = LineIsotropy(
@@ -676,7 +565,7 @@ def test_constant_isotropy_satisfies_condition():
 def test_condition_on_canonical_bundle_data():
     rng = random.Random(8306)
     for _ in range(30):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
         if a == b:
@@ -723,7 +612,7 @@ def test_condition_requires_complete_record():
 
 def test_solve_fixed_line_twisting():
     # CP^2 with a fixed line: the twisting degree solves to -1
-    for p in PRIMES:
+    for p in SMALL_PRIMES:
         for a in range(1, p):
             act = linear_cp2(p, a, 0)
             lam = 2 * a  # canonical-bundle fiber weight at the point
@@ -736,7 +625,7 @@ def test_solve_third_point_weight():
     # canonical data with the last fiber weight blank solves to lam + b
     rng = random.Random(8307)
     for _ in range(30):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a, b = rng.randrange(1, p), rng.randrange(1, p)
         if a == b:
             continue
@@ -774,68 +663,11 @@ def test_solve_degenerate_coefficient():
 def test_solve_matches_brute_force_exhaustively():
     # single point, single sphere, p in {3, 5}: compare against a scan
     # of all residues for each slot kind
-    for p in (3, 5):
-        for a in range(1, p):
-            for b in range(1, p):
-                for c in range(1, p):
-                    for alpha in (1, -1, p, -2):
-                        act = GroupAction(
-                            p,
-                            (IsolatedPoint(p, a, b),),
-                            (FixedSphere(p, c, alpha),),
-                            0,
-                            5,
-                            3,
-                        )
-                        for kind, blank in [
-                            ("lambda", LineIsotropy((None,), (1,), (1,))),
-                            ("lambda_sphere", LineIsotropy((1,), (None,), (1,))),
-                            ("m", LineIsotropy((1,), (1,), (None,))),
-                        ]:
-                            idx = 0
-                            witnesses = [
-                                v
-                                for v in range(p)
-                                if theorem_a_condition(act, blank.with_slot(kind, idx, v)).ok
-                            ]
-                            if witnesses:
-                                got = solve_theorem_a(act, blank)
-                                value = {
-                                    "lambda": got.lambda_points[0],
-                                    "lambda_sphere": got.lambda_spheres[0],
-                                    "m": got.m_spheres[0],
-                                }[kind]
-                                assert value % p in witnesses
-                                if len(witnesses) == 1:
-                                    assert value % p == witnesses[0]
-                            else:
-                                with pytest.raises(NotSolvable):
-                                    solve_theorem_a(act, blank)
+    _solve_by_scan(extra_alphas=(-2,))
 
 
 def test_solve_random_round_trips():
-    rng = random.Random(8308)
-    done = 0
-    while done < 200:
-        p = rng.choice(PRIMES)
-        act = rng.choice(_model_pool(p, rng, 4))
-        n, s = len(act.points), len(act.spheres)
-        iso = LineIsotropy(
-            tuple(rng.randrange(0, p) for _ in range(n)),
-            tuple(rng.randrange(0, p) for _ in range(s)),
-            tuple(rng.randrange(-3, 4) for _ in range(s)),
-        )
-        slots = [("lambda", i) for i in range(n)]
-        slots += [("lambda_sphere", j) for j in range(s)]
-        slots += [("m", j) for j in range(s)]
-        kind, idx = rng.choice(slots)
-        blank = iso.with_slot(kind, idx, None)
-        try:
-            completed = solve_theorem_a(act, blank)
-        except NotSolvable:
-            continue
-        assert theorem_a_condition(act, completed).ok
-        done += 1
+    _solver_round_trips(random.Random(8308), _model_pool)
 
 
 def test_line_bundle_canonical_data():
@@ -863,7 +695,7 @@ def test_line_bundle_representative_independence():
     # shifting any fiber weight by a multiple of p changes nothing
     rng = random.Random(8309)
     for _ in range(20):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         act = linear_cp2(p, a, 0)
         lam, lam_f, m = rng.randrange(0, p), rng.randrange(0, p), rng.randrange(-3, 4)
@@ -888,7 +720,7 @@ def test_su2_weight_sign_flip_invariance():
     # ell -> -ell with m -> -m fixes every record
     rng = random.Random(8310)
     for _ in range(20):
-        p = rng.choice(PRIMES)
+        p = rng.choice(SMALL_PRIMES)
         a = rng.randrange(1, p)
         bar = linear_cp2_bar(p, a)
         ell_p, ell_s, m = rng.randrange(0, p), rng.randrange(0, p), rng.randrange(-3, 4)
@@ -902,15 +734,6 @@ def test_su2_weight_sign_flip_invariance():
 def test_su2_wrong_charge_fails():
     s4 = linear_s4(7, 1, 3)
     assert not check_su2(s4, Su2Isotropy((1, 2), (), (), c2=2)).ok
-
-
-def _series_records_by_gf(p, terms, s2_target):
-    n = min(2, p - 2)
-    required = [0, 0, s2_target % p][: n + 1]
-    return [
-        RelationRecord(f"series_order_{k}", x, y, x == y)
-        for k, (x, y) in enumerate(zip(_gf_expand(p, terms, n), required))
-    ]
 
 
 def test_bundle_checks_equal_the_gf_oracle():
@@ -1002,19 +825,7 @@ def test_boundary_chern_data_small_grid():
             for alpha in range(-15, 16):
                 if alpha == 0:
                     continue
-                sphere = FixedSphere(p, c, alpha)
-                abar = abs(alpha)
-                e = 0
-                while abar % p == 0:
-                    abar //= p
-                    e += 1
-                for lam in range(p):
-                    for m in range(abar):
-                        r = boundary_chern_data(sphere, lam, m)
-                        assert r.modulus == p * abs(alpha)
-                        assert (r.value + lam * alpha) % p ** (e + 1) == 0
-                        if abar > 1:
-                            assert (r.value - c * m) % abar == 0
+                _boundary_data_by_scan(FixedSphere(p, c, alpha))
     # p is the sphere's, so a composite one is refused before the call
     for p in (4, 9):
         with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
@@ -1087,40 +898,6 @@ def test_search_results_canonical_and_valid():
     assert any(act.same_data(triple) for act in found)
 
 
-def _search_by_filtering(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
-    """The filter-then-battery search: every multiset of point classes
-    times every sphere choice, relation 1 as a prefilter, then the full
-    `check_rotation_relations` battery on each survivor."""
-    classes = _point_classes(p)
-    weights = range(1, (p - 1) // 2 + 1)
-    seen_spheres: set = set()
-    sphere_choices = []
-    for ws in itertools.product(weights, repeat=n_spheres):
-        key = tuple(sorted(zip(ws, sphere_alphas)))
-        if key in seen_spheres:
-            continue
-        seen_spheres.add(key)
-        sphere_choices.append(ws)
-    for pts in itertools.combinations_with_replacement(classes, n_points):
-        base_r1 = sum(pow(a * b, -1, p) for a, b in pts)
-        for ws in sphere_choices:
-            r1 = base_r1 - sum(
-                alpha * pow(w * w, -1, p) for w, alpha in zip(ws, sphere_alphas)
-            )
-            if r1 % p != 0:
-                continue
-            action = GroupAction(
-                p,
-                tuple(IsolatedPoint(p, a, b) for a, b in pts),
-                tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
-                sign,
-                euler,
-                b2,
-            )
-            if check_rotation_relations(action).ok:
-                yield action
-
-
 # (points, sphere self-intersections, largest p); the filtering oracle
 # takes seconds for 4 points above p = 7
 SEARCH_PROFILES = [
@@ -1140,20 +917,15 @@ SEARCH_PROFILES = [
 @pytest.mark.parametrize("n_points, alphas, top", SEARCH_PROFILES)
 def test_search_equals_filtering_in_order(n_points, alphas, top):
     b2 = n_points + 2 * len(alphas) - 2
-    for p in [q for q in PRIMES if q <= top]:
+    for p in [q for q in SMALL_PRIMES if q <= top]:
         for sign in (-1, 0, 1, 2):
             args = (p, n_points, len(alphas), list(alphas), sign, b2 + 2, b2)
             assert list(search_realizable(*args)) == list(_search_by_filtering(*args))
 
 
-def _point_class(p, a, b):
-    pt = IsolatedPoint(p, a, b)
-    return pt.a, pt.b
-
-
 @st.composite
 def _search_profiles(draw):
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(SMALL_PRIMES))
     n_spheres = draw(st.integers(0, 2))
     n_points = draw(st.integers(max(0, 2 - 2 * n_spheres), 4 if p <= 7 else 3))
     alphas = draw(st.lists(st.integers(-3, 3), min_size=n_spheres, max_size=n_spheres))
@@ -1188,30 +960,13 @@ def test_search_sums_vectors_only_for_hits(monkeypatch):
     The relation-1 bucket search made 24,091 sums for the 3 points, one
     partial vector for every prefix; the eager sphere choices made 2,500
     sums and 5,000 sphere vectors for the 2 spheres, two for every choice."""
-    sums, built, spheres = [], [], []
     battery = congruence.check_rotation_relations
-    vector_sum = congruence._vector_sum
-    point_vector, sphere_vector = congruence._point_vector, congruence._sphere_vector
-
-    def counted_sum(*args):
-        sums.append(args)
-        return vector_sum(*args)
-
-    def counted_vector(*args):
-        built.append(args)
-        return point_vector(*args)
-
-    def counted_sphere(*args):
-        spheres.append(args)
-        return sphere_vector(*args)
-
-    def no_battery(*args):
-        raise AssertionError("the search called the battery")
-
+    no_battery = _forbidden("the search called the battery")
     monkeypatch.setattr(congruence, "check_rotation_relations", no_battery)
-    monkeypatch.setattr(congruence, "_vector_sum", counted_sum)
-    monkeypatch.setattr(congruence, "_point_vector", counted_vector)
-    monkeypatch.setattr(congruence, "_sphere_vector", counted_sphere)
+    sums, built, spheres = (
+        _count_calls(monkeypatch, name, [congruence])
+        for name in ("_vector_sum", "_point_vector", "_sphere_vector")
+    )
     found = list(search_realizable(31, 3, 0, [], 1, 3, 1))
     assert len(found) == 80
     assert len(sums) == len(found)
@@ -1226,7 +981,7 @@ def test_search_sums_vectors_only_for_hits(monkeypatch):
     assert all(battery(act).ok for act in found)
 
 
-@pytest.mark.parametrize("p", [q for q in range(3, 102) if is_prime(q)])
+@pytest.mark.parametrize("p", primes(3, 101))
 def test_point_classes_are_the_canonical_representatives(p):
     classes = _point_classes(p)
     assert classes == sorted({_point_class(p, a, b) for a in range(1, p) for b in range(1, p)})
@@ -1234,74 +989,6 @@ def test_point_classes_are_the_canonical_representatives(p):
     rels = [congruence._point_relations(p, a, b) for a, b in classes]
     assert len({rel[:2] for rel in rels}) == len(classes)
     assert rels == [tuple(congruence._point_vector(p, a, b)[:4]) for a, b in classes]
-
-
-def _sphere_choices_with_vectors(p, sphere_alphas):
-    """Each distinct assignment of weights 1..(p-1)/2 to the spheres, the
-    first of its multiset in product order, with the summed vector of its
-    spheres: the eager sphere choices that the residue-only ones replaced."""
-    weights = range(1, (p - 1) // 2 + 1)
-    seen = set()
-    for ws in itertools.product(weights, repeat=len(sphere_alphas)):
-        key = tuple(sorted(zip(ws, sphere_alphas)))
-        if key in seen:
-            continue
-        seen.add(key)
-        vecs = [congruence._sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-        yield ws, congruence._vector_sum(p, vecs)
-
-
-def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
-    """The search that reads the last point from a bucket keyed by its
-    relation-1 residue and adds a partial vector for every prefix: the
-    O(p)-per-prefix search that the residue lookup replaced."""
-    _point_classes, _point_vector = congruence._point_classes, congruence._point_vector
-    _rotation_target, _sphere_choices = congruence._rotation_target, _sphere_choices_with_vectors
-    _vector_sum = congruence._vector_sum
-    classes = _point_classes(p)
-    target = _rotation_target(p, sign)
-    # what the points must sum to, for each sphere choice
-    choices = [
-        (ws, [(t - v) % p for t, v in zip(target, vec)])
-        for ws, vec in _sphere_choices(p, sphere_alphas)
-    ]
-
-    def action(idx, ws):
-        return GroupAction(
-            p,
-            tuple(IsolatedPoint(p, *classes[i]) for i in idx),
-            tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
-            sign,
-            euler,
-            b2,
-        )
-
-    if n_points == 0:
-        for ws, need in choices:
-            if not any(need):
-                yield action((), ws)
-        return
-    vectors = [_point_vector(p, a, b) for a, b in classes]
-    buckets: dict[int, list[int]] = {}  # relation-1 residue -> ascending class indices
-    for i, vec in enumerate(vectors):
-        buckets.setdefault(vec[0], []).append(i)
-    for prefix in itertools.combinations_with_replacement(range(len(classes)), n_points - 1):
-        low = prefix[-1] if prefix else 0
-        r1 = sum(vectors[i][0] for i in prefix)
-        partial = None
-        hits = []
-        for k, (_, need) in enumerate(choices):
-            bucket = buckets.get((need[0] - r1) % p, [])
-            start = bisect.bisect_left(bucket, low)
-            if start == len(bucket):
-                continue
-            if partial is None:
-                partial = _vector_sum(p, [vectors[i] for i in prefix])
-            last = [(x - y) % p for x, y in zip(need, partial)]
-            hits += [(j, k) for j in bucket[start:] if vectors[j] == last]
-        hits.sort()
-        for j, k in hits:
-            yield action((*prefix, j), choices[k][0])
 
 
 @pytest.mark.parametrize("n_points, alphas", [(3, ()), (1, (-1,)), (2, (1,)), (0, (1, -2))])

@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,192 +6,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equibundle._poly import cleared
 from equibundle.cyclotomic import (
     CycloNum,
     NotRational,
     ZeroRotation,
-    _boundary,
-    _check,
-    _reduce,
-    _term,
-    _twist,
     eval_point_term,
     eval_sphere_term,
     galois_sum,
     sin2_term,
     zeta_minus_one_inv,
 )
-
-SMALL_PRIMES = [3, 5, 7, 11, 13]
-
-
-def _cyclo(p: int, coeffs) -> CycloNum:
-    """sum_i coeffs[i] * zeta^i for at most p - 1 rationals: the package
-    builds elements only from terms, so the tests build theirs through
-    `_reduce` too."""
-    num, den = cleared([Fraction(c) for c in coeffs])
-    return _reduce(p, num, den)
-
-
-def zeta_pow(p: int, e: int) -> CycloNum:
-    """zeta^e as a canonical field element."""
-    return _term(p, [(e, 1)], (), 0)
-
-
-# -- test oracles: the field trace and the twisted boundary term, which the
-# rho oracles of test_moduli read; the package computes neither -----------
-
-
-def field_trace(x: CycloNum) -> Fraction:
-    """Trace of x from Q(zeta_p) down to Q: the sum of its p-1 Galois
-    conjugates sigma_k(x), k = 1..p-1, where sigma_k sends zeta to zeta^k.
-
-    Tr(1) = p-1 and Tr(zeta^i) = -1 for 0 < i < p, so over the power
-    basis Tr(x) = p*c_0 - (c_0 + ... + c_(p-2)).  At p = 2 the field
-    is Q and the trace is the identity.
-    """
-    return Fraction(x.p * x.num[0] - sum(x.num), x.den)
+from oracles import (
+    SMALL_PRIMES,
+    _cot_at,
+    _cyclo,
+    _dedekind,
+    _oracle_add,
+    _oracle_inv,
+    _oracle_mul,
+    _oracle_point,
+    _oracle_sin_cot,
+    _oracle_sphere,
+    _oracle_sub,
+    cyclo_inv,
+    embed_complex,
+    field_trace,
+    primes,
+    sin_cot_term,
+    zeta_pow,
+)
 
 
-def sin_cot_term(p: int, l: int, c: int) -> CycloNum:
-    """(zeta^l - zeta^(-l))(zeta^c + 1) / (2(zeta^c - 1)), the boundary
-    term of degree 1 twisted by zeta^l - zeta^(-l), over 4.
-
-    Embeds to sin(2*pi*l/p) * cot(pi*c/p); the two imaginary factors
-    cancel, so the value is real under every embedding.  p and c are
-    checked as the package's term builders check them.
-    """
-    _check(p, 1, c)
-    return _term(p, *_twist(_boundary(c, 1), [(l, 1), (-l, -1)]), 4)
-
-
-def embed_complex(x: CycloNum, k: int = 1) -> complex:
-    """Numeric value at zeta = exp(2*pi*i*k/p), the float oracle."""
-    w = 2.0 * math.pi * k / x.p
-    return sum(float(c) * cmath.exp(1j * w * i) for i, c in enumerate(x.coeffs))
-
-
-# -- oracle: inverse by the extended Euclidean algorithm in Q[t] ---------
-
-
-def _pdeg(f: list[Fraction]) -> int:
-    for i in range(len(f) - 1, -1, -1):
-        if f[i] != 0:
-            return i
-    return -1
-
-
-def _pdivmod(f: list[Fraction], g: list[Fraction]):
-    dg = _pdeg(g)
-    r = list(f)
-    q = [Fraction(0)] * max(len(f) - dg, 1)
-    lead = g[dg]
-    for i in range(_pdeg(r), dg - 1, -1):
-        if r[i] == 0:
-            continue
-        c = r[i] / lead
-        q[i - dg] = c
-        for j in range(dg + 1):
-            r[i - dg + j] -= c * g[j]
-    return q, r
-
-
-def _pmul(f, g):
-    out = [Fraction(0)] * (max(_pdeg(f), 0) + max(_pdeg(g), 0) + 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
-def _psub(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else Fraction(0)) - (g[i] if i < len(g) else Fraction(0)) for i in range(n)]
-
-
-def _from_exponents(p: int, raw: list) -> CycloNum:
-    """Reduce an arbitrary-degree coefficient list into canonical form."""
-    folded = [Fraction(0)] * p
-    for i, v in enumerate(raw):
-        folded[i % p] += v
-    top = folded[p - 1]
-    return _cyclo(p, tuple(folded[i] - top for i in range(p - 1)))
-
-
-def cyclo_inv(x: CycloNum) -> CycloNum:
-    """Multiplicative inverse via the extended Euclidean algorithm on
-    representatives in Q[t] against Phi_p.
-
-    Phi_p is irreducible over Q, so any nonzero x of degree < p-1 is
-    coprime to it and the last nonzero remainder is a constant.
-    """
-    if not any(x.num):
-        raise ZeroDivisionError("inverse of zero cyclotomic element")
-    p = x.p
-    phi = [Fraction(1)] * p
-    r0, r1 = phi, list(x.coeffs)
-    s0, s1 = [Fraction(0)], [Fraction(1)]  # invariant: r_i == s_i * x mod Phi_p
-    while _pdeg(r1) > 0:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    c = r1[_pdeg(r1)]
-    return _from_exponents(p, [si / c for si in s1])
-
-
-# -- oracle: Fraction-coefficient arithmetic and three-factor terms ------
-
-
-def _oracle_add(x: CycloNum, y: CycloNum) -> CycloNum:
-    return _cyclo(x.p, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
-
-
-def _oracle_sub(x: CycloNum, y: CycloNum) -> CycloNum:
-    return _cyclo(x.p, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
-
-
-def _oracle_mul(x: CycloNum, y) -> CycloNum:
-    if isinstance(y, (int, Fraction)):
-        return _cyclo(x.p, tuple(c * y for c in x.coeffs))
-    return _from_exponents(x.p, _pmul(list(x.coeffs), list(y.coeffs)))
-
-
-def _oracle_zeta(p: int, e: int) -> CycloNum:
-    return _from_exponents(p, [Fraction(0)] * (e % p) + [Fraction(1)])
-
-
-def _oracle_inv(p: int, e: int) -> CycloNum:
-    return cyclo_inv(_oracle_sub(_oracle_zeta(p, e), _cyclo(p, [1])))
-
-
-def _oracle_point(p: int, ea: int, eb: int) -> CycloNum:
-    """(zeta^a + 1)(zeta^b + 1) * inv(a) * inv(b), inv(e) = 1/(zeta^e - 1)."""
-    one = _cyclo(p, [1])
-    num = _oracle_mul(_oracle_add(_oracle_zeta(p, ea), one), _oracle_add(_oracle_zeta(p, eb), one))
-    return _oracle_mul(_oracle_mul(num, _oracle_inv(p, ea)), _oracle_inv(p, eb))
-
-
-def _oracle_sphere(p: int, ec: int, alpha: int) -> CycloNum:
-    """-4 * alpha * zeta^c * inv(c)^2."""
-    inv = _oracle_inv(p, ec)
-    return _oracle_mul(_oracle_mul(_oracle_mul(_oracle_zeta(p, ec), inv), inv), -4 * alpha)
-
-
-def _oracle_sin_cot(p: int, l: int, c: int) -> CycloNum:
-    """(zeta^l - zeta^-l) * (zeta^c + 1) * inv(c) / 2."""
-    diff = _oracle_sub(_oracle_zeta(p, l), _oracle_zeta(p, -l))
-    cot_num = _oracle_add(_oracle_zeta(p, c), _cyclo(p, [1]))
-    return _oracle_mul(_oracle_mul(_oracle_mul(diff, cot_num), _oracle_inv(p, c)), Fraction(1, 2))
-
-
-ORACLE_PRIMES = [2, 3, 5, 7, 11, 13]
-
-
-@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("p", primes(2, 13))
 def test_terms_match_three_factor_oracle(p):
     # the oracle depends on the exponents mod p only, so it is built once
     # per exponent and every (a, b, c, k) is checked against it
@@ -349,10 +194,6 @@ def test_sphere_term_zero_alpha():
     assert not any(eval_sphere_term(7, 2, 3, 0).num)
 
 
-def _cot(x):
-    return math.cos(x) / math.sin(x)
-
-
 def test_point_term_embeds_to_cot_product():
     rng = random.Random(4102)
     for _ in range(50):
@@ -361,7 +202,7 @@ def test_point_term_embeds_to_cot_product():
         a = rng.randrange(1, p)
         b = rng.randrange(1, p)
         got = embed_complex(eval_point_term(p, k, a, b))
-        want = -_cot(math.pi * a * k / p) * _cot(math.pi * b * k / p)
+        want = -_cot_at(p, a * k) * _cot_at(p, b * k)
         assert abs(got.real - want) < 1e-10
         assert abs(got.imag) < 1e-10
 
@@ -388,7 +229,7 @@ def test_sin2_and_sin_cot_embeddings():
         got = embed_complex(sin2_term(p, l))
         assert abs(got.real - math.sin(math.pi * l / p) ** 2) < 1e-10
         got2 = embed_complex(sin_cot_term(p, l, c))
-        want2 = math.sin(2 * math.pi * l / p) * _cot(math.pi * c / p)
+        want2 = math.sin(2 * math.pi * l / p) * _cot_at(p, c)
         assert abs(got2.real - want2) < 1e-10
         assert abs(got2.imag) < 1e-10
 
@@ -424,11 +265,14 @@ def test_galois_sum_point_terms_rational():
             assert s - t == Fraction(-(p - 1))
 
 
+def _elements(draw, p, n):
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+    return [_cyclo(p, tuple(draw(coeff) for _ in range(p - 1))) for _ in range(n)]
+
+
 @st.composite
 def _cyclo_nums(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
-    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-    return _cyclo(p, tuple(draw(coeff) for _ in range(p - 1)))
+    return _elements(draw, draw(st.sampled_from(primes(2, 23))), 1)[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -447,15 +291,10 @@ def test_field_trace_is_sum_of_conjugates(x):
     assert field_trace(x) == galois_sum(p, conjugate)
 
 
-def _elements(draw, p, n):
-    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-    return [_cyclo(p, tuple(draw(coeff) for _ in range(p - 1))) for _ in range(n)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_arithmetic_matches_fraction_oracle(data):
-    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    p = data.draw(st.sampled_from(primes(2, 23)))
     x, y = _elements(data.draw, p, 2)
     q = data.draw(st.one_of(st.integers(-30, 30), st.fractions(max_denominator=30)))
     assert x + y == _oracle_add(x, y)
@@ -469,7 +308,7 @@ def test_arithmetic_matches_fraction_oracle(data):
 @given(st.data())
 def test_equal_elements_have_equal_fields(data):
     # lowest terms: however an element is reached, num, den and hash agree
-    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    p = data.draw(st.sampled_from(primes(2, 23)))
     (x,) = _elements(data.draw, p, 1)
     m = data.draw(st.integers(1, 40)) * data.draw(st.sampled_from([-1, 1]))
     scaled = _cyclo(p, tuple(c * m for c in x.coeffs)) * Fraction(1, m)
@@ -477,15 +316,6 @@ def test_equal_elements_have_equal_fields(data):
     for other in (scaled, shifted, _cyclo(p, x.coeffs)):
         assert (other.num, other.den, hash(other)) == (x.num, x.den, hash(x))
         assert other.den > 0 and math.gcd(other.den, *other.num) == 1
-
-
-# -- oracle at large p: Dedekind sums (Rademacher-Grosswald, 1972) ---------
-
-
-def _dedekind(h: int, k: int) -> Fraction:
-    """s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) for gcd(h, k) = 1, with the
-    sawtooth ((x)) = x - floor(x) - 1/2 (no hr/k is an integer)."""
-    return Fraction(sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k)), 4 * k * k)
 
 
 @pytest.mark.parametrize("p", [1009, 10007])

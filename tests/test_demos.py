@@ -2,23 +2,14 @@
 demos/cli_session.sh through `python -m equibundle`, and both Python
 demo scripts, each in a fresh interpreter from the repository root."""
 
-import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from oracles import ROOT, src_env
+
 DEMOS = ROOT / "demos"
-
-
-def _env() -> dict:
-    env = dict(os.environ)
-    paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return env
 
 
 def _session_commands() -> list[list[str]]:
@@ -31,7 +22,7 @@ def _session_commands() -> list[list[str]]:
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=120
     )
 
 

@@ -1,7 +1,5 @@
 import itertools
-import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -22,21 +20,8 @@ from equibundle.action_model import (
     reverse_orientation,
     triple_cp2_bar_action,
 )
-from equibundle.congruence import gsign_value, gsignature_check
-from equibundle.cyclotomic import (
-    NotRational,
-    ZeroRotation,
-    _four_sin2,
-    _point,
-    _sphere,
-    _term,
-    _twist,
-    eval_point_term,
-    eval_sphere_term,
-    galois_sum,
-    sin2_term,
-)
-from equibundle.exact_arith import is_prime, signed_rep
+from equibundle.congruence import check_su2, gsign_value, gsignature_check
+from equibundle.cyclotomic import NotRational, ZeroRotation
 from equibundle.moduli import (
     DimensionReport,
     NonIntegerDimension,
@@ -50,8 +35,24 @@ from equibundle.moduli import (
     rho_lens,
     rho_surface,
 )
-from test_congruence import _gsign_in_the_field
-from test_cyclotomic import field_trace, sin_cot_term
+from oracles import (
+    SMALL_PRIMES,
+    _count_calls,
+    _fold,
+    _forbidden,
+    _gsign_in_the_field,
+    _matches_float,
+    _rho_lens_float,
+    _rho_lens_p_fold,
+    _rho_lens_trace,
+    _rho_surface_float,
+    _rho_surface_p_fold,
+    _rho_surface_trace,
+    _sawtooth,
+    adjoint_record,
+    fixed_models,
+    primes,
+)
 
 PINNED_LENS = [
     ((5, 1, -1, 1), Fraction(-3, 5)),
@@ -64,99 +65,12 @@ PINNED_SURFACE = [
     ((5, 1, 1, -2, -1), Fraction(-4, 5)),
 ]
 
-ORACLE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+ORACLE_PRIMES = primes(2, 31)
 
 INVOLUTIONS = [
     GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (), 0, 2, 0),
     GroupAction(2, (IsolatedPoint(2, 1, 1),) * 2, (FixedSphere(2, 1, -4),), 0, 4, 2),
 ]
-
-
-# -- oracles: the p-fold sums, one field evaluation per group power k ------
-
-
-def _rho_lens_p_fold(p, a, b, ell):
-    return Fraction(-2, p) * galois_sum(
-        p, lambda k: eval_point_term(p, k, a, b) * sin2_term(p, k * ell)
-    )
-
-
-def _rho_surface_p_fold(p, c, ell, alpha, m):
-    part1 = Fraction(2, p) * galois_sum(
-        p, lambda k: eval_sphere_term(p, k, c, alpha) * sin2_term(p, k * ell)
-    )
-    part2 = Fraction(-4 * m, p) * galois_sum(p, lambda k: sin_cot_term(p, k * ell, k * c))
-    return part1 + part2
-
-
-# -- oracles: the trace of one Q(zeta_p) evaluation, the k = 1 summand ------
-
-
-def _rho_lens_trace(p, a, b, ell):
-    if ell % p == 0:
-        return Fraction(0)
-    return Fraction(-1, 2 * p) * field_trace(_term(p, *_twist(_point(a, b), _four_sin2(ell))))
-
-
-def _rho_surface_trace(p, c, ell, alpha, m):
-    if ell % p == 0:
-        return Fraction(0)
-    sphere = field_trace(_term(p, *_twist(_sphere(c, alpha), _four_sin2(ell))))
-    return Fraction(1, 2 * p) * sphere - Fraction(4 * m, p) * field_trace(sin_cot_term(p, ell, c))
-
-
-# -- oracles: the trigonometric sums that define the rho invariants, in floats
-
-
-def _angle(p, r):
-    """pi * r / p with r reduced mod p, so it is exact to about eps * pi;
-    cot, csc^2 and sin^2 have period pi, so no term changes."""
-    return math.pi * (r % p) / p
-
-
-def _cot_at(p, r):
-    return 1 / math.tan(_angle(p, r))
-
-
-def _float_sum(p, parts):
-    """(sum_j w_j * sum(terms_j), tolerance) for parts = [(w_j, terms_j)].
-
-    The terms x_k are cot, csc^2 and sin^2 products at angles pi*r/p,
-    0 < r < p.  Each angle is exact to about eps * pi, a relative error
-    of about eps * p in sin near r = p - 1: p is the condition number of
-    each factor.  So each x_k is off by a few eps * p * |x_k|, and
-    summing adds at most p * eps * S, S = sum_j |w_j| sum_k |x_k|.  The
-    tolerance is max(1e-9, 4 * eps * p * S); sampled errors up to
-    p = 100003 stayed below 0.5 * eps * p * S.
-    """
-    approx = scale = 0.0
-    for w, terms in parts:
-        approx += w * sum(terms)
-        scale += abs(w) * sum(map(abs, terms))
-    return approx, max(1e-9, 4 * sys.float_info.epsilon * p * scale)
-
-
-def _rho_lens_float(p, a, b, ell):
-    """(2/p) sum_k cot(pi a k/p) cot(pi b k/p) sin^2(pi k ell/p), with its tolerance."""
-    terms = [
-        _cot_at(p, a * k) * _cot_at(p, b * k) * math.sin(_angle(p, k * ell)) ** 2
-        for k in range(1, p)
-    ]
-    return _float_sum(p, [(2.0 / p, terms)])
-
-
-def _rho_surface_float(p, c, ell, alpha, m):
-    """(2 alpha/p) sum_k csc^2(pi c k/p) sin^2(pi k ell/p)
-    - (4m/p) sum_k sin(2 pi k ell/p) cot(pi c k/p), with its tolerance."""
-    ks = range(1, p)
-    csc2 = [(math.sin(_angle(p, k * ell)) / math.sin(_angle(p, c * k))) ** 2 for k in ks]
-    cot = [math.sin(2 * _angle(p, k * ell)) * _cot_at(p, c * k) for k in ks]
-    return _float_sum(p, [(2.0 * alpha / p, csc2), (-4.0 * m / p, cot)])
-
-
-def _matches_float(exact, oracle):
-    approx, tol = oracle
-    return abs(float(exact) - approx) < tol
 
 
 def _action_pool(p, rng):
@@ -202,7 +116,7 @@ def test_rho_zero_weight_vanishes():
 def test_rho_lens_symmetries():
     rng = random.Random(9101)
     for _ in range(25):
-        p = rng.choice([3, 5, 7, 11, 13])
+        p = rng.choice(SMALL_PRIMES)
         a, b = rng.randrange(1, p), rng.randrange(1, p)
         ell = rng.randrange(1, p)
         base = rho_lens(p, a, b, ell)
@@ -253,7 +167,7 @@ def test_rho_at_large_p_is_witnessed_within_its_float_error():
         assert tol == 1e-9
 
 
-PROPERTY_PRIMES = [n for n in range(2, 10_008) if is_prime(n)]
+PROPERTY_PRIMES = primes(2, 10007)
 
 
 @settings(max_examples=150, deadline=None)
@@ -333,15 +247,6 @@ def test_dimension_invariance_under_weight_conventions():
 # -- the weights are read as given: the retired fold is the oracle ------------
 
 
-def _fold(iso, p):
-    """Every ell into [0, p/2], a sphere's m flipping sign with its ell:
-    the fold the dimension applied before it read each weight as given."""
-    points = tuple(abs(signed_rep(e, p)) for e in iso.ell_points)
-    spheres = [(signed_rep(e, p), m) for e, m in zip(iso.ell_spheres, iso.m_spheres)]
-    ells = tuple(abs(e) for e, _ in spheres)
-    return Su2Isotropy(points, ells, tuple(-m if e < 0 else m for e, m in spheres), iso.c2)
-
-
 def _dimension_or_total(action, iso):
     """The report, or the total and terms of a non-integer dimension."""
     try:
@@ -392,6 +297,30 @@ def test_dimension_of_a_lift_equals_that_of_its_fold(data):
         data.draw(st.integers(-3, 3), label="c2"),
     )
     assert _dimension_or_total(act, iso) == _dimension_or_total(act, _fold(iso, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_su2_congruence_holds_exactly_when_the_dimension_is_an_integer(data):
+    # on linear CP^2 with three points or with a sphere, CP^2-bar and S^4:
+    # a fiber record passes `check_su2` iff its adjoint record, each weight
+    # doubled, has an integral dimension
+    p = data.draw(st.sampled_from(SMALL_PRIMES), label="p")
+    act = data.draw(st.sampled_from(fixed_models(p)[:4]), label="model")
+    n_pts, n_sph = len(act.points), len(act.spheres)
+    weights = st.integers(0, p - 1)
+    iso = Su2Isotropy(
+        data.draw(st.lists(weights, min_size=n_pts, max_size=n_pts), label="ell_points"),
+        data.draw(st.lists(weights, min_size=n_sph, max_size=n_sph), label="ell_spheres"),
+        data.draw(st.lists(st.integers(-2, 2), min_size=n_sph, max_size=n_sph), label="m"),
+        data.draw(st.integers(-p, p - 1), label="c2"),
+    )
+    try:
+        dim_invariant_moduli(act, adjoint_record(iso))
+        integral = True
+    except NonIntegerDimension:
+        integral = False
+    assert check_su2(act, iso).ok == integral
 
 
 def test_isolated_only_path():
@@ -474,20 +403,6 @@ def test_irrational_signature_still_raises_at_the_first_power():
         gsignature_check(bad)
 
 
-def _count_calls(monkeypatch, name, modules):
-    calls = []
-    for mod in modules:
-        if hasattr(mod, name):
-            original = getattr(mod, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(args)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_signature_paths_evaluate_once_per_fixed_point(monkeypatch):
     # a passing signature or dimension request reads its values from
     # integers and builds no field element; only an irrational sum is
@@ -531,10 +446,7 @@ def test_request_paths_multiply_no_dense_field_elements(monkeypatch):
         )
 
     want = run()
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a field element built on a request path")
-
+    forbidden = _forbidden("a field element built on a request path")
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(cyclotomic.CycloNum, name, forbidden)
     monkeypatch.setattr(cyclotomic, "_reduce", forbidden)
@@ -575,13 +487,6 @@ def test_floor_sums_equal_their_definition():
         floors = [(a * j + b) // c for j in range(n + 1)]
         want = (sum(floors), sum(j * f for j, f in enumerate(floors)), sum(f * f for f in floors))
         assert moduli._floor_sums(a, b, c, n) == want, (a, b, c, n)
-
-
-def _sawtooth(x):
-    """((x)) = x - floor(x) - 1/2, and 0 at an integer."""
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - x.numerator // x.denominator - Fraction(1, 2)
 
 
 def test_dedekind_sum_equals_its_definition():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,6 @@ from equibundle.cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twi
 from equibundle.series import (
     NotAUnit,
     PowerSeries,
-    _powers,
     expand_boundary_term,
     expand_point_term,
     expand_sphere_term,
@@ -19,16 +17,7 @@ from equibundle.series import (
     series_invert_unit,
     series_mul,
 )
-
-
-def _add(x, y):
-    """Coefficientwise sum of two series of one order."""
-    return PowerSeries(tuple(u + v for u, v in zip(x.coeffs, y.coeffs)), x.order)
-
-
-def expand_binomial_power(exponent, order):
-    """(1 + s)^exponent for any integer exponent, from the binomial engine alone."""
-    return PowerSeries(tuple(_powers([(exponent, 1)], order + 1)), order)
+from oracles import _add, _oracle_expand, _t_power_minus_one, expand_binomial_power
 
 
 def _rand_series(rng, order):
@@ -98,10 +87,6 @@ def test_binomial_power_additivity():
         order = rng.randrange(2, 8)
         lhs = series_mul(expand_binomial_power(a, order), expand_binomial_power(b, order))
         assert lhs == expand_binomial_power(a + b, order)
-
-
-def _t_power_minus_one(e, order):
-    return _add(expand_binomial_power(e, order), PowerSeries((-1,), order))
 
 
 def test_point_term_clears_denominators():
@@ -283,34 +268,7 @@ def test_series_str_and_coeff_bounds():
         s.coeff(3)
 
 
-# -- the division by the unit series of a negative rotation number -------
-# `series` rewrites u_r = -t^r * u_|r| for r < 0 and divides only by the
-# polynomial u_|r|.  This oracle divides by the full unit series
-# u_r = sum_j C(r, j+1) s^j instead, infinite when r < 0, over Q.
-
-
-def _binom(e, j):
-    """C(e, j) for any integer e."""
-    num = 1
-    for i in range(j):
-        num *= e - i
-    return Fraction(num, factorial(j))
-
-
-def _oracle_expand(terms, order):
-    n = order + 1
-    total = [Fraction(0)] * n
-    for num, units, k in terms:
-        x = [sum(c * _binom(e, j) for e, c in num) for j in range(n)]
-        for r in units:
-            y = [_binom(r, j + 1) for j in range(n)]
-            q = []
-            for i in range(n):
-                q.append((x[i] - sum(y[j] * q[i - j] for j in range(1, i + 1))) / y[0])
-            x = q
-        for j in range(2 - k, n):
-            total[j] += x[j - 2 + k]
-    return total
+# -- the expansions against the division by the full unit series -------
 
 
 _rotation = st.integers(-12, 12).filter(bool)

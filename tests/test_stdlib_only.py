@@ -1,7 +1,10 @@
 """Static checks over the package sources.  The runtime is pure stdlib:
 every absolute import in the package names a standard library module.
 Every imported name is used, no check hides in an `assert`
-statement, which `python -O` strips, and no float is computed."""
+statement, which `python -O` strips, and no float is computed.
+
+And over the test tree: test modules share code only through
+`oracles.py`, and every name defined there is used by some test."""
 
 import ast
 import sys
@@ -10,6 +13,8 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equibundle").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.glob("test_*.py"))
 
 # the trigonometry of the rho sums, which only the test oracles evaluate
 FLOAT_MATH = {"sin", "cos", "tan", "pi"}
@@ -94,3 +99,40 @@ def _float_sites(tree: ast.AST):
 def test_package_computes_no_float(path):
     # every runtime value is exact; float sums are test oracles only
     assert list(_float_sites(_tree(path))) == []
+
+
+def test_no_test_module_imports_another():
+    imports = {
+        path.name: [name for name in _absolute_imports(_tree(path)) if name.startswith("test_")]
+        for path in TEST_MODULES
+    }
+    assert {name: found for name, found in imports.items() if found} == {}
+
+
+def test_every_name_of_the_oracles_is_used_by_a_test():
+    # a top-level name is used when a test module imports it, or when the
+    # definition of a used name refers to it
+    refers = {}
+    for node in _tree(TESTS / "oracles.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, ast.Assign):
+            defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            refers[name] = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    used = {
+        name
+        for path in TEST_MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for name in _imported_names(node)
+    }
+    todo = list(used)
+    while todo:
+        for name in refers.get(todo.pop(), ()):
+            if name in refers and name not in used:
+                used.add(name)
+                todo.append(name)
+    assert sorted(set(refers) - used) == []
