@@ -45,7 +45,13 @@ from equibundle.congruence import (
     solve_theorem_a,
     theorem_a_condition,
 )
-from equibundle.cyclotomic import NotRational, _term, eval_point_term, eval_sphere_term
+from equibundle.cyclotomic import (
+    NotRational,
+    ZeroRotation,
+    _term,
+    eval_point_term,
+    eval_sphere_term,
+)
 from equibundle.series import (
     expand_boundary_term,
     expand_point_term,
@@ -511,6 +517,49 @@ def test_battery_and_search_use_no_series_division(monkeypatch):
     assert check_line_bundle(linear_cp2(7, 1, 3), LineIsotropy((2, 3, 5), (), (), c1_squared=1)).ok
     assert check_su2(linear_s4(7, 1, 3), Su2Isotropy((1, 2), (), (), c2=1)).ok
     assert check_su2(linear_cp2_bar(5, 1), Su2Isotropy((3,), (3,), (-1,), c2=1)).ok
+
+
+# (0, 1) at p = 5 and a sphere with c = 0: the constructors refuse both,
+# naming the rotation and p, so no entry point is reached with them
+DEGENERATE = [
+    (
+        lambda: GroupAction(5, (IsolatedPoint(5, 1, 2), IsolatedPoint(5, 0, 1)), (), 0, 2, 0),
+        r"rotation numbers \(0, 1\) must be nonzero mod 5",
+    ),
+    (
+        lambda: GroupAction(5, (IsolatedPoint(5, 1, 2),), (FixedSphere(5, 0, 1),), 1, 3, 1),
+        "normal rotation 0 must be nonzero mod 5",
+    ),
+]
+
+
+def _line_iso(act, free=False):
+    n, s = len(act.points), len(act.spheres)
+    lam = (None if free else 1,) + (1,) * (n - 1)
+    return LineIsotropy(lam, (1,) * s, (0,) * s, c1_squared=1)
+
+
+def _su2_iso(act):
+    s = len(act.spheres)
+    return Su2Isotropy((1,) * len(act.points), (1,) * s, (0,) * s, c2=1)
+
+
+UNIT_CHECKED = {
+    "gsignature_check": gsignature_check,
+    "check_rotation_relations": check_rotation_relations,
+    "theorem_a_condition": lambda act: theorem_a_condition(act, _line_iso(act)),
+    "solve_theorem_a": lambda act: solve_theorem_a(act, _line_iso(act, free=True)),
+    "check_line_bundle": lambda act: check_line_bundle(act, _line_iso(act)),
+    "check_su2": lambda act: check_su2(act, _su2_iso(act)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNIT_CHECKED))
+@pytest.mark.parametrize("build, message", DEGENERATE, ids=["point", "sphere"])
+def test_non_unit_rotation_names_the_component(entry, build, message):
+    # the data is refused where it is built, before the entry point runs
+    with pytest.raises(ZeroRotation, match=message):
+        UNIT_CHECKED[entry](build())
 
 
 def test_relation_two_is_implied_by_relation_one_and_series():
