@@ -594,15 +594,7 @@ def _search_by_filtering(p, n_points, n_spheres, sphere_alphas, sign, euler, b2)
     times every sphere choice, relation 1 as a prefilter, then the full
     `check_rotation_relations` battery on each survivor."""
     classes = _point_classes(p)
-    weights = range(1, (p - 1) // 2 + 1)
-    seen_spheres: set = set()
-    sphere_choices = []
-    for ws in itertools.product(weights, repeat=n_spheres):
-        key = tuple(sorted(zip(ws, sphere_alphas)))
-        if key in seen_spheres:
-            continue
-        seen_spheres.add(key)
-        sphere_choices.append(ws)
+    sphere_choices = list(_sphere_choices(p, sphere_alphas))
     for pts in itertools.combinations_with_replacement(classes, n_points):
         base_r1 = sum(pow(a * b, -1, p) for a, b in pts)
         for ws in sphere_choices:
@@ -628,10 +620,9 @@ def _point_class(p, a, b):
     return pt.a, pt.b
 
 
-def _sphere_choices_with_vectors(p, sphere_alphas):
+def _sphere_choices(p, sphere_alphas):
     """Each distinct assignment of weights 1..(p-1)/2 to the spheres, the
-    first of its multiset in product order, with the summed vector of its
-    spheres: the eager sphere choices that the residue-only ones replaced."""
+    first of its multiset in product order."""
     weights = range(1, (p - 1) // 2 + 1)
     seen = set()
     for ws in itertools.product(weights, repeat=len(sphere_alphas)):
@@ -639,6 +630,13 @@ def _sphere_choices_with_vectors(p, sphere_alphas):
         if key in seen:
             continue
         seen.add(key)
+        yield ws
+
+
+def _sphere_choices_with_vectors(p, sphere_alphas):
+    """`_sphere_choices` with the summed vector of each choice's spheres:
+    the eager sphere choices that the residue-only ones replaced."""
+    for ws in _sphere_choices(p, sphere_alphas):
         vecs = [congruence._sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
         yield ws, congruence._vector_sum(p, vecs)
 
@@ -648,14 +646,14 @@ def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2
     relation-1 residue and adds a partial vector for every prefix: the
     O(p)-per-prefix search that the residue lookup replaced."""
     _point_classes, _point_vector = congruence._point_classes, congruence._point_vector
-    _rotation_target, _sphere_choices = congruence._rotation_target, _sphere_choices_with_vectors
+    _rotation_target = congruence._rotation_target
     _vector_sum = congruence._vector_sum
     classes = _point_classes(p)
     target = _rotation_target(p, sign)
     # what the points must sum to, for each sphere choice
     choices = [
         (ws, [(t - v) % p for t, v in zip(target, vec)])
-        for ws, vec in _sphere_choices(p, sphere_alphas)
+        for ws, vec in _sphere_choices_with_vectors(p, sphere_alphas)
     ]
 
     def action(idx, ws):
@@ -699,14 +697,14 @@ def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2
 # -- the solver and the boundary data against a scan of every residue ---------
 
 
-def _solve_by_scan(extra_alphas=()):
+def _solve_by_scan():
     """`solve_theorem_a` on one point and one sphere at p = 3 and 5, each
     slot kind left free in turn, against a scan of all its residues: the
     solved value is a witness, the only one when there is one, and a
     record with no witness raises NotSolvable."""
     for p in (3, 5):
         for a, b, c in itertools.product(range(1, p), repeat=3):
-            for alpha in (1, -1, p, *extra_alphas):
+            for alpha in (1, -1, p, -2):
                 act = GroupAction(p, (IsolatedPoint(p, a, b),), (FixedSphere(p, c, alpha),), 0, 5, 3)
                 for kind, blank in [
                     ("lambda", LineIsotropy((None,), (1,), (1,))),

@@ -78,7 +78,6 @@ from oracles import (
     _series_records_by_gf,
     _solve_by_scan,
     _solver_round_trips,
-    connected_sums,
     fixed_models,
     primes,
 )
@@ -245,19 +244,13 @@ def test_connected_sums_keep_the_rotation_and_signature_conditions(case):
 
 @st.composite
 def _count_rule_actions(draw):
-    """An action at p <= 13 that meets the count rule: a model of
-    `fixed_models`, a connected sum of two of them (the second reversed
-    or not), or random fixed data with chi and b2 read off the count rule."""
-    p = draw(st.sampled_from(SMALL_PRIMES))
-    models = st.sampled_from(fixed_models(p))
-    kind = draw(st.sampled_from(["model", "sum", "random"]))
-    if kind == "model":
-        return draw(models)
-    if kind == "sum":
-        x, y = draw(models), draw(models)
-        sums = connected_sums(x, reverse_orientation(y) if draw(st.booleans()) else y)
-        return draw(st.sampled_from(sums)) if sums else x
-    act = _random_action(draw, p)
+    """Random fixed data at p <= 13 with chi and b2 read off the count
+    rule.  p = 3 is drawn about half the time: there every G-signature
+    is rational, while at p >= 5 random data is seldom rational.  The
+    linear models and their sums, whose G-signature is their Sign, are
+    the cases of `test_rotation_relations_pass_on_linear_models` and
+    `test_connected_sums_keep_the_rotation_and_signature_conditions`."""
+    act = _random_action(draw, draw(st.one_of(st.just(3), st.sampled_from(SMALL_PRIMES))))
     b2 = len(act.points) + 2 * len(act.spheres) - 2
     return replace(act, euler=b2 + 2, b2=b2)
 
@@ -712,7 +705,7 @@ def test_solve_degenerate_coefficient():
 def test_solve_matches_brute_force_exhaustively():
     # single point, single sphere, p in {3, 5}: compare against a scan
     # of all residues for each slot kind
-    _solve_by_scan(extra_alphas=(-2,))
+    _solve_by_scan()
 
 
 def test_solve_random_round_trips():
