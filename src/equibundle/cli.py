@@ -25,6 +25,7 @@ import re
 import sys
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterator
 
 from .action_model import (
     _SLOT_FIELDS,
@@ -41,6 +42,7 @@ from .action_model import (
 )
 from .congruence import (
     CongruenceReport,
+    _display_template,
     check_line_bundle,
     check_rotation_relations,
     check_su2,
@@ -141,29 +143,35 @@ def _json_value(v) -> str:
     return "true" if v is True else "false" if v is False else json.dumps(v, sort_keys=True)
 
 
-def _report_line(mode: str, ok, records) -> str:
+def _record_template(name: str, lhs, required, passed) -> tuple[str, str]:
+    """A record's JSON text split after its name (see `CongruenceReport._pieces`)."""
+    head = f'{{"lhs": {_json_str(str(lhs))}, "name": {_json_str(name)[:-1]}'
+    return head, f'", "passed": {_json_value(passed)}, "required": {_json_str(str(required))}}}'
+
+
+def _report_line(mode: str, ok, report: CongruenceReport) -> Iterator[str]:
     """The bytes of `json.dumps({"mode": mode, "ok": ok, "records": [...]},
     sort_keys=True)`, each record {"lhs": str(lhs), "name": name, "passed":
-    passed, "required": str(required)}, formatted in one pass with no
-    per-record dict: the battery writes p + 3 records."""
-    body = ", ".join(
-        [
-            f'{{"lhs": {_json_str(str(lhs))}, "name": {_json_str(name)}, '
-            f'"passed": {_json_value(passed)}, "required": {_json_str(str(required))}}}'
-            for name, lhs, required, passed in records
-        ]
-    )
-    return f'{{"mode": {_json_str(mode)}, "ok": {_json_value(ok)}, "records": [{body}]}}'
+    passed, "required": str(required)}, in pieces of a few thousand
+    records: one template per run of records that share their value
+    objects (`CongruenceReport._pieces`), and no per-record dict.  The
+    battery writes p + 3 records, `gsign` p - 1."""
+    yield f'{{"mode": {_json_str(mode)}, "ok": {_json_value(ok)}, "records": ['
+    yield from report._pieces(_record_template, ", ")
+    yield "]}"
 
 
 def _finish_report(args, report: CongruenceReport, mode: str) -> int:
-    """Print the report in the one form asked for, JSON or text."""
+    """Write the report in the one form asked for, JSON or text, piece by
+    piece, so the whole output is never held."""
     ok = report.ok
     if args.machine:
-        print(_report_line(mode, ok, report.records))
+        sys.stdout.writelines(_report_line(mode, ok, report))
+        print()
     else:
+        sys.stdout.writelines(report._pieces(_display_template, "\n"))
         verdict = "all relations hold" if ok else f"{len(report.failures())} relation(s) failed"
-        print(report.display() + "\n" + verdict)
+        print("\n" + verdict)
     return EXIT_OK if ok else EXIT_RELATION
 
 

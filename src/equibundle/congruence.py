@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
@@ -100,19 +99,118 @@ class RelationRecord(NamedTuple):
         return f"{self.name}: {self.lhs} == {self.required}  [{verdict}]"
 
 
-@dataclass(frozen=True)
+_CHUNK = 4096  # records per piece of written output
+
+
 class CongruenceReport:
-    records: tuple[RelationRecord, ...]
+    """Named relations lhs == required, each with its verdict `passed`.
+
+    `CongruenceReport(records)` takes RelationRecords, and `records`
+    gives them back as a tuple.  Inside, the report is held as columns:
+    `_names` is a tuple of name blocks, each either (prefix, indices),
+    the records prefix + str(k) for k in the range `indices`, or
+    (name, None), one record named outright; `_lhs`, `_required` and
+    `_passed` hold one entry per record, in order.  A value that many
+    records share is one object repeated, so `gsignature_check` and
+    `check_rotation_relations` build no record and no name, and the
+    writers format each run of records that share their value objects
+    once, as one template around its indices (see `_pieces`).
+    """
+
+    __slots__ = ("_names", "_lhs", "_required", "_passed")
+
+    def __init__(self, records: tuple[RelationRecord, ...]):
+        records = tuple(records)
+        names, lhs, required, passed = zip(*records) if records else ((),) * 4
+        self._names = tuple((name, None) for name in names)
+        self._lhs, self._required, self._passed = lhs, required, passed
+
+    @classmethod
+    def _columns(
+        cls, names: tuple, lhs: Sequence, required: Sequence, passed: Sequence
+    ) -> CongruenceReport:
+        """The report of the name blocks `names` and the value columns."""
+        report = cls.__new__(cls)
+        report._names = names
+        report._lhs, report._required, report._passed = lhs, required, passed
+        return report
+
+    def _records(self) -> Iterator[RelationRecord]:
+        names = itertools.chain.from_iterable(
+            [prefix] if indices is None else map(prefix.__add__, map(str, indices))
+            for prefix, indices in self._names
+        )
+        return map(RelationRecord._make, zip(names, self._lhs, self._required, self._passed))
+
+    @property
+    def records(self) -> tuple[RelationRecord, ...]:
+        return tuple(self._records())
 
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(self._passed)
 
     def failures(self) -> list[RelationRecord]:
-        return [r for r in self.records if not r.passed]
+        return list(itertools.compress(self._records(), map(operator.not_, self._passed)))
 
     def display(self) -> str:
-        return "\n".join(r.display() for r in self.records)
+        return "".join(self._pieces(_display_template, "\n"))
+
+    def __eq__(self, other):
+        if not isinstance(other, CongruenceReport):
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self):
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"CongruenceReport(records={self.records!r})"
+
+    def _pieces(self, template, sep: str) -> Iterator[str]:
+        """The records, joined by `sep`, in pieces of about `_CHUNK` records
+        whose concatenation is the whole text.
+
+        The records are walked in runs: records of one name block that
+        share their three value objects, at most `_CHUNK` of them; a record
+        named outright is a run of its own.  Objects are matched by `is`,
+        never by ==: 0, 0.0, -0.0, False and Fraction(0) are equal but
+        print apart.  `template(name, lhs, required, passed)` gives a
+        record's text split after its name, as (head, tail), and is called
+        once per run.  A longer run passes the block's prefix as the name;
+        its records k are head + str(k) + tail, so it is written as
+        head + (tail + sep + head).join(map(str, ks)) + tail.  A run of one
+        record passes its whole name.
+        """
+        lhs, required, passed = self._lhs, self._required, self._passed
+        buf, size, lead, i = [], 0, "", 0
+        for prefix, indices in self._names:
+            first, stop = i, i + (1 if indices is None else len(indices))
+            while i < stop:
+                start, a, b, c = i, lhs[i], required[i], passed[i]
+                i += 1
+                if i < stop and lhs[i] is a and required[i] is b and passed[i] is c:
+                    end = min(stop, start + _CHUNK)
+                    while i < end and lhs[i] is a and required[i] is b and passed[i] is c:
+                        i += 1
+                    head, tail = template(prefix, a, b, c)
+                    ks = map(str, indices[start - first : i - first])
+                    buf.append(head + (tail + sep + head).join(ks) + tail)
+                else:  # a run of one record
+                    name = prefix if indices is None else f"{prefix}{indices[start - first]}"
+                    buf.append("".join(template(name, a, b, c)))
+                size += i - start
+                if size >= _CHUNK:
+                    yield lead + sep.join(buf)
+                    buf, size, lead = [], 0, sep
+        if buf:
+            yield lead + sep.join(buf)
+
+
+def _display_template(name: str, lhs, required, passed) -> tuple[str, str]:
+    """`RelationRecord.display` split after the name."""
+    verdict = "pass" if passed else "FAIL"
+    return name, f": {lhs} == {required}  [{verdict}]"
 
 
 def _require_odd(p: int, prime: bool = True) -> None:
@@ -184,18 +282,17 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     The value at g^k is sigma_k (zeta -> zeta^k) applied to the value
     at g, and sigma_k fixes a rational, so one `gsign_value`, read from
     integers, gives every record; an irrational value raises
-    NotRational there.
+    NotRational there.  The p - 1 records signature_power_1 ..
+    signature_power_(p-1) are held as columns that repeat the two
+    values and the verdict, with no record or name built.
     """
-    _require_odd(action.p)
+    p = action.p
+    _require_odd(p)
     want = Fraction(action.signature)
     got = gsign_value(action)
-    ok = got == want
-    return CongruenceReport(
-        tuple(
-            RelationRecord(f"signature_power_{k}", got, want, ok)
-            for k in range(1, action.p)
-        )
-    )
+    n = p - 1
+    names = (("signature_power_", range(1, p)),)
+    return CongruenceReport._columns(names, [got] * n, [want] * n, [got == want] * n)
 
 
 def _vector_sum(p: int, vectors: list[list[int]]) -> list[int]:
@@ -301,6 +398,11 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     is a bijection, so a sum equal to the target reads as the target's
     s coefficients; only a differing sum is turned into s coefficients,
     once, for its records.
+
+    The report holds the summed and target lists as they are, as its
+    lhs and required columns, under the names relation_1 .. relation_4
+    and series_order_0 .. series_order_(p-2); a passing sum shares the
+    target's objects, so its records write as a few runs.
     """
     p = action.p
     _require_odd(p)
@@ -314,9 +416,9 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
         total[4:] = target[4:]  # the change of basis is a bijection
     else:
         total[4:] = _to_s_basis(p, total[4:])
-    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(p - 1)]
-    passed = map(operator.eq, total, target)
-    return CongruenceReport(tuple(map(RelationRecord._make, zip(names, total, target, passed))))
+    names = (("relation_", range(1, 5)), ("series_order_", range(p - 1)))
+    passed = list(map(operator.eq, total, target))
+    return CongruenceReport._columns(names, total, target, passed)
 
 
 # -- circle bundle relations -------------------------------------------------

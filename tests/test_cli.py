@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ from equibundle.action_model import (
     su2_isotropy_to_dict,
     triple_cp2_bar_action,
 )
-from equibundle import cli, series
+from equibundle import cli, congruence, series
 from equibundle.congruence import CongruenceReport, RelationRecord
 from equibundle.exact_arith import Residue
 from equibundle.cli import (
@@ -158,6 +160,74 @@ def test_report_line_equals_json_dumps(mode, records):
     assert code == (0 if report.ok else 1)
 
 
+# objects that compare equal but print apart, next to any other value
+_TWINS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, False, 1, True, 1.0]),
+    st.builds(Fraction, st.integers(-1, 1)),  # a new object each time
+    _VALUE,
+)
+_VERDICTS = st.one_of(
+    st.sampled_from([True, False, 0, 1, 0.0, -0.0, None]), st.floats(), _AWKWARD
+)
+
+
+@st.composite
+def _column_report(draw):
+    """A report built from name blocks and columns whose records pick their
+    values from small pools, so that runs of shared objects form and break,
+    with the records it stands for."""
+    values = draw(st.lists(_TWINS, min_size=1, max_size=4))
+    verdicts = draw(st.lists(_VERDICTS, min_size=1, max_size=3))
+    names, records = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        prefix = draw(_AWKWARD)
+        if draw(st.booleans()):
+            names.append((prefix, None))
+            block = [prefix]
+        else:
+            start = draw(st.integers(-2, 12))
+            indices = range(start, start + draw(st.integers(0, 9)))
+            names.append((prefix, indices))
+            block = [prefix + str(k) for k in indices]
+        for name in block:
+            lhs, required = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+            records.append(RelationRecord(name, lhs, required, draw(st.sampled_from(verdicts))))
+    columns = [[r[i] for r in records] for i in (1, 2, 3)]
+    return CongruenceReport._columns(tuple(names), *columns), records
+
+
+@given(
+    mode=st.one_of(st.sampled_from(["rotation", "line", "su2", "gsign"]), _AWKWARD),
+    drawn=_column_report(),
+    chunk=st.integers(1, 5),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_report_held_as_columns_writes_and_reads_as_its_records(mode, drawn, chunk):
+    report, records = drawn
+    same = CongruenceReport(tuple(records))
+    assert report.records == same.records == tuple(records)
+    assert report.ok == same.ok == all(r.passed for r in records)
+    assert report.failures() == same.failures() == [r for r in records if not r.passed]
+    assert report == same
+    text = "\n".join(r.display() for r in records)
+    verdict = "all relations hold" if report.ok else f"{len(report.failures())} relation(s) failed"
+    with mock.patch.object(congruence, "_CHUNK", chunk):  # many pieces
+        assert report.display() == text
+        # one "x" per record: no piece holds 2 * chunk records or more
+        pieces = list(report._pieces(lambda *run: ("x", "y"), ","))
+        assert sum(piece.count("x") for piece in pieces) == len(records)
+        assert all(piece.count("x") < 2 * chunk for piece in pieces)
+        for machine, want in (
+            (True, _reference_report_line(mode, report.ok, records) + "\n"),
+            (False, text + "\n" + verdict + "\n"),
+        ):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli._finish_report(argparse.Namespace(machine=machine), report, mode)
+            assert out.getvalue() == want
+            assert code == (0 if report.ok else 1)
+
+
 DEMO_DOCUMENTS = sorted((ROOT / "demos" / "documents").glob("*.json"))
 
 
@@ -169,7 +239,12 @@ def test_demo_documents_write_the_reference_report_line(mode, monkeypatch, capsy
         code = main(argv)
         got = capsys.readouterr()
         with monkeypatch.context() as m:
-            m.setattr(cli, "_report_line", _reference_report_line)
+            # the oracle's line in one piece, from the report's records
+            m.setattr(
+                cli,
+                "_report_line",
+                lambda mode, ok, report: [_reference_report_line(mode, ok, report.records)],
+            )
             assert main(argv) == code
         assert capsys.readouterr() == got, path.name
         reports += '"records": [{' in got.out

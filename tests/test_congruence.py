@@ -275,9 +275,21 @@ def test_the_battery_does_not_imply_an_integral_g_signature():
     # `search_realizable` finds them, but their G-signature is irrational:
     # the search promises the rotation congruences only
     act = GroupAction(5, tuple(IsolatedPoint(5, 1, b) for b in (1, 1, 1, 3)), (), 2, 4, 2)
+    _passes_the_battery_with_an_irrational_g_signature(act, (5, 4, 0, [], 2, 4, 2))
+
+
+def test_the_battery_does_not_imply_an_integral_g_signature_at_p_7():
+    # the same at p = 7, with a sphere: points (1, 3) and (3, 4), sphere
+    # (c, alpha) = (3, 2), Sign -2
+    points = (IsolatedPoint(7, 1, 3), IsolatedPoint(7, 3, 4))
+    act = GroupAction(7, points, (FixedSphere(7, 3, 2),), -2, 4, 2)
+    _passes_the_battery_with_an_irrational_g_signature(act, (7, 2, 1, [2], -2, 4, 2))
+
+
+def _passes_the_battery_with_an_irrational_g_signature(act, profile):
     validate(act)
     assert check_rotation_relations(act).ok
-    assert any(found.same_data(act) for found in search_realizable(5, 4, 0, [], 2, 4, 2))
+    assert any(found.same_data(act) for found in search_realizable(*profile))
     with pytest.raises(NotRational):
         gsign_value(act)
 
@@ -296,6 +308,22 @@ def test_gsignature_records_equal_every_power():
                 ]
                 assert [r.lhs for r in report.records] == values
                 assert report.ok == all(v == claimed.signature for v in values)
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_a_shared_value_is_held_once(p):
+    # the p - 1 G-signature records are one run of shared objects, and a
+    # passing battery shares the target's objects: a few runs, not O(p)
+    def runs(report):
+        calls = []
+        "".join(report._pieces(lambda *run: calls.append(run) or ("", ""), ""))
+        return len(calls)
+
+    for act in (linear_cp2(p, 1, 2), linear_cp2_bar(p, 3), linear_s4(p, 1, 2)):
+        gsign = gsignature_check(act)
+        assert len(gsign.records) == p - 1 and runs(gsign) == 1
+        battery = check_rotation_relations(act)
+        assert battery.ok and runs(battery) <= 6
 
 
 def test_gsignature_check_requires_odd_prime():
