@@ -76,6 +76,12 @@ class InconsistentCounts(ValueError):
     """Fixed point data or a search profile that breaks the count rule."""
 
 
+def _point_class(p: int, a: int, b: int) -> tuple[int, int]:
+    """The least of (a, b), (b, a), (-a, -b) and (-b, -a), entries mod p."""
+    a, b = a % p, b % p
+    return min((a, b), (b, a), (p - a, p - b), (p - b, p - a))
+
+
 @dataclass(frozen=True)
 class IsolatedPoint:
     """Isolated fixed point with tangential rotation numbers (a, b) mod p.
@@ -95,12 +101,11 @@ class IsolatedPoint:
     def __post_init__(self) -> None:
         p = self.p
         _require_prime(p)
-        a, b = self.a % p, self.b % p
-        if a == 0 or b == 0:
+        if self.a % p == 0 or self.b % p == 0:
             raise ZeroRotation(f"rotation numbers ({self.a}, {self.b}) must be nonzero mod {p}")
-        best = min((a, b), (b, a), (p - a, p - b), (p - b, p - a))
-        object.__setattr__(self, "a", best[0])
-        object.__setattr__(self, "b", best[1])
+        a, b = _point_class(p, self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def orientation_reversed(self) -> "IsolatedPoint":
         """The class of the same point in the reversed-orientation manifold."""

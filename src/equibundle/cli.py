@@ -170,7 +170,8 @@ def _finish_report(args, report: CongruenceReport, mode: str) -> int:
         print()
     else:
         sys.stdout.writelines(report._pieces(_display_template, "\n"))
-        verdict = "all relations hold" if ok else f"{len(report.failures())} relation(s) failed"
+        failed = sum(not passed for passed in report._passed)
+        verdict = "all relations hold" if ok else f"{failed} relation(s) failed"
         print("\n" + verdict)
     return EXIT_OK if ok else EXIT_RELATION
 

@@ -31,6 +31,7 @@ from .action_model import (
     LineIsotropy,
     Su2Isotropy,
     _count_rule,
+    _point_class,
 )
 from .cyclotomic import (
     _over_units,
@@ -649,6 +650,25 @@ def search_realizable(
     with no change of basis.  Prefixes come in lexicographic order, and
     the hits of one prefix in order of (last class, sphere choice).
 
+    With a point, only one member of each orbit of g -> g^u is looked
+    up.  Replacing the generator g by g^u, for a unit u mod p,
+    multiplies every rotation number by u and keeps Sign, chi, b2 and
+    each alpha, and it keeps the battery.  The relation residues are
+    homogeneous in the rotation numbers, of degrees -2, 0, 2 and 4, with
+    targets 0, 3*Sign, 0 and 0.  The series part under u is sigma_u of
+    the same identity in Z[zeta]/p, divided by the square of the
+    cyclotomic unit (zeta^u - 1)/(zeta - 1).  So the results are a
+    union of orbits, and u = a^-1 takes a first point (a, b) to (1, x).
+    The prefix walk therefore covers only data whose first point is a
+    class (1, x), the first p - 1 classes; these results stream first,
+    as they come, and a limit stops the walk as early as it would stop
+    the full walk.  Then each of them is mapped by u = 2..(p-1)/2 (u
+    and -u give the same classes): points to their `IsolatedPoint`
+    class, sphere weights to |u*c| mod p, spheres of equal alpha
+    re-sorted as in the sphere choices.  The images whose first point
+    is not (1, x) are deduplicated, sorted and yielded with no vector
+    sum.  With no point, every sphere choice is looked up.
+
     The prime and the profile are checked by the call itself, before
     the enumeration is first advanced.
 
@@ -679,7 +699,8 @@ def _search(
     for ws in choices:
         spheres = [_sphere_relations(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
         needs.append(tuple((t - sum(col)) % p for t, *col in zip(target[:4], *spheres)))
-    classes = _point_classes(p) if n_points else []
+    # the first point is one of the classes (1, x), the first p - 1 classes
+    classes = _point_classes(p) if n_points > 1 else [(1, b) for b in range(1, p)]
 
     @functools.cache
     def vector(build, *component):
@@ -687,42 +708,68 @@ def _search(
         return build(p, *component)
 
     def accepted(hits):
-        """The actions of the hits (point indices, choice index), in order,
-        whose components' vectors sum to the target."""
+        """The hits (point indices, choice index), in order, whose
+        components' vectors sum to the target, as (point classes, choice index)."""
         for idx, k in sorted(hits):
             ws = choices[k]
-            vecs = [vector(_point_vector, *classes[i]) for i in idx]
+            pts = tuple(classes[i] for i in idx)
+            vecs = [vector(_point_vector, *pt) for pt in pts]
             vecs += [vector(_sphere_vector, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
             if _vector_sum(p, vecs) == target:
-                yield GroupAction(
-                    p,
-                    tuple(IsolatedPoint(p, *classes[i]) for i in idx),
-                    tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
-                    sign,
-                    euler,
-                    b2,
-                )
+                yield pts, k
+
+    def action(pts, k):
+        """The action of point classes `pts` and sphere choice `k`."""
+        return GroupAction(
+            p,
+            tuple(IsolatedPoint(p, a, b) for a, b in pts),
+            tuple(FixedSphere(p, w, alpha) for w, alpha in zip(choices[k], sphere_alphas)),
+            sign,
+            euler,
+            b2,
+        )
+
+    def walk():
+        """The results whose first point is one of the classes (1, x), in order."""
+        rels = [_point_relations(p, a, b) for a, b in classes]
+        last_class = {rel: j for j, rel in enumerate(rels)}
+        if n_points == 1:
+            hits = [((last_class[need],), k) for k, need in enumerate(needs) if need in last_class]
+            yield from accepted(hits)
+            return
+        # each prefix is a head of n_points - 2 classes and then a tail class
+        m = len(classes)
+        heads = itertools.combinations_with_replacement(range(m), n_points - 2)
+        for head in itertools.takewhile(lambda head: not head or head[0] < p - 1, heads):
+            h = [sum(col) for col in zip((0, 0, 0, 0), *(rels[i] for i in head))]
+            rest = [[x - y for x, y in zip(need, h)] for need in needs]
+            for i in range(head[-1], m) if head else range(p - 1):
+                r1, r2, r3, r4 = rels[i]
+                hits = []
+                for k, (n1, n2, n3, n4) in enumerate(rest):
+                    j = last_class.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
+                    if j is not None and j >= i:
+                        hits.append(((*head, i, j), k))
+                if hits:
+                    yield from accepted(hits)
 
     if n_points == 0:
-        yield from accepted(((), k) for k, need in enumerate(needs) if not any(need))
+        for pts, k in accepted(((), k) for k, need in enumerate(needs) if not any(need)):
+            yield action(pts, k)
         return
-    rels = [_point_relations(p, a, b) for a, b in classes]
-    last_class = {rel: j for j, rel in enumerate(rels)}
-    if n_points == 1:
-        hits = [((last_class[need],), k) for k, need in enumerate(needs) if need in last_class]
-        yield from accepted(hits)
-        return
-    # each prefix is a head of n_points - 2 classes and then a tail class
-    m = len(classes)
-    for head in itertools.combinations_with_replacement(range(m), n_points - 2):
-        h = [sum(col) for col in zip((0, 0, 0, 0), *(rels[i] for i in head))]
-        rest = [[x - y for x, y in zip(need, h)] for need in needs]
-        for i in range(head[-1] if head else 0, m):
-            r1, r2, r3, r4 = rels[i]
-            hits = []
-            for k, (n1, n2, n3, n4) in enumerate(rest):
-                j = last_class.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
-                if j is not None and j >= i:
-                    hits.append(((*head, i, j), k))
-            if hits:
-                yield from accepted(hits)
+    base = []
+    for pts, k in walk():
+        base.append((pts, k))
+        yield action(pts, k)
+    # the rest are images under g -> g^u; u and -u give the same classes
+    # each sphere choice by its multiset of (weight, alpha)
+    choice = {tuple(sorted(zip(ws, sphere_alphas))): k for k, ws in enumerate(choices)}
+    images = set()
+    for pts, k in base:
+        for u in range(2, (p + 1) // 2):
+            img = sorted(_point_class(p, u * a, u * b) for a, b in pts)
+            if img[0][0] > 1:
+                ws = (abs(signed_rep(u * w, p)) for w in choices[k])
+                images.add((tuple(img), choice[tuple(sorted(zip(ws, sphere_alphas)))]))
+    for pts, k in sorted(images):
+        yield action(pts, k)

@@ -694,6 +694,70 @@ def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2
             yield action((*prefix, j), choices[k][0])
 
 
+def _search_by_prefix(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
+    """The search that walks every prefix: one residue lookup for each
+    multiset of all but the last point and each sphere choice, with no
+    use of the orbits of g -> g^u, which the search now walks one
+    member of."""
+    _rotation_target, _sphere_choices = congruence._rotation_target, congruence._sphere_choices
+    _point_relations, _sphere_relations = congruence._point_relations, congruence._sphere_relations
+    _point_vector, _sphere_vector = congruence._point_vector, congruence._sphere_vector
+    _vector_sum = congruence._vector_sum
+    target = _rotation_target(p, sign)
+    choices = list(_sphere_choices(p, sphere_alphas))
+    needs = []  # the four relation residues the points must sum to, per sphere choice
+    for ws in choices:
+        spheres = [_sphere_relations(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        needs.append(tuple((t - sum(col)) % p for t, *col in zip(target[:4], *spheres)))
+    classes = _point_classes(p) if n_points else []
+
+    @functools.cache
+    def vector(build, *component):
+        """The vector of a point class or sphere, built on its first hit."""
+        return build(p, *component)
+
+    def accepted(hits):
+        """The actions of the hits (point indices, choice index), in order,
+        whose components' vectors sum to the target."""
+        for idx, k in sorted(hits):
+            ws = choices[k]
+            vecs = [vector(_point_vector, *classes[i]) for i in idx]
+            vecs += [vector(_sphere_vector, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+            if _vector_sum(p, vecs) == target:
+                yield GroupAction(
+                    p,
+                    tuple(IsolatedPoint(p, *classes[i]) for i in idx),
+                    tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)),
+                    sign,
+                    euler,
+                    b2,
+                )
+
+    if n_points == 0:
+        yield from accepted(((), k) for k, need in enumerate(needs) if not any(need))
+        return
+    rels = [_point_relations(p, a, b) for a, b in classes]
+    last_class = {rel: j for j, rel in enumerate(rels)}
+    if n_points == 1:
+        hits = [((last_class[need],), k) for k, need in enumerate(needs) if need in last_class]
+        yield from accepted(hits)
+        return
+    # each prefix is a head of n_points - 2 classes and then a tail class
+    m = len(classes)
+    for head in itertools.combinations_with_replacement(range(m), n_points - 2):
+        h = [sum(col) for col in zip((0, 0, 0, 0), *(rels[i] for i in head))]
+        rest = [[x - y for x, y in zip(need, h)] for need in needs]
+        for i in range(head[-1] if head else 0, m):
+            r1, r2, r3, r4 = rels[i]
+            hits = []
+            for k, (n1, n2, n3, n4) in enumerate(rest):
+                j = last_class.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
+                if j is not None and j >= i:
+                    hits.append(((*head, i, j), k))
+            if hits:
+                yield from accepted(hits)
+
+
 # -- the solver and the boundary data against a scan of every residue ---------
 
 

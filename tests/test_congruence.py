@@ -74,6 +74,7 @@ from oracles import (
     _gsign_in_the_field,
     _point_class,
     _search_by_filtering,
+    _search_by_prefix,
     _search_by_relation_1,
     _series_records_by_gf,
     _solve_by_scan,
@@ -993,9 +994,18 @@ def test_search_equals_filtering_in_order(n_points, alphas, top):
             assert list(search_realizable(*args)) == list(_search_by_filtering(*args))
 
 
+@pytest.mark.parametrize("n_points, alphas", [profile[:2] for profile in SEARCH_PROFILES])
+def test_search_equals_the_prefix_walk_in_order(n_points, alphas):
+    b2 = n_points + 2 * len(alphas) - 2
+    for p in primes(3, 13) if n_points >= 4 else PRIMES_TO_31:
+        for sign in (-1, 0, 1, 2):
+            args = (p, n_points, len(alphas), list(alphas), sign, b2 + 2, b2)
+            assert list(search_realizable(*args)) == list(_search_by_prefix(*args))
+
+
 @st.composite
-def _search_profiles(draw):
-    p = draw(st.sampled_from(SMALL_PRIMES))
+def _search_profiles(draw, ps=SMALL_PRIMES):
+    p = draw(st.sampled_from(ps))
     n_spheres = draw(st.integers(0, 2))
     n_points = draw(st.integers(max(0, 2 - 2 * n_spheres), 4 if p <= 7 else 3))
     alphas = draw(st.lists(st.integers(-3, 3), min_size=n_spheres, max_size=n_spheres))
@@ -1023,13 +1033,37 @@ def test_search_results_are_sound(profile):
     assert len(keys) == len(set(keys))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_search_profiles(PRIMES_TO_31))
+def test_search_results_are_closed_under_every_unit(profile):
+    """Replacing g by g^u multiplies every rotation number by u and keeps
+    the battery, so the results are a union of orbits of the units."""
+    p, n_points, alphas, sign = profile
+    b2 = n_points + 2 * len(alphas) - 2
+    found = list(search_realizable(p, n_points, len(alphas), alphas, sign, b2 + 2, b2))
+    keys = {act.data_key() for act in found}
+    for act, u in itertools.product(found, range(1, p)):
+        image = GroupAction(
+            p,
+            tuple(IsolatedPoint(p, u * pt.a, u * pt.b) for pt in act.points),
+            tuple(FixedSphere(p, u * s.c, s.alpha) for s in act.spheres),
+            sign,
+            b2 + 2,
+            b2,
+        )
+        assert image.data_key() in keys
+
+
 def test_search_sums_vectors_only_for_hits(monkeypatch):
     """The O(p) work of a search is one vector sum, compared once, per
     lookup hit; each point class and sphere vector is built at most once.
-    Every hit is a result in both runs, so the bound is the result count.
-    The relation-1 bucket search made 24,091 sums for the 3 points, one
-    partial vector for every prefix; the eager sphere choices made 2,500
-    sums and 5,000 sphere vectors for the 2 spheres, two for every choice."""
+    With a point, only data whose first point is (1, x) are looked up;
+    the rest are their images under g -> g^u, and no vector is summed
+    for them.  Every hit is a result in both runs.  The relation-1 bucket search
+    made 24,091 sums for the 3 points, one partial vector for every
+    prefix, and the walk over every prefix one sum for each of the 80
+    results; the eager sphere choices made 2,500 sums and 5,000 sphere
+    vectors for the 2 spheres, two for every choice."""
     battery = congruence.check_rotation_relations
     no_battery = _forbidden("the search called the battery")
     monkeypatch.setattr(congruence, "check_rotation_relations", no_battery)
@@ -1039,7 +1073,7 @@ def test_search_sums_vectors_only_for_hits(monkeypatch):
     )
     found = list(search_realizable(31, 3, 0, [], 1, 3, 1))
     assert len(found) == 80
-    assert len(sums) == len(found)
+    assert len(sums) == sum(act.points[0].a == 1 for act in found) == 15
     assert len(built) == len(set(built))
     assert all(battery(act).ok for act in found)
     sums.clear()
