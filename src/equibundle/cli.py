@@ -71,8 +71,9 @@ EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 MAX_ORDER = 1000
 MAX_EXPAND_BITS = 12_000  # (order + 1) * bit lengths, r once per unit u_r
 MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
-# At p = 1009, whole process (2-vCPU VM, Python 3.11): 1 point + 1 sphere builds
-# p^2/4 classes up front, 1.2 s and 124 MB; 2 spheres and no point 1.9 s and 94 MB.
+# At p = 1009, whole process, median of 3 (2-vCPU VM, Python 3.11), 504 results
+# each: 1 point + 1 sphere reads only the p - 1 point classes (1, x), 0.10 s and
+# 19 MB; 2 spheres and no point walk every sphere choice, 2.2 s and 94 MB.
 MAX_SEARCH_P = 1009
 
 _FREE_SLOT = re.compile(rf"^({'|'.join(_SLOT_FIELDS)})\[(\d+)\]$")
@@ -379,18 +380,14 @@ def _prime(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="equibundle",
-        description="Congruence checks, bundle solvers and equivariant moduli dimensions "
-        "for cyclic actions on four-manifolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_prime.__name__ = "int"  # as for `_int_in`: "invalid int value", not a private name
 
-    def add_machine(p):
-        p.add_argument("--machine", action="store_true", help="emit one JSON object")
 
-    p_check = sub.add_parser("check", help="run a congruence battery on a document")
+def _add_machine(p):
+    p.add_argument("--machine", action="store_true", help="emit one JSON object")
+
+
+def _add_check(p_check):
     p_check.add_argument("file", help="document path, or - for stdin")
     p_check.add_argument(
         "--mode",
@@ -398,25 +395,28 @@ def _build_parser() -> argparse.ArgumentParser:
         default="rotation",
         help="which relation family to check",
     )
-    add_machine(p_check)
+    _add_machine(p_check)
     p_check.set_defaults(handler=_cmd_check)
 
-    p_solve = sub.add_parser("solve", help="complete an isotropy record with one unknown")
+
+def _add_solve(p_solve):
     p_solve.add_argument("file")
     p_solve.add_argument(
         "--free",
         help="slot to solve for: lambda[i], lambda_sphere[j] or m[j]; "
         "defaults to the single null slot in the document",
     )
-    add_machine(p_solve)
+    _add_machine(p_solve)
     p_solve.set_defaults(handler=_cmd_solve)
 
-    p_dim = sub.add_parser("dimension", help="invariant instanton moduli dimension")
+
+def _add_dimension(p_dim):
     p_dim.add_argument("file")
-    add_machine(p_dim)
+    _add_machine(p_dim)
     p_dim.set_defaults(handler=_cmd_dimension)
 
-    p_exp = sub.add_parser("expand", help="print exact expansion coefficients of one term")
+
+def _add_expand(p_exp):
     p_exp.add_argument(
         "--kind",
         required=True,
@@ -428,23 +428,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p_exp.add_argument(f"--{flag}", type=int, default=0)
     p_exp.add_argument("--order", type=_int_in(0, MAX_ORDER), default=4)
     p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
-    add_machine(p_exp)
+    _add_machine(p_exp)
     p_exp.set_defaults(handler=_cmd_expand)
 
-    p_gsign = sub.add_parser("gsign", help="exact equivariant signatures of all powers")
+
+def _add_gsign(p_gsign):
     p_gsign.add_argument("file")
-    add_machine(p_gsign)
+    _add_machine(p_gsign)
     p_gsign.set_defaults(handler=_cmd_check, mode="gsign")
 
-    p_sum = sub.add_parser("sum", help="equivariant connected sum of two documents")
+
+def _add_sum(p_sum):
     p_sum.add_argument("file_a")
     p_sum.add_argument("file_b")
     p_sum.add_argument("--points", nargs=2, type=int, metavar=("I", "J"))
     p_sum.add_argument("--spheres", nargs=2, type=int, metavar=("I", "J"))
-    add_machine(p_sum)
+    _add_machine(p_sum)
     p_sum.set_defaults(handler=_cmd_sum)
 
-    p_search = sub.add_parser("search", help="enumerate realizable rotation data")
+
+def _add_search(p_search):
     p_search.add_argument("--p", type=int, required=True)
     p_search.add_argument(
         "--points", type=_int_in(0), required=True, help="number of isolated points"
@@ -459,9 +462,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--euler", type=int, required=True)
     p_search.add_argument("--b2", type=_int_in(0), required=True)
     p_search.add_argument("--limit", type=_int_in(0), default=None)
-    add_machine(p_search)
+    _add_machine(p_search)
     p_search.set_defaults(handler=_cmd_search)
 
+
+# each subcommand: its name, its help line, and the function that adds its
+# arguments and its handler
+_SUBCOMMANDS = (
+    ("check", "run a congruence battery on a document", _add_check),
+    ("solve", "complete an isotropy record with one unknown", _add_solve),
+    ("dimension", "invariant instanton moduli dimension", _add_dimension),
+    ("expand", "print exact expansion coefficients of one term", _add_expand),
+    ("gsign", "exact equivariant signatures of all powers", _add_gsign),
+    ("sum", "equivariant connected sum of two documents", _add_sum),
+    ("search", "enumerate realizable rotation data", _add_search),
+)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses.
+
+    A call parses one subcommand, so it pays for that one's arguments
+    only; the top-level help and the choice of subcommand need only the
+    names and help lines.  argparse hands the subcommand its arguments
+    through `parse_known_args`, which `parse_args` calls too."""
+
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="equibundle",
+        description="Congruence checks, bundle solvers and equivariant moduli dimensions "
+        "for cyclic actions on four-manifolds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, add_arguments=add_arguments)
     return parser
 
 

@@ -2,12 +2,13 @@
 the code that several test modules share: the p-fold Galois sums, the
 field trace, the float trigonometric sums, the Euclidean inverse in
 Q(zeta_p), the GF(p) and unit-series expansions, the earlier searches,
-the brute-force scans, and the primes and linear models the tests draw
-from.  Test modules share code only through this module and never import
+the brute-force scans, the CLI parser with every subcommand built up
+front, and the primes and linear models the tests draw from.  Test modules share code only through this module and never import
 one another (`test_stdlib_only.py` checks both).  pytest collects no test
 from it: its name does not match `test_*.py`.
 """
 
+import argparse
 import bisect
 import cmath
 import functools
@@ -36,6 +37,18 @@ from equibundle.action_model import (
     linear_cp2,
     linear_cp2_bar,
     linear_s4,
+)
+from equibundle.cli import (
+    _EXPAND,
+    MAX_ORDER,
+    _cmd_check,
+    _cmd_dimension,
+    _cmd_expand,
+    _cmd_search,
+    _cmd_solve,
+    _cmd_sum,
+    _int_in,
+    _prime,
 )
 from equibundle.congruence import (
     NotSolvable,
@@ -874,3 +887,94 @@ def _reference_report_line(mode, ok, records) -> str:
         for r in records
     ]
     return json.dumps({"mode": mode, "ok": ok, "records": rows}, sort_keys=True)
+
+
+# -- the CLI parser, every subcommand built up front ---------------------------
+
+
+def _build_parser_eagerly() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand's arguments added up front, as
+    `cli._build_parser` built it before it added them per parse."""
+    parser = argparse.ArgumentParser(
+        prog="equibundle",
+        description="Congruence checks, bundle solvers and equivariant moduli dimensions "
+        "for cyclic actions on four-manifolds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_machine(p):
+        p.add_argument("--machine", action="store_true", help="emit one JSON object")
+
+    p_check = sub.add_parser("check", help="run a congruence battery on a document")
+    p_check.add_argument("file", help="document path, or - for stdin")
+    p_check.add_argument(
+        "--mode",
+        choices=["rotation", "line", "su2", "gsign"],
+        default="rotation",
+        help="which relation family to check",
+    )
+    add_machine(p_check)
+    p_check.set_defaults(handler=_cmd_check)
+
+    p_solve = sub.add_parser("solve", help="complete an isotropy record with one unknown")
+    p_solve.add_argument("file")
+    p_solve.add_argument(
+        "--free",
+        help="slot to solve for: lambda[i], lambda_sphere[j] or m[j]; "
+        "defaults to the single null slot in the document",
+    )
+    add_machine(p_solve)
+    p_solve.set_defaults(handler=_cmd_solve)
+
+    p_dim = sub.add_parser("dimension", help="invariant instanton moduli dimension")
+    p_dim.add_argument("file")
+    add_machine(p_dim)
+    p_dim.set_defaults(handler=_cmd_dimension)
+
+    p_exp = sub.add_parser("expand", help="print exact expansion coefficients of one term")
+    p_exp.add_argument(
+        "--kind",
+        required=True,
+        choices=sorted(_EXPAND),
+    )
+    for flag in ("a", "b", "c", "alpha"):
+        p_exp.add_argument(f"--{flag}", type=int, default=None)
+    for flag in ("m", "ell", "lam"):  # a twist or degree left out is 0
+        p_exp.add_argument(f"--{flag}", type=int, default=0)
+    p_exp.add_argument("--order", type=_int_in(0, MAX_ORDER), default=4)
+    p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
+    add_machine(p_exp)
+    p_exp.set_defaults(handler=_cmd_expand)
+
+    p_gsign = sub.add_parser("gsign", help="exact equivariant signatures of all powers")
+    p_gsign.add_argument("file")
+    add_machine(p_gsign)
+    p_gsign.set_defaults(handler=_cmd_check, mode="gsign")
+
+    p_sum = sub.add_parser("sum", help="equivariant connected sum of two documents")
+    p_sum.add_argument("file_a")
+    p_sum.add_argument("file_b")
+    p_sum.add_argument("--points", nargs=2, type=int, metavar=("I", "J"))
+    p_sum.add_argument("--spheres", nargs=2, type=int, metavar=("I", "J"))
+    add_machine(p_sum)
+    p_sum.set_defaults(handler=_cmd_sum)
+
+    p_search = sub.add_parser("search", help="enumerate realizable rotation data")
+    p_search.add_argument("--p", type=int, required=True)
+    p_search.add_argument(
+        "--points", type=_int_in(0), required=True, help="number of isolated points"
+    )
+    p_search.add_argument(
+        "--spheres", type=_int_in(0), default=0, help="number of fixed spheres"
+    )
+    p_search.add_argument(
+        "--alphas", default="", help="comma-separated self-intersections, one per sphere"
+    )
+    p_search.add_argument("--sign", type=int, required=True)
+    p_search.add_argument("--euler", type=int, required=True)
+    p_search.add_argument("--b2", type=_int_in(0), required=True)
+    p_search.add_argument("--limit", type=_int_in(0), default=None)
+    add_machine(p_search)
+    p_search.set_defaults(handler=_cmd_search)
+
+    return parser

@@ -34,7 +34,14 @@ from equibundle.cli import (
     MAX_SEARCH_P,
     main,
 )
-from oracles import ROOT, SMALL_PRIMES, _forbidden, _reference_report_line, src_env
+from oracles import (
+    ROOT,
+    SMALL_PRIMES,
+    _build_parser_eagerly,
+    _forbidden,
+    _reference_report_line,
+    src_env,
+)
 
 
 
@@ -493,6 +500,14 @@ def test_expand_negative_order_is_parse_error(capsys):
         assert "--order" in capsys.readouterr().err
 
 
+def test_expand_non_integer_modulus_names_the_type_int(capsys):
+    argv = ["expand", "--kind", "point", "--a", "1", "--b", "2", "--p", "x"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "equibundle expand: error: argument --p: invalid int value: 'x'"
+
+
 def _expand_bound_argv(kind, order, **params):
     argv = ["expand", "--kind", kind, "--order", str(order), "--machine"]
     for name, value in params.items():
@@ -942,3 +957,76 @@ def test_expand_and_search_keep_the_exit_code_contract(argv):
         lines = out.splitlines()
         assert len(lines) == 1, (argv, out)
         assert isinstance(json.loads(lines[0]), dict)
+
+
+# -- the parser: each subcommand's arguments added when it parses -------------
+
+
+def _demo(name):
+    return f"demos/documents/{name}"  # from the checkout's root
+
+
+TRIPLE = _demo("triple_cp2bar.json")
+M0 = _demo("cp2bar_su2_m0.json")
+EXPAND = ["expand", "--kind", "point", "--a", "1", "--b", "2"]
+SEARCH = ["search", "--p", "5", "--points", "3", "--sign", "1", "--euler", "3"]
+
+# per subcommand: a valid call on a demo document, one missing a required
+# argument, and one with a bad choice or type
+_CALLS = {
+    "check": (["check", TRIPLE], ["check"], ["check", TRIPLE, "--mode", "nope"]),
+    "solve": (["solve", _demo("cp2_solve_m.json")], ["solve"], ["solve", TRIPLE, "--free"]),
+    "dimension": (
+        ["dimension", _demo("triple_cp2bar_lift1.json")],
+        ["dimension"],
+        ["dimension", TRIPLE, "--machine=yes"],
+    ),
+    "expand": (EXPAND, ["expand", "--a", "1"], [*EXPAND, "--order", "x"]),
+    "gsign": (["gsign", TRIPLE, "--machine"], ["gsign"], ["gsign", TRIPLE, "--machine=yes"]),
+    "sum": (
+        ["sum", M0, M0, "--spheres", "0", "0"],
+        ["sum", M0],
+        ["sum", M0, M0, "--points", "0", "x"],
+    ),
+    "search": ([*SEARCH, "--b2", "1"], SEARCH, [*SEARCH, "--b2", "-1"]),
+}
+_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["che", TRIPLE],  # a prefix of a subcommand names none
+    ["--", "check", TRIPLE],
+    ["check", TRIPLE, "--mo", "gsign"],  # a prefix of an option
+    ["check", TRIPLE, "--machine", "extra"],
+] + [
+    argv
+    for name, (valid, missing, bad) in _CALLS.items()
+    for argv in ([name, "-h"], valid, missing, bad, [*valid, "--bogus"])
+]
+
+
+@pytest.mark.parametrize("argv", _CORPUS, ids=" ".join)
+def test_the_parser_answers_as_the_eager_one(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    lazy = main(argv), *capsys.readouterr()
+    monkeypatch.setattr(cli, "_build_parser", _build_parser_eagerly)
+    assert (main(argv), *capsys.readouterr()) == lazy
+
+
+def test_a_call_adds_only_its_own_subcommands_arguments(monkeypatch):
+    built = []
+
+    class Recording(cli._SubcommandParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "_SubcommandParser", Recording)
+    cli._build_parser().parse_args(["check", TRIPLE])
+    usages = {parser.prog: parser.format_usage() for parser in built}
+    assert sorted(usages) == sorted(f"equibundle {name}" for name in _CALLS)
+    check = usages.pop("equibundle check")
+    assert "--mode" in check and "--machine" in check
+    assert usages == {prog: f"usage: {prog} [-h]\n" for prog in usages}
+
