@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .cyclotomic import ZeroRotation, _require_prime
+from .cyclotomic import _check_rotations, _require_prime
 from .exact_arith import ModulusMismatch, is_prime, signed_rep
 
 __all__ = [
@@ -82,6 +82,12 @@ def _point_class(p: int, a: int, b: int) -> tuple[int, int]:
     return min((a, b), (b, a), (p - a, p - b), (p - b, p - a))
 
 
+def _weight_class(p: int, c: int) -> int:
+    """|c| for c taken in (-p/2, p/2): c and -c describe the same
+    unoriented normal rotation."""
+    return abs(signed_rep(c, p))
+
+
 @dataclass(frozen=True)
 class IsolatedPoint:
     """Isolated fixed point with tangential rotation numbers (a, b) mod p.
@@ -101,8 +107,7 @@ class IsolatedPoint:
     def __post_init__(self) -> None:
         p = self.p
         _require_prime(p)
-        if self.a % p == 0 or self.b % p == 0:
-            raise ZeroRotation(f"rotation numbers ({self.a}, {self.b}) must be nonzero mod {p}")
+        _check_rotations(p, self.a, self.b)
         a, b = _point_class(p, self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -127,13 +132,11 @@ class FixedSphere:
 
     def __post_init__(self) -> None:
         _require_prime(self.p)
-        if self.c % self.p == 0:
-            raise ZeroRotation(f"normal rotation {self.c} must be nonzero mod {self.p}")
+        _check_rotations(self.p, self.c)
         object.__setattr__(self, "c", self.c % self.p)
 
     def weight_class(self) -> int:
-        # c and -c describe the same unoriented normal rotation
-        return abs(signed_rep(self.c, self.p))
+        return _weight_class(self.p, self.c)
 
     def display(self) -> str:
         return f"(c={signed_rep(self.c, self.p)}, alpha={self.alpha})"

@@ -124,7 +124,7 @@ def _validated_action(doc: dict) -> GroupAction:
 
 
 def _emit(args, machine_obj: dict, human_text: str) -> None:
-    if getattr(args, "machine", False):
+    if args.machine:
         print(json.dumps(machine_obj, sort_keys=True))
     else:
         print(human_text)
@@ -383,10 +383,6 @@ def _prime(text: str) -> int:
 _prime.__name__ = "int"  # as for `_int_in`: "invalid int value", not a private name
 
 
-def _add_machine(p):
-    p.add_argument("--machine", action="store_true", help="emit one JSON object")
-
-
 def _add_check(p_check):
     p_check.add_argument("file", help="document path, or - for stdin")
     p_check.add_argument(
@@ -395,8 +391,6 @@ def _add_check(p_check):
         default="rotation",
         help="which relation family to check",
     )
-    _add_machine(p_check)
-    p_check.set_defaults(handler=_cmd_check)
 
 
 def _add_solve(p_solve):
@@ -406,14 +400,10 @@ def _add_solve(p_solve):
         help="slot to solve for: lambda[i], lambda_sphere[j] or m[j]; "
         "defaults to the single null slot in the document",
     )
-    _add_machine(p_solve)
-    p_solve.set_defaults(handler=_cmd_solve)
 
 
 def _add_dimension(p_dim):
     p_dim.add_argument("file")
-    _add_machine(p_dim)
-    p_dim.set_defaults(handler=_cmd_dimension)
 
 
 def _add_expand(p_exp):
@@ -428,14 +418,11 @@ def _add_expand(p_exp):
         p_exp.add_argument(f"--{flag}", type=int, default=0)
     p_exp.add_argument("--order", type=_int_in(0, MAX_ORDER), default=4)
     p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
-    _add_machine(p_exp)
-    p_exp.set_defaults(handler=_cmd_expand)
 
 
 def _add_gsign(p_gsign):
     p_gsign.add_argument("file")
-    _add_machine(p_gsign)
-    p_gsign.set_defaults(handler=_cmd_check, mode="gsign")
+    p_gsign.set_defaults(mode="gsign")
 
 
 def _add_sum(p_sum):
@@ -443,8 +430,6 @@ def _add_sum(p_sum):
     p_sum.add_argument("file_b")
     p_sum.add_argument("--points", nargs=2, type=int, metavar=("I", "J"))
     p_sum.add_argument("--spheres", nargs=2, type=int, metavar=("I", "J"))
-    _add_machine(p_sum)
-    p_sum.set_defaults(handler=_cmd_sum)
 
 
 def _add_search(p_search):
@@ -462,20 +447,18 @@ def _add_search(p_search):
     p_search.add_argument("--euler", type=int, required=True)
     p_search.add_argument("--b2", type=_int_in(0), required=True)
     p_search.add_argument("--limit", type=_int_in(0), default=None)
-    _add_machine(p_search)
-    p_search.set_defaults(handler=_cmd_search)
 
 
-# each subcommand: its name, its help line, and the function that adds its
-# arguments and its handler
+# each subcommand: its name, its help line, the function that adds its own
+# arguments, and its handler
 _SUBCOMMANDS = (
-    ("check", "run a congruence battery on a document", _add_check),
-    ("solve", "complete an isotropy record with one unknown", _add_solve),
-    ("dimension", "invariant instanton moduli dimension", _add_dimension),
-    ("expand", "print exact expansion coefficients of one term", _add_expand),
-    ("gsign", "exact equivariant signatures of all powers", _add_gsign),
-    ("sum", "equivariant connected sum of two documents", _add_sum),
-    ("search", "enumerate realizable rotation data", _add_search),
+    ("check", "run a congruence battery on a document", _add_check, _cmd_check),
+    ("solve", "complete an isotropy record with one unknown", _add_solve, _cmd_solve),
+    ("dimension", "invariant instanton moduli dimension", _add_dimension, _cmd_dimension),
+    ("expand", "print exact expansion coefficients of one term", _add_expand, _cmd_expand),
+    ("gsign", "exact equivariant signatures of all powers", _add_gsign, _cmd_check),
+    ("sum", "equivariant connected sum of two documents", _add_sum, _cmd_sum),
+    ("search", "enumerate realizable rotation data", _add_search, _cmd_search),
 )
 
 
@@ -485,16 +468,20 @@ class _SubcommandParser(argparse.ArgumentParser):
     A call parses one subcommand, so it pays for that one's arguments
     only; the top-level help and the choice of subcommand need only the
     names and help lines.  argparse hands the subcommand its arguments
-    through `parse_known_args`, which `parse_args` calls too."""
+    through `parse_known_args`, which `parse_args` calls too.  The
+    subcommand's own arguments come first, then the `--machine` that
+    every subcommand takes, and its handler is set as a default."""
 
-    def __init__(self, *args, add_arguments, **kwargs):
+    def __init__(self, *args, add_arguments, handler, **kwargs):
         super().__init__(*args, **kwargs)
-        self._fill = add_arguments
+        self._fill = add_arguments, handler
 
     def parse_known_args(self, args=None, namespace=None):
         if self._fill is not None:
-            fill, self._fill = self._fill, None
-            fill(self)
+            (add_arguments, handler), self._fill = self._fill, None
+            add_arguments(self)
+            self.add_argument("--machine", action="store_true", help="emit one JSON object")
+            self.set_defaults(handler=handler)
         return super().parse_known_args(args, namespace)
 
 
@@ -505,8 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "for cyclic actions on four-manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, help_line, add_arguments in _SUBCOMMANDS:
-        sub.add_parser(name, help=help_line, add_arguments=add_arguments)
+    for name, help_line, add_arguments, handler in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, add_arguments=add_arguments, handler=handler)
     return parser
 
 
@@ -537,7 +524,7 @@ def main(argv=None) -> int:
 
 
 def _fail(args, code: int, message: str) -> None:
-    if getattr(args, "machine", False):
+    if args.machine:
         print(json.dumps({"ok": False, "error": message}, sort_keys=True))
     print(f"error: {message}", file=sys.stderr)
 

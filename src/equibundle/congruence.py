@@ -32,6 +32,7 @@ from .action_model import (
     Su2Isotropy,
     _count_rule,
     _point_class,
+    _weight_class,
 )
 from .cyclotomic import (
     _over_units,
@@ -96,8 +97,7 @@ class RelationRecord(NamedTuple):
     passed: bool
 
     def display(self) -> str:
-        verdict = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {self.lhs} == {self.required}  [{verdict}]"
+        return "".join(_display_template(*self))
 
 
 _CHUNK = 4096  # records per piece of written output
@@ -108,14 +108,14 @@ class CongruenceReport:
 
     `CongruenceReport(records)` takes RelationRecords, and `records`
     gives them back as a tuple.  Inside, the report is held as columns:
-    `_names` is a tuple of name blocks, each either (prefix, indices),
-    the records prefix + str(k) for k in the range `indices`, or
-    (name, None), one record named outright; `_lhs`, `_required` and
-    `_passed` hold one entry per record, in order.  A value that many
-    records share is one object repeated, so `gsignature_check` and
-    `check_rotation_relations` build no record and no name, and the
-    writers format each run of records that share their value objects
-    once, as one template around its indices (see `_pieces`).
+    `_names` is a tuple of name blocks (prefix, indices), the records
+    prefix + str(k) for k in `indices`; a record named outright is the
+    block (name, ("",)).  `_lhs`, `_required` and `_passed` hold one
+    entry per record, in order.  A value that many records share is one
+    object repeated, so `gsignature_check` and `check_rotation_relations`
+    build no record and no name, and the writers format each run of
+    records that share their value objects once, as one template around
+    its indices (see `_pieces`).
     """
 
     __slots__ = ("_names", "_lhs", "_required", "_passed")
@@ -123,7 +123,7 @@ class CongruenceReport:
     def __init__(self, records: tuple[RelationRecord, ...]):
         records = tuple(records)
         names, lhs, required, passed = zip(*records) if records else ((),) * 4
-        self._names = tuple((name, None) for name in names)
+        self._names = tuple((name, ("",)) for name in names)
         self._lhs, self._required, self._passed = lhs, required, passed
 
     @classmethod
@@ -138,8 +138,7 @@ class CongruenceReport:
 
     def _records(self) -> Iterator[RelationRecord]:
         names = itertools.chain.from_iterable(
-            [prefix] if indices is None else map(prefix.__add__, map(str, indices))
-            for prefix, indices in self._names
+            map(prefix.__add__, map(str, indices)) for prefix, indices in self._names
         )
         return map(RelationRecord._make, zip(names, self._lhs, self._required, self._passed))
 
@@ -173,20 +172,19 @@ class CongruenceReport:
         whose concatenation is the whole text.
 
         The records are walked in runs: records of one name block that
-        share their three value objects, at most `_CHUNK` of them; a record
-        named outright is a run of its own.  Objects are matched by `is`,
-        never by ==: 0, 0.0, -0.0, False and Fraction(0) are equal but
-        print apart.  `template(name, lhs, required, passed)` gives a
-        record's text split after its name, as (head, tail), and is called
-        once per run.  A longer run passes the block's prefix as the name;
-        its records k are head + str(k) + tail, so it is written as
-        head + (tail + sep + head).join(map(str, ks)) + tail.  A run of one
-        record passes its whole name.
+        share their three value objects, at most `_CHUNK` of them.  Objects
+        are matched by `is`, never by ==: 0, 0.0, -0.0, False and
+        Fraction(0) are equal but print apart.  `template(name, lhs,
+        required, passed)` gives a record's text split after its name, as
+        (head, tail), and is called once per run.  A longer run passes the
+        block's prefix as the name; its records k are head + str(k) + tail,
+        so it is written as head + (tail + sep + head).join(map(str, ks))
+        + tail.  A run of one record passes its whole name.
         """
         lhs, required, passed = self._lhs, self._required, self._passed
         buf, size, lead, i = [], 0, "", 0
         for prefix, indices in self._names:
-            first, stop = i, i + (1 if indices is None else len(indices))
+            first, stop = i, i + len(indices)
             while i < stop:
                 start, a, b, c = i, lhs[i], required[i], passed[i]
                 i += 1
@@ -198,7 +196,7 @@ class CongruenceReport:
                     ks = map(str, indices[start - first : i - first])
                     buf.append(head + (tail + sep + head).join(ks) + tail)
                 else:  # a run of one record
-                    name = prefix if indices is None else f"{prefix}{indices[start - first]}"
+                    name = f"{prefix}{indices[start - first]}"
                     buf.append("".join(template(name, a, b, c)))
                 size += i - start
                 if size >= _CHUNK:
@@ -209,7 +207,7 @@ class CongruenceReport:
 
 
 def _display_template(name: str, lhs, required, passed) -> tuple[str, str]:
-    """`RelationRecord.display` split after the name."""
+    """A record's text split after its name; `RelationRecord.display` joins it."""
     verdict = "pass" if passed else "FAIL"
     return name, f": {lhs} == {required}  [{verdict}]"
 
@@ -769,7 +767,7 @@ def _search(
         for u in range(2, (p + 1) // 2):
             img = sorted(_point_class(p, u * a, u * b) for a, b in pts)
             if img[0][0] > 1:
-                ws = (abs(signed_rep(u * w, p)) for w in choices[k])
+                ws = (_weight_class(p, u * w) for w in choices[k])
                 images.add((tuple(img), choice[tuple(sorted(zip(ws, sphere_alphas)))]))
     for pts, k in sorted(images):
         yield action(pts, k)

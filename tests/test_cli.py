@@ -189,14 +189,12 @@ def _column_report(draw):
     for _ in range(draw(st.integers(0, 4))):
         prefix = draw(_AWKWARD)
         if draw(st.booleans()):
-            names.append((prefix, None))
-            block = [prefix]
+            indices = ("",)  # a record named outright
         else:
             start = draw(st.integers(-2, 12))
             indices = range(start, start + draw(st.integers(0, 9)))
-            names.append((prefix, indices))
-            block = [prefix + str(k) for k in indices]
-        for name in block:
+        names.append((prefix, indices))
+        for name in [prefix + str(k) for k in indices]:
             lhs, required = draw(st.sampled_from(values)), draw(st.sampled_from(values))
             records.append(RelationRecord(name, lhs, required, draw(st.sampled_from(verdicts))))
     columns = [[r[i] for r in records] for i in (1, 2, 3)]
@@ -1023,10 +1021,17 @@ def test_a_call_adds_only_its_own_subcommands_arguments(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(cli, "_SubcommandParser", Recording)
-    cli._build_parser().parse_args(["check", TRIPLE])
-    usages = {parser.prog: parser.format_usage() for parser in built}
-    assert sorted(usages) == sorted(f"equibundle {name}" for name in _CALLS)
-    check = usages.pop("equibundle check")
-    assert "--mode" in check and "--machine" in check
-    assert usages == {prog: f"usage: {prog} [-h]\n" for prog in usages}
-
+    # gsign is check in gsign mode: its handler comes from the fill, its mode
+    # from its own arguments
+    for argv, mode, own in (
+        (["check", TRIPLE], "rotation", "--mode"),
+        (["gsign", TRIPLE], "gsign", "file"),
+    ):
+        built.clear()
+        args = cli._build_parser().parse_args(argv)
+        assert (args.handler, args.mode, args.machine) == (cli._cmd_check, mode, False)
+        usages = {parser.prog: parser.format_usage() for parser in built}
+        assert sorted(usages) == sorted(f"equibundle {name}" for name in _CALLS)
+        parsed = usages.pop(f"equibundle {argv[0]}")
+        assert own in parsed and "--machine" in parsed
+        assert usages == {prog: f"usage: {prog} [-h]\n" for prog in usages}

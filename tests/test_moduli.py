@@ -303,14 +303,16 @@ def test_dimension_of_a_lift_equals_that_of_its_fold(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_the_su2_congruence_holds_exactly_when_the_dimension_is_an_integer(data):
-    # on linear CP^2 with three points or with a sphere, CP^2-bar and S^4,
-    # on every connected sum of two linear models and on the triple CP^2-bar
-    # action: a fiber record passes `check_su2` iff its adjoint record, each
-    # weight doubled, has an integral dimension
+    # on linear CP^2 with three points or with a sphere (at weight 1 and at
+    # a drawn weight), CP^2-bar and S^4, on every connected sum of two linear
+    # models and on the triple CP^2-bar action: a fiber record passes
+    # `check_su2` iff its adjoint record, each weight doubled, has an
+    # integral dimension
     p = data.draw(st.sampled_from(SMALL_PRIMES), label="p")
     models = fixed_models(p)
     pairs = itertools.combinations_with_replacement(models, 2)
     pool = models[:4] + [s for x, y in pairs for s in connected_sums(x, y)]
+    pool.append(linear_cp2(p, data.draw(st.integers(2, p - 1), label="a"), 0))
     if p == 5:
         pool.append(triple_cp2_bar_action())
     act = data.draw(st.sampled_from(pool), label="model")
