@@ -17,11 +17,9 @@ equivalence classes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 from .cyclotomic import _check_rotations, _require_prime
-from .exact_arith import ModulusMismatch, is_prime, signed_rep
+from .exact_arith import ModulusMismatch, _Record, is_prime, signed_rep
 
 __all__ = [
     "IsolatedPoint",
@@ -88,8 +86,7 @@ def _weight_class(p: int, c: int) -> int:
     return abs(signed_rep(c, p))
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
+class IsolatedPoint(_Record):
     """Isolated fixed point with tangential rotation numbers (a, b) mod p.
 
     Stored canonically: the lexicographically least representative of
@@ -100,17 +97,12 @@ class IsolatedPoint:
     either rule.
     """
 
-    p: int
-    a: int
-    b: int
+    __slots__ = ("p", "a", "b")
 
-    def __post_init__(self) -> None:
-        p = self.p
+    def __init__(self, p: int, a: int, b: int):
         _require_prime(p)
-        _check_rotations(p, self.a, self.b)
-        a, b = _point_class(p, self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _check_rotations(p, a, b)
+        self._set(p, *_point_class(p, a, b))
 
     def orientation_reversed(self) -> "IsolatedPoint":
         """The class of the same point in the reversed-orientation manifold."""
@@ -120,20 +112,17 @@ class IsolatedPoint:
         return f"({signed_rep(self.a, self.p)}, {signed_rep(self.b, self.p)})"
 
 
-@dataclass(frozen=True)
-class FixedSphere:
+class FixedSphere(_Record):
     """Fixed 2-sphere with normal rotation c mod p and self-intersection
     alpha.  c is stored in (0, p); a p that is not prime and a c
     divisible by p are refused here, as for an `IsolatedPoint`."""
 
-    p: int
-    c: int
-    alpha: int
+    __slots__ = ("p", "c", "alpha")
 
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        _check_rotations(self.p, self.c)
-        object.__setattr__(self, "c", self.c % self.p)
+    def __init__(self, p: int, c: int, alpha: int):
+        _require_prime(p)
+        _check_rotations(p, c)
+        self._set(p, c % p, alpha)
 
     def weight_class(self) -> int:
         return _weight_class(self.p, self.c)
@@ -142,8 +131,7 @@ class FixedSphere:
         return f"(c={signed_rep(self.c, self.p)}, alpha={self.alpha})"
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(_Record):
     """A homologically trivial Z/p action recorded by fixed point data.
 
     Insertion order of points and spheres is preserved: isotropy lists
@@ -152,23 +140,18 @@ class GroupAction:
     set is checked as well; every point and sphere must have this p.
     """
 
-    p: int
-    points: tuple[IsolatedPoint, ...]
-    spheres: tuple[FixedSphere, ...]
-    signature: int
-    euler: int
-    b2: int
+    __slots__ = ("p", "points", "spheres", "signature", "euler", "b2")
 
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "spheres", tuple(self.spheres))
-        for pt in self.points:
-            if pt.p != self.p:
-                raise ModulusMismatch(f"point {pt} has modulus {pt.p}, action has {self.p}")
-        for s in self.spheres:
-            if s.p != self.p:
-                raise ModulusMismatch(f"sphere {s} has modulus {s.p}, action has {self.p}")
+    def __init__(self, p: int, points: tuple, spheres: tuple, signature: int, euler: int, b2: int):
+        _require_prime(p)
+        points, spheres = tuple(points), tuple(spheres)
+        for pt in points:
+            if pt.p != p:
+                raise ModulusMismatch(f"point {pt} has modulus {pt.p}, action has {p}")
+        for s in spheres:
+            if s.p != p:
+                raise ModulusMismatch(f"sphere {s} has modulus {s.p}, action has {p}")
+        self._set(p, points, spheres, signature, euler, b2)
 
     def data_key(self):
         """Order-insensitive identity of the underlying data."""
@@ -224,8 +207,7 @@ def _check_shape(action: GroupAction, points: tuple, spheres: tuple, ms: tuple) 
         )
 
 
-@dataclass(frozen=True)
-class LineIsotropy:
+class LineIsotropy(_Record):
     """Circle-bundle isotropy data: fiber weight lambda at each fixed
     component, the restriction degree m at each sphere, and optionally
     the self-intersection of the first Chern class.
@@ -234,17 +216,16 @@ class LineIsotropy:
     be an integer: a float or a string is refused, not truncated.
     """
 
-    lambda_points: tuple[Optional[int], ...]
-    lambda_spheres: tuple[Optional[int], ...]
-    m_spheres: tuple[Optional[int], ...]
-    c1_squared: Optional[int] = None
+    __slots__ = ("lambda_points", "lambda_spheres", "m_spheres", "c1_squared")
 
-    def __post_init__(self) -> None:
-        for name in _SLOT_FIELDS.values():
-            slots = tuple(None if v is None else operator.index(v) for v in getattr(self, name))
-            object.__setattr__(self, name, slots)
-        if self.c1_squared is not None:
-            object.__setattr__(self, "c1_squared", operator.index(self.c1_squared))
+    def __init__(
+        self, lambda_points: tuple, lambda_spheres: tuple, m_spheres: tuple, c1_squared=None
+    ):
+        lists = (lambda_points, lambda_spheres, m_spheres)
+        self._set(
+            *(tuple(None if v is None else operator.index(v) for v in slots) for slots in lists),
+            None if c1_squared is None else operator.index(c1_squared),
+        )
 
     def check_shape(self, action: GroupAction) -> None:
         _check_shape(action, self.lambda_points, self.lambda_spheres, self.m_spheres)
@@ -257,31 +238,28 @@ class LineIsotropy:
             if v is None
         ]
 
-    def with_slot(self, kind: str, index: int, value: Optional[int]) -> "LineIsotropy":
+    def with_slot(self, kind: str, index: int, value: int | None) -> "LineIsotropy":
         if kind not in _SLOT_FIELDS:
             raise ValueError(f"unknown slot kind {kind!r}")
-        slots = list(getattr(self, _SLOT_FIELDS[kind]))
+        fields = dict(zip(self.__slots__, self.__getstate__()))
+        slots = list(fields[_SLOT_FIELDS[kind]])
         slots[index] = value
-        return replace(self, **{_SLOT_FIELDS[kind]: tuple(slots)})
+        fields[_SLOT_FIELDS[kind]] = slots
+        return LineIsotropy(**fields)
 
 
-@dataclass(frozen=True)
-class Su2Isotropy:
+class Su2Isotropy(_Record):
     """Rank-two isotropy data: the fiber splits as t^ell + t^(-ell) over
     each fixed component, so ell is defined up to sign; m is the degree
     of a local reduction over each sphere and flips with ell.  c2 is the
     lift's charge, and every lift states it.  Each entry must be an
     integer: a float or a string is refused, not truncated."""
 
-    ell_points: tuple[int, ...]
-    ell_spheres: tuple[int, ...]
-    m_spheres: tuple[int, ...]
-    c2: int
+    __slots__ = ("ell_points", "ell_spheres", "m_spheres", "c2")
 
-    def __post_init__(self) -> None:
-        for name in ("ell_points", "ell_spheres", "m_spheres"):
-            object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
-        object.__setattr__(self, "c2", operator.index(self.c2))
+    def __init__(self, ell_points: tuple, ell_spheres: tuple, m_spheres: tuple, c2: int):
+        lists = (ell_points, ell_spheres, m_spheres)
+        self._set(*(tuple(map(operator.index, ell)) for ell in lists), operator.index(c2))
 
     def check_shape(self, action: GroupAction) -> None:
         _check_shape(action, self.ell_points, self.ell_spheres, self.m_spheres)
@@ -507,10 +485,9 @@ def _isotropy_from_dict(cls, doc: dict, where: str):
     """The inverse of `_isotropy_to_dict`: every field but the last is a
     list of integers, missing meaning empty, and the last is an integer.
     Only a line record may hold null: a free slot, or no c1_squared."""
-    names = [f.name for f in fields(cls)]
-    _mapping(doc, where, names)
+    _mapping(doc, where, cls.__slots__)
     free = cls is LineIsotropy
-    *lists, last = names
+    *lists, last = cls.__slots__
     values = [tuple(_int_list(doc.get(name, []), name, free)) for name in lists]
     scalar = None if free and doc.get(last) is None else _want(doc, last, where)
     return cls(*values, scalar)
@@ -527,7 +504,7 @@ def su2_isotropy_from_dict(doc: dict) -> Su2Isotropy:
 def _isotropy_to_dict(iso: LineIsotropy | Su2Isotropy) -> dict:
     """An isotropy record as a document section: every field in order,
     tuples as lists, and no c1_squared when it is null."""
-    values = ((f.name, getattr(iso, f.name)) for f in fields(iso))
+    values = zip(iso.__slots__, iso.__getstate__())
     return {
         k: list(v) if isinstance(v, tuple) else v
         for k, v in values

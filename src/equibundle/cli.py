@@ -23,9 +23,9 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterator
 
 from .action_model import (
     _SLOT_FIELDS,

@@ -19,9 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
 
 from .action_model import (
     FixedSphere,
@@ -90,14 +91,8 @@ class NotCoprimeRotation(ValueError):
     """A residue that must be coprime to the modulus is not."""
 
 
-class RelationRecord(NamedTuple):
-    name: str
-    lhs: object
-    required: object
-    passed: bool
-
-    def display(self) -> str:
-        return "".join(_display_template(*self))
+RelationRecord = namedtuple("RelationRecord", ("name", "lhs", "required", "passed"))
+RelationRecord.display = lambda self: "".join(_display_template(*self))
 
 
 _CHUNK = 4096  # records per piece of written output

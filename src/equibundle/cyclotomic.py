@@ -20,13 +20,12 @@ descriptions in s = t - 1.  Nothing is ever computed from floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
 
 from ._poly import convolve
-from .exact_arith import ModulusMismatch, Rational, is_prime
+from .exact_arith import ModulusMismatch, Rational, _Record, is_prime
 
 __all__ = [
     "CycloNum",
@@ -53,15 +52,12 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-@dataclass(frozen=True, init=False)
-class CycloNum:
+class CycloNum(_Record):
     """sum_i num[i] * zeta^i / den in Q(zeta_p), a result of the term
     builders: only `_reduce` makes one.  Lowest terms (den > 0,
-    gcd(den, *num) == 1) make the generated == and hash exact."""
+    gcd(den, *num) == 1) make the field-wise == and hash exact."""
 
-    p: int
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("p", "num", "den")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -126,7 +122,7 @@ def _reduce(p: int, raw, den: int) -> CycloNum:
     num = [v - top for v in folded]
     g = math.gcd(den, *num)
     x = object.__new__(CycloNum)
-    x.__dict__.update(p=p, num=tuple(v // g for v in num), den=den // g)
+    x._set(p, tuple(v // g for v in num), den // g)
     return x
 
 

@@ -8,7 +8,7 @@ signatures.  Everything in this module is pure and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -84,21 +84,62 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Residue:
+class _Record:
+    """A read-only result record whose fields are its class's `__slots__`,
+    in order, two or more: == and hash compare the tuple of field values
+    of records of one class, repr is Name(field=value, ...), and
+    assignment and del raise AttributeError.  Constructors fill the
+    fields through `_set`; copy and pickle restore them through
+    `__setstate__`, without running the constructor's checks again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> tuple:
+        return self._values(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Residue(_Record):
     """A residue class mod n >= 2, stored with value in [0, n).
 
     A result record, not a ring: the package computes on plain ints
     and wraps only the answers it returns.
     """
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        self._set(value % modulus, modulus)
 
     def signed(self) -> int:
         """Representative in (-n/2, n/2], the display convention."""

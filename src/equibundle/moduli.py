@@ -17,14 +17,13 @@ rho term is even in ell (s(q, p; -r) = s(q, p; r), and n -> p - n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .action_model import GroupAction, Su2Isotropy, validate
 from .congruence import gsign_value
 from .cyclotomic import _check_rotations, _require_prime
 from .cyclotomic import eval_point_term  # noqa: F401 (kept importable here for perfbench)
-from .exact_arith import Rational
+from .exact_arith import Rational, _Record
 
 __all__ = [
     "NonIntegerDimension",
@@ -182,14 +181,13 @@ def _dimension_rows(terms) -> list[str]:
     return [f"  {name:28s} {value}" for name, value in terms]
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(_Record):
     """Integer dimension with its exact term-by-term breakdown."""
 
-    dimension: int
-    terms: tuple[tuple[str, Rational], ...]
-    chi_quot: Rational
-    sign_quot: Rational
+    __slots__ = ("dimension", "terms", "chi_quot", "sign_quot")
+
+    def __init__(self, dimension: int, terms: tuple, chi_quot: Rational, sign_quot: Rational):
+        self._set(dimension, terms, chi_quot, sign_quot)
 
     def display(self) -> str:
         return "\n".join(_dimension_rows([*self.terms, ("dimension", self.dimension)]))

@@ -16,11 +16,11 @@ checks in `congruence` use closed forms of the first three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._poly import cleared, convolve
 from .cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
+from .exact_arith import _Record
 
 __all__ = [
     "PowerSeries",
@@ -39,22 +39,20 @@ class NotAUnit(ArithmeticError):
     """Inversion requested for a series with zero constant term."""
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(_Record):
     """Sum of coeffs[k] * s^k, exact through s^order.
 
     A result record, not a ring: `series_mul` is the one product.
     """
 
-    coeffs: tuple[Fraction, ...]
-    order: int
+    __slots__ = ("coeffs", "order")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.order}")
-        cs = [Fraction(c) for c in self.coeffs[: self.order + 1]]
-        cs.extend([Fraction(0)] * (self.order + 1 - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: tuple, order: int):
+        if order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
+        cs = [Fraction(c) for c in coeffs[: order + 1]]
+        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        self._set(tuple(cs), order)
 
     def coeff(self, k: int) -> Fraction:
         if k > self.order:

@@ -117,6 +117,13 @@ def fixed_models(p):
     return out
 
 
+def replace(record, **changes):
+    """The record with `changes` to its fields, built by its constructor,
+    which checks and canonicalizes them again."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def connected_sums(x, y):
     """Every connected sum of x and y that glues: at each pair of points,
     then at each pair of spheres, in index order."""

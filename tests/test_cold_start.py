@@ -73,6 +73,22 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     assert [m for m in skips if m in got["loaded"]] == []
 
 
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_a_subcommand_loads_neither_dataclasses_inspect_nor_typing(name):
+    # compared with the modules loaded before the import, since a site
+    # module may load any of them at start-up
+    got = _fresh(
+        "import contextlib, io\n"
+        "before = set(sys.modules)\n"
+        "from equibundle.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    out['code'] = main({SUBCOMMANDS[name]!r})\n"
+        "out['added'] = sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before))"
+    )
+    assert got["code"] == 0
+    assert got["added"] == []
+
+
 def test_a_bare_import_loads_no_module_until_a_public_name_is_read():
     got = _fresh(
         "import equibundle\n"

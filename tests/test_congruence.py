@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -81,6 +80,7 @@ from oracles import (
     _solver_round_trips,
     fixed_models,
     primes,
+    replace,
 )
 
 PRIMES_TO_31 = primes(3, 31)
