@@ -1,17 +1,17 @@
 """Congruence checks and solvers for rotation data and bundle isotropy.
 
 The G-signature check reads the fixed-point signature sum exactly off
-the integral windows of `cyclotomic`, one per fixed component, and
-builds elements of Q(zeta_p) only to name an irrational value.  The
-rotation battery and the search read the same windows mod p, as
-elements of Z[zeta]/p = F_p[t]/Phi_p(t) in the basis of zeta powers,
-at O(p) cost per fixed component.  The bundle checks read the
-order-2 expansion of their twisted terms off the relation and weight
-sums in closed form.  An action's p is prime and its rotation numbers
-are units mod p, since `GroupAction`, `IsolatedPoint` and `FixedSphere`
-refuse anything else when they are built; the checks and the solver
-refuse only p = 2.  The search takes a bare p and checks that it is an
-odd prime.
+the integral windows of `cyclotomic`, one per fixed component, summed
+once, and builds elements of Q(zeta_p) only to name an irrational
+value.  The rotation battery reduces the same sum mod p, once, and the
+search each component's window, as elements of Z[zeta]/p =
+F_p[t]/Phi_p(t) in the basis of zeta powers, at O(p) cost per
+component.  The bundle checks read the order-2 expansion of their
+twisted terms off the relation and weight sums in closed form.  An
+action's p is prime and its rotation numbers are units mod p, since
+`GroupAction`, `IsolatedPoint` and `FixedSphere` refuse anything else
+when they are built; the checks and the solver refuse only p = 2.  The
+search takes a bare p and checks that it is an odd prime.
 """
 
 from __future__ import annotations
@@ -234,17 +234,23 @@ def gsign_value(action: GroupAction) -> Rational:
     coefficients, and r is read off S.  Otherwise S(zeta)/(zeta - 1)^2
     is evaluated once in Q(zeta_p), and NotRational names its zeta part.
     """
-    p = action.p
-    terms = [_point(pt.a, pt.b) for pt in action.points]
-    terms += [_sphere(s.c, s.alpha) for s in action.spheres]
-    if not terms:
-        return Fraction(0)
-    windows = (_over_units(p, num, units) for num, units, _ in terms)
-    total = functools.reduce(_add_lists, windows)
+    total = _window_sum(action)
     value = _over_zeta_minus_one_squared(total)
     if value is not None:
         return value
-    return _term(p, list(enumerate(total)), (), 2).rational_part()
+    return _term(action.p, list(enumerate(total)), (), 2).rational_part()
+
+
+def _window_sum(action: GroupAction) -> list[int]:
+    """S: the integral windows (`cyclotomic._over_units`) of the action's
+    point and sphere terms times (t - 1)^2, summed over t^0..t^(p-1); p
+    zeros for an action with no fixed component.  Both halves of the
+    paper read it: `gsign_value` exactly, the battery mod p."""
+    p = action.p
+    terms = [_point(pt.a, pt.b) for pt in action.points]
+    terms += [_sphere(s.c, s.alpha) for s in action.spheres]
+    windows = [_over_units(p, num, units) for num, units, _ in terms]
+    return functools.reduce(_add_lists, windows) if windows else [0] * p
 
 
 def _add_lists(x: list[int], y: list[int]) -> list[int]:
@@ -386,12 +392,12 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     The expansion of the summed signature integrand times (t-1)^2 must
     reduce, mod p, to Sign(X) * s^2 and nothing else through s^(p-2):
     (t-1)^(p-1) is congruent to Phi_p(t) mod p, so higher terms are
-    invisible to the congruence.  Each component's term is built in
-    the zeta-power basis of Z[zeta]/p at O(p) cost, and the sum is
-    compared with the target in that basis.  The change to powers of s
-    is a bijection, so a sum equal to the target reads as the target's
-    s coefficients; only a differing sum is turned into s coefficients,
-    once, for its records.
+    invisible to the congruence.  The components' integral windows are
+    summed over Z (`_window_sum`, as for `gsign_value`), folded by
+    t^(p-1), reduced mod p once and compared with the target in the
+    zeta-power basis of Z[zeta]/p.  The change to powers of s is a
+    bijection, so a sum equal to the target reads as the target's s
+    coefficients; only a differing sum is turned into them, for its records.
 
     The report holds the summed and target lists as they are, as its
     lhs and required columns, under the names relation_1 .. relation_4
@@ -400,9 +406,12 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     """
     p = action.p
     _require_odd(p)
-    vectors = [_point_vector(p, pt.a, pt.b) for pt in action.points]
-    vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
-    total = _vector_sum(p, vectors)
+    rels = [_point_relations(p, pt.a, pt.b) for pt in action.points]
+    rels += [_sphere_relations(p, s.c, s.alpha) for s in action.spheres]
+    total = [sum(col) % p for col in zip((0, 0, 0, 0), *rels)]
+    window = _window_sum(action)
+    top = window.pop()  # t^(p-1) = -(1 + t + ... + t^(p-2))
+    total += [(x - top) % p for x in window]
     sign = action.signature % p
     # Sign * s^2 in the s basis, through s^(p-2): zero when p = 3
     target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
@@ -663,7 +672,9 @@ def search_realizable(
     sum.  With no point, every sphere choice is looked up.
 
     The prime and the profile are checked by the call itself, before
-    the enumeration is first advanced.
+    the enumeration is first advanced.  So is the size of the sphere
+    walk: ((p - 1)/2)^s weight tuples for s spheres may be at most
+    504^2 = 254,016, the walk of two spheres at p = 1009.
 
     A result is promised the rotation congruences only, not an integral
     G-signature: at p = 5 the points (1, 1), (1, 1), (1, 1), (1, 3) with
@@ -678,6 +689,12 @@ def search_realizable(
     if len(sphere_alphas) != n_spheres:
         raise InconsistentCounts(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"
+        )
+    half = (p - 1) // 2
+    if half**n_spheres > 504**2:  # two spheres at p = 1009
+        raise ValueError(
+            f"{n_spheres} spheres at p = {p} walk {half}^{n_spheres} sphere weight tuples, "
+            f"more than {504**2} = 504^2"
         )
     return _search(p, n_points, sphere_alphas, sign, euler, b2)
 

@@ -7,8 +7,12 @@ t^r - 1 = s * u_r, and the pole order k.  `_expand` sums the binomial
 series c * (1 + s)^e, divides by prod_r u_r and multiplies by s^(2-k);
 no closed-form coefficient tables are used.
 
-Coefficients are exact rationals; this is the engine of `expand`
-only.  `expand --p` reads them mod p through `exact_arith._mod_p`,
+Coefficients are exact rationals, held as integers until the answer:
+each division by a unit gives integers over per-coefficient
+denominators, cleared to their least common one before the next, and
+the terms are summed over one denominator, so one `Fraction` is built
+per coefficient at the end.  This is the engine of `expand` only.
+`expand --p` reads the coefficients mod p through `exact_arith._mod_p`,
 which is legitimate because every coefficient is an integer divided by
 a product of powers of the rotation numbers, units mod p.  The bundle
 checks in `congruence` use closed forms of the first three.
@@ -17,6 +21,7 @@ checks in `congruence` use closed forms of the first three.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._poly import cleared, convolve
 from .cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
@@ -50,7 +55,7 @@ class PowerSeries(_Record):
     def __init__(self, coeffs: tuple, order: int):
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs[: order + 1]]
         cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         self._set(tuple(cs), order)
 
@@ -66,45 +71,47 @@ class PowerSeries(_Record):
 
 
 # -- exact series over Q -----------------------------------------------------
-# A series is a list of order+1 coefficients, ints or Fractions.
+# Inside `_expand` a series is a list of order+1 integers over one denominator.
 
 
-def _degree(coeffs) -> int:
-    d = len(coeffs) - 1
-    while d > 0 and not coeffs[d]:
-        d -= 1
-    return d
-
-
-def _div(x, y) -> list[Fraction]:
-    """x / y for a unit y, through the length of x.
+def _div(x: list[int], y: list[int]) -> list[int]:
+    """x / y for an integral unit y, through the length of x, as integers:
+    coefficient k of the quotient is B_k / (D * y_0^(k+1)), D the common
+    denominator of x.
 
     Runs the recurrence y_0 q_k = x_k - sum_{j=1..k} y_j q_(k-j) (only
-    j <= deg(y) contributes) on denominator-cleared copies X, Y; with
-    B_k = (X/Y)_k * Y_0^(k+1) every intermediate is an integer.
+    j <= deg(y) contributes) on B_k = q_k * y_0^(k+1), so every
+    intermediate is an integer.
     """
     if y[0] == 0:
         raise NotAUnit("constant term is zero")
-    ax, dx = cleared(x)
-    ay, dy = cleared(y)
-    y0, d = ay[0], _degree(ay)
-    scaled = [0]  # Y_j * y0^(j-1)
+    y0, d = y[0], len(y) - 1
+    while d > 0 and not y[d]:  # the degree of y
+        d -= 1
+    scaled = [0]  # y_j * y0^(j-1)
     for j in range(1, d + 1):
-        scaled.append(ay[j] * y0 ** (j - 1))
+        scaled.append(y[j] * y0 ** (j - 1))
     big = []
     top = 1  # y0^k
-    for k in range(len(ax)):
-        acc = ax[k] * top
+    for k in range(len(x)):
+        acc = x[k] * top
         for j in range(1, min(k, d) + 1):
             acc -= scaled[j] * big[k - j]
         big.append(acc)
         top *= y0
-    out = []
-    pw = dx * y0
-    for b in big:
-        out.append(Fraction(dy * b, pw))
+    return big
+
+
+def _over_one_denominator(big: list[int], den: int, y0: int) -> tuple[list[int], int]:
+    """The quotients big[k] / (den * y0^(k+1)) of `_div`, y0 > 0, over their least
+    common denominator: den * y0^len(big) over its gcd with every numerator on it."""
+    nums = []
+    pw = 1  # y0^(len(big)-1-k)
+    for b in reversed(big):
+        nums.append(b * pw)
         pw *= y0
-    return out
+    g = gcd(den * pw, *nums)
+    return [v // g for v in reversed(nums)], den * pw // g
 
 
 def _powers(num, count: int) -> list[int]:
@@ -133,7 +140,7 @@ def _expand(terms, order: int) -> PowerSeries:
     infinite series.
     """
     n = order + 1
-    total = []
+    total, total_den = [0] * n, 1
     for num, units, k in terms:
         if 0 in units:
             raise ZeroRotation(f"rotation numbers ({', '.join(map(str, units))}) must be nonzero")
@@ -143,11 +150,14 @@ def _expand(terms, order: int) -> PowerSeries:
         x = _powers(num, n)
         if not any(x):
             continue  # the numerator cancels: nothing to divide
-        for r in units:  # t^|r| - 1 = s * u_|r|
-            x = _div(x, _powers([(abs(r), 1), (0, -1)], n + 1)[1:])
+        den = 1
+        for r in map(abs, units):  # t^r - 1 = s * u_r
+            x, den = _over_one_denominator(_div(x, _powers([(r, 1), (0, -1)], n + 1)[1:]), den, r)
         x = ([0] * (2 - k) + x)[:n]
-        total = [u + v for u, v in zip(total, x)] if total else x
-    return PowerSeries(tuple(total), order)
+        common = lcm(total_den, den)
+        u, v = common // total_den, common // den
+        total, total_den = [a * u + b * v for a, b in zip(total, x)], common
+    return PowerSeries(tuple(Fraction(c, total_den) for c in total), order)
 
 
 def series_mul(x: PowerSeries, y: PowerSeries) -> PowerSeries:
@@ -159,7 +169,9 @@ def series_mul(x: PowerSeries, y: PowerSeries) -> PowerSeries:
 
 def series_invert_unit(x: PowerSeries) -> PowerSeries:
     """Inverse of a unit series: x * result = 1 + O(s^(order+1))."""
-    return PowerSeries(tuple(_div([1] + [0] * x.order, x.coeffs)), x.order)
+    ay, dy = cleared(x.coeffs)
+    big = _div([dy] + [0] * x.order, ay)  # 1/x = dy/ay
+    return PowerSeries(tuple(Fraction(b, ay[0] ** (k + 1)) for k, b in enumerate(big)), x.order)
 
 
 # -- the fixed-point expansions ----------------------------------------------

@@ -1,9 +1,10 @@
 """The slow routes that the package's fast paths are checked against, and
 the code that several test modules share: the p-fold Galois sums, the
 field trace, the float trigonometric sums, the Euclidean inverse in
-Q(zeta_p), the GF(p) and unit-series expansions, the earlier searches,
-the brute-force scans, the CLI parser with every subcommand built up
-front, and the primes and linear models the tests draw from.  Test modules share code only through this module and never import
+Q(zeta_p), the GF(p) and unit-series expansions, the per-component
+battery, the earlier searches, the brute-force scans, the CLI parser
+with every subcommand built up front, and the primes and linear models
+the tests draw from.  Test modules share code only through this module and never import
 one another (`test_stdlib_only.py` checks both).  pytest collects no test
 from it: its name does not match `test_*.py`.
 """
@@ -594,6 +595,22 @@ def _battery_by_expansion(action):
     if n >= 2:  # Sign * s^2 is truncated away at p = 3
         target[6] = action.signature % p
     names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(n + 1)]
+    return tuple(RelationRecord(*r, r[1] == r[2]) for r in zip(names, total, target))
+
+
+def _battery_by_vectors(action):
+    """The records of `check_rotation_relations` by the per-component route:
+    each component's relation residues and window reduced mod p on its
+    own (`_point_vector`, `_sphere_vector`), the p + 3 columns summed, and
+    the series part always read in powers of s."""
+    p = action.p
+    vectors = [congruence._point_vector(p, pt.a, pt.b) for pt in action.points]
+    vectors += [congruence._sphere_vector(p, s.c, s.alpha) for s in action.spheres]
+    total = congruence._vector_sum(p, vectors)
+    total[4:] = congruence._to_s_basis(p, total[4:])
+    sign = action.signature % p
+    target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
+    names = [f"relation_{i}" for i in range(1, 5)] + [f"series_order_{k}" for k in range(p - 1)]
     return tuple(RelationRecord(*r, r[1] == r[2]) for r in zip(names, total, target))
 
 

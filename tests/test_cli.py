@@ -688,7 +688,9 @@ def test_search_composite_p_is_validation_error(capsys):
 def test_search_p_above_the_bound_is_validation_error(monkeypatch, capsys):
     # the class table is built before the first result, so the bound is
     # checked before the search starts; 1013 is the next prime
-    monkeypatch.setattr(cli, "search_realizable", _forbidden("search started above the bound"))
+    monkeypatch.setattr(
+        congruence, "search_realizable", _forbidden("search started above the bound")
+    )
     argv = [
         "search", "--p", "1013", "--points", "1", "--spheres", "1",
         "--alphas", "1", "--sign", "1", "--euler", "3", "--b2", "1", "--limit", "1",
@@ -696,6 +698,18 @@ def test_search_p_above_the_bound_is_validation_error(monkeypatch, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "odd prime" in err and str(MAX_SEARCH_P) in err
+
+
+def test_search_sphere_walk_over_the_bound_is_validation_error(monkeypatch, capsys):
+    # three spheres at p = 1009 walk 504^3 weight tuples; the bound is 504^2
+    monkeypatch.setattr(congruence, "_search", _forbidden("sphere walk started"))
+    argv = [
+        "search", "--p", "1009", "--points", "0", "--spheres", "3", "--alphas", "1,1,1",
+        "--sign", "0", "--euler", "6", "--b2", "4",
+    ]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "504^3" in err and "254016" in err
 
 
 def test_search_inconsistent_profile():

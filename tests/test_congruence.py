@@ -62,6 +62,7 @@ from oracles import (
     SMALL_PRIMES,
     _TERMS,
     _battery_by_expansion,
+    _battery_by_vectors,
     _binomial_sums,
     _boundary_data_by_scan,
     _count_calls,
@@ -519,6 +520,45 @@ def test_passing_battery_changes_no_basis(monkeypatch):
         check_rotation_relations(replace(linear_cp2(401, 133, 268), signature=2))
 
 
+@st.composite
+def _battery_cases(draw):
+    """A linear model at a prime up to 31, 401 or 997, as it is (passing)
+    or with its signature moved (failing), or random fixed data there."""
+    p = draw(st.sampled_from(PRIMES_TO_31 + [401, 997]))
+    how = draw(st.sampled_from(["model", "moved", "random"]))
+    if how == "random":
+        return replace(_random_action(draw, p), signature=draw(st.integers(-3, 3)))
+    a, b = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+    act = linear_cp2(p, a, b) if b and a != b and (a + b) % p else linear_cp2_bar(p, a)
+    if draw(st.booleans()):
+        act = linear_s4(p, a, a + 1) if (2 * a + 1) % p and a + 1 < p else act
+    return act if how == "model" else replace(act, signature=act.signature + draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_battery_cases())
+def test_battery_equals_the_per_component_route(act):
+    # one window sum reduced mod p once, against each component's vector
+    # reduced on its own and every sum read in powers of s
+    assert check_rotation_relations(act).records == _battery_by_vectors(act)
+
+
+def test_the_battery_and_the_g_signature_build_one_window_per_component(monkeypatch):
+    calls = _count_calls(monkeypatch, "_over_units", [congruence])
+    cases = [
+        linear_cp2(401, 133, 268),
+        linear_cp2(31, 11, 0),  # a point and a sphere
+        triple_cp2_bar_action(),
+        replace(linear_s4(97, 5, 7), signature=1),  # a failing battery
+        GroupAction(7, (), (), 0, 0, -2),
+    ]
+    for act in cases:
+        for check in (check_rotation_relations, gsign_value):
+            calls.clear()
+            check(act)
+            assert len(calls) == len(act.points) + len(act.spheres), (act, check)
+
+
 def test_battery_and_search_use_no_series_division(monkeypatch):
     forbidden = _forbidden("series expansion or convolution on the battery path")
     for module in (series, congruence):
@@ -955,6 +995,17 @@ def test_search_inconsistent_counts():
 def test_search_checks_its_profile_before_it_is_advanced(args, error):
     with pytest.raises(error):
         search_realizable(*args)
+
+
+def test_search_refuses_a_sphere_walk_over_the_bound(monkeypatch):
+    # ((p - 1)/2)^s weight tuples: 504^2 at p = 1009 is the bound itself
+    monkeypatch.setattr(congruence, "_search", _forbidden("sphere walk started"))
+    for args in [(1009, 0, 3, [1, 1, 1], 0, 6, 4), (5, 0, 18, [0] * 18, 0, 36, 34)]:
+        with pytest.raises(ValueError, match=r"\^(3|18) sphere weight tuples, more than 254016"):
+            search_realizable(*args)
+    for args in [(1009, 0, 2, [1, -1], 0, 4, 2), (5, 0, 17, [0] * 17, 0, 34, 32)]:
+        with pytest.raises(AssertionError, match="sphere walk started"):
+            search_realizable(*args)  # 504^2 and 2^17 = 131072 reach the walk
 
 
 def test_search_results_canonical_and_valid():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equibundle import series
 from equibundle.cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
 from equibundle.series import (
     NotAUnit,
@@ -17,7 +18,7 @@ from equibundle.series import (
     series_invert_unit,
     series_mul,
 )
-from oracles import _add, _oracle_expand, _t_power_minus_one, expand_binomial_power
+from oracles import _TERMS, _add, _oracle_expand, _t_power_minus_one, expand_binomial_power
 
 
 def _rand_series(rng, order):
@@ -303,3 +304,29 @@ def test_unit_series_oracle_on_a_negative_rotation():
     # is -2(1 + t) s = -2(2 + s) s
     assert _oracle_expand([_boundary(-1, 1)], 3) == [0, -4, -2, 0]
     assert list(expand_boundary_term(-1, 1, 0, 3).coeffs) == [0, -4, -2, 0]
+
+
+# -- the integer route against the division by the full unit series ----
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(_TERMS, key=lambda f: f.__name__)),
+    st.lists(st.integers(-9, 9).filter(bool), min_size=4, max_size=4),
+    st.integers(0, 80),
+)
+def test_the_integer_expansion_equals_the_unit_series_oracle(expand, params, order):
+    # every kind, negative rotations included, to order 80; each term is
+    # divided and cleared in integers and summed over one denominator
+    terms = _TERMS[expand](*params[: expand.__code__.co_argcount - 1])
+    assert list(series._expand(terms, order).coeffs) == _oracle_expand(terms, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 33, 80])
+def test_a_term_with_no_unit_expands_with_the_rest(order):
+    for e in range(-4, 5):
+        bare = ([(e, 1)], (), 2)
+        assert list(series._expand([bare], order).coeffs) == _oracle_expand([bare], order)
+        # summed with a term that divides, over their common denominator
+        terms = [bare, _twist(_point(3, -5), [(e, 1)]), ([(0, 2), (e, -2)], (), 1)]
+        assert list(series._expand(terms, order).coeffs) == _oracle_expand(terms, order)
