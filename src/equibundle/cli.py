@@ -27,8 +27,30 @@ from collections.abc import Iterator
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _json_str
 
-# The library modules are imported by the handlers that call them, so
-# `-h` and an argument error load this module alone.
+from .action_model import (
+    _SLOT_FIELDS,
+    DocumentError,
+    GroupAction,
+    action_from_dict,
+    action_to_dict,
+    connected_sum_points,
+    connected_sum_spheres,
+    line_isotropy_from_dict,
+    line_isotropy_to_dict,
+    su2_isotropy_from_dict,
+    validate,
+)
+from .congruence import (
+    CongruenceReport,
+    _display_template,
+    check_line_bundle,
+    check_rotation_relations,
+    check_su2,
+    gsignature_check,
+    search_realizable,
+    solve_theorem_a,
+)
+from .exact_arith import _mod_p, is_prime
 
 __all__ = ["main", "entry"]
 
@@ -45,15 +67,17 @@ EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 # inside the 4,300-digit str() limit; with it, the second keeps every request
 # under 3 s.  Measured, whole process, median of 5, 2-vCPU VM, Python 3.11: the
 # CI case su2-point (-7, 11) at order 1000 (10,010 bits, work 18,018) takes
-# 0.15 s; point (3, 137438953481) at order 292 (11,427 bits, work 86,728) 1.5 s,
-# nearly all of it the division recurrence by u_137438953481.
+# 0.15 s; point (3, 137438953481) at order 292 (11,427 bits, work 86,728) 1.5 s.
 MAX_ORDER = 1000
 MAX_EXPAND_BITS = 12_000  # (order + 1) * bit lengths, r once per unit u_r
 MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
 # At p = 1009, whole process, median of 3 (2-vCPU VM, Python 3.11), 504 results
 # each: 1 point + 1 sphere reads only the p - 1 point classes (1, x), 0.10 s and
 # 19 MB; 2 spheres and no point walk every sphere choice, 2.2 s and 94 MB.
+# That two-sphere walk is the search's bound, `congruence._MAX_SPHERE_WALK`.
 MAX_SEARCH_P = 1009
+
+_FREE_SLOT = re.compile(rf"^({'|'.join(_SLOT_FIELDS)})\[(\d+)\]$")
 
 
 class _Failure(Exception):
@@ -89,11 +113,9 @@ def _section(doc: dict, name: str, from_dict):
     return from_dict(doc[name])
 
 
-def _validated_action(doc: dict):
-    """The document's `GroupAction`, built (a prime p, unit rotations) and
+def _validated_action(doc: dict) -> GroupAction:
+    """The document's action, built (a prime p, unit rotations) and
     validated (the count rule); each failure is a ValueError, exit 3."""
-    from .action_model import action_from_dict, validate
-
     action = _section(doc, "action", action_from_dict)
     if action.p == 2:
         warning = "p = 2: dimension formulas only, congruence checks need odd p"
@@ -129,7 +151,7 @@ def _record_template(name: str, lhs, required, passed) -> tuple[str, str]:
     return head, f'", "passed": {_json_value(passed)}, "required": {_json_str(str(required))}}}'
 
 
-def _report_line(mode: str, ok, report) -> Iterator[str]:
+def _report_line(mode: str, ok, report: CongruenceReport) -> Iterator[str]:
     """The bytes of `json.dumps({"mode": mode, "ok": ok, "records": [...]},
     sort_keys=True)`, each record {"lhs": str(lhs), "name": name, "passed":
     passed, "required": str(required)}, in pieces of a few thousand
@@ -141,16 +163,14 @@ def _report_line(mode: str, ok, report) -> Iterator[str]:
     yield "]}"
 
 
-def _finish_report(args, report, mode: str) -> int:
-    """Write the `CongruenceReport` in the one form asked for, JSON or
-    text, piece by piece, so the whole output is never held."""
+def _finish_report(args, report: CongruenceReport, mode: str) -> int:
+    """Write the report in the one form asked for, JSON or text, piece by
+    piece, so the whole output is never held."""
     ok = report.ok
     if args.machine:
         sys.stdout.writelines(_report_line(mode, ok, report))
         print()
     else:
-        from .congruence import _display_template
-
         sys.stdout.writelines(report._pieces(_display_template, "\n"))
         failed = sum(not passed for passed in report._passed)
         verdict = "all relations hold" if ok else f"{failed} relation(s) failed"
@@ -162,8 +182,6 @@ def _finish_report(args, report, mode: str) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .congruence import check_line_bundle, check_rotation_relations, check_su2, gsignature_check
-
     doc = _load_document(args.file)
     action = _validated_action(doc)
     if args.mode == "rotation":
@@ -171,26 +189,18 @@ def _cmd_check(args) -> int:
     elif args.mode == "gsign":
         report = gsignature_check(action)
     elif args.mode == "line":
-        from .action_model import line_isotropy_from_dict
-
         report = check_line_bundle(action, _section(doc, "line_isotropy", line_isotropy_from_dict))
     else:
-        from .action_model import su2_isotropy_from_dict
-
         report = check_su2(action, _section(doc, "su2_isotropy", su2_isotropy_from_dict))
     return _finish_report(args, report, args.mode)
 
 
 def _cmd_solve(args) -> int:
-    from .action_model import _SLOT_FIELDS, action_to_dict, line_isotropy_from_dict
-    from .action_model import line_isotropy_to_dict
-    from .congruence import solve_theorem_a
-
     doc = _load_document(args.file)
     action = _validated_action(doc)
     iso = _section(doc, "line_isotropy", line_isotropy_from_dict)
     if args.free is not None:
-        match = re.match(rf"^({'|'.join(_SLOT_FIELDS)})\[(\d+)\]$", args.free)
+        match = _FREE_SLOT.match(args.free)
         if not match:
             raise _Failure(
                 EXIT_PARSE,
@@ -207,7 +217,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    from .action_model import su2_isotropy_from_dict
     from .moduli import NonIntegerDimension, _dimension_rows, dim_invariant_moduli
 
     doc = _load_document(args.file)
@@ -256,8 +265,6 @@ _EXPAND = {
 
 
 def _cmd_expand(args) -> int:
-    from .exact_arith import _mod_p
-
     expansion, params, units = _EXPAND[args.kind]
     values = {name: getattr(args, name) for name in params}
     for name, v in values.items():
@@ -302,8 +309,6 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    from .action_model import action_to_dict, connected_sum_points, connected_sum_spheres
-
     doc_a = _load_document(args.file_a)
     doc_b = _load_document(args.file_b)
     action_a = _validated_action(doc_a)
@@ -323,9 +328,6 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .action_model import action_to_dict
-    from .congruence import search_realizable
-
     alphas = []
     if args.alphas:
         try:
@@ -373,8 +375,6 @@ def _int_in(low: int, high: int | None = None):
 def _prime(text: str) -> int:
     """argparse type: a prime, so a composite modulus exits 2 at parse time.
     A value too large for `is_prime` to decide is an invalid value too."""
-    from .exact_arith import is_prime
-
     value = int(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
@@ -509,19 +509,19 @@ def main(argv=None) -> int:
     except _Failure as exc:
         _fail(args, exc.code, str(exc))
         return exc.code
+    except DocumentError as exc:
+        _fail(args, EXIT_PARSE, str(exc))
+        return EXIT_PARSE
     except ArithmeticError as exc:
         # NotSolvable, NonIntegerDimension, NotRational
         _fail(args, EXIT_RELATION, str(exc))
         return EXIT_RELATION
     except ValueError as exc:
-        # a structurally unusable document is a parse error; shape
-        # mismatches, under/overdetermined solves, inconsistent counts, a
-        # p that is not prime, a zero rotation: parseable but invalid
-        from .action_model import DocumentError
-
-        code = EXIT_PARSE if isinstance(exc, DocumentError) else EXIT_VALIDATION
-        _fail(args, code, str(exc))
-        return code
+        # shape mismatches, under/overdetermined solves, inconsistent
+        # counts, a p that is not prime, a zero rotation: structurally
+        # parseable but invalid
+        _fail(args, EXIT_VALIDATION, str(exc))
+        return EXIT_VALIDATION
 
 
 def _fail(args, code: int, message: str) -> None:

@@ -310,15 +310,13 @@ def _vector_sum(p: int, vectors: list[list[int]]) -> list[int]:
 # the order-(p-2) expansion of `series`, reduced mod p.
 
 
-def _residues(p: int, term) -> list[int]:
-    """A point or sphere term of `cyclotomic` times (t-1)^2, in
-    F_p[t]/Phi_p(t) in the basis 1, t, ..., t^(p-2): both have pole order
-    2, so this is their numerator over the units, the shared window over
-    Z, then t^(p-1) = -(1 + t + ... + t^(p-2)) mod p."""
-    num, units, _ = term
-    v = _over_units(p, num, units)
-    top = v[-1]
-    return [(x - top) % p for x in v[:-1]]
+def _residues(p: int, window: list[int]) -> list[int]:
+    """An integral window over t^0..t^(p-1) (`cyclotomic._over_units`, or
+    a sum of them), in F_p[t]/Phi_p(t) in the basis 1, t, ..., t^(p-2):
+    t^(p-1) = -(1 + t + ... + t^(p-2)), then mod p.  A point or sphere
+    term has pole order 2, so its window is the term times (t-1)^2."""
+    top = window[-1]
+    return [(x - top) % p for x in window[:-1]]
 
 
 def _to_s_basis(p: int, v: list[int]) -> list[int]:
@@ -362,7 +360,7 @@ def _point_relations(p: int, a: int, b: int) -> tuple[int, int, int, int]:
 
 def _point_vector(p: int, a: int, b: int) -> list[int]:
     """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
-    return [*_point_relations(p, a, b), *_residues(p, _point(a, b))]
+    return [*_point_relations(p, a, b), *_residues(p, _over_units(p, *_point(a, b)[:2]))]
 
 
 def _sphere_relations(p: int, c: int, alpha: int) -> tuple[int, int, int, int]:
@@ -374,7 +372,8 @@ def _sphere_relations(p: int, c: int, alpha: int) -> tuple[int, int, int, int]:
 
 def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
     """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
-    return [*_sphere_relations(p, c, alpha), *_residues(p, _sphere(c, alpha))]
+    window = _over_units(p, *_sphere(c, alpha)[:2])
+    return [*_sphere_relations(p, c, alpha), *_residues(p, window)]
 
 
 def _rotation_target(p: int, sign: int) -> list[int]:
@@ -409,9 +408,7 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     rels = [_point_relations(p, pt.a, pt.b) for pt in action.points]
     rels += [_sphere_relations(p, s.c, s.alpha) for s in action.spheres]
     total = [sum(col) % p for col in zip((0, 0, 0, 0), *rels)]
-    window = _window_sum(action)
-    top = window.pop()  # t^(p-1) = -(1 + t + ... + t^(p-2))
-    total += [(x - top) % p for x in window]
+    total += _residues(p, _window_sum(action))
     sign = action.signature % p
     # Sign * s^2 in the s basis, through s^(p-2): zero when p = 3
     target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
@@ -599,6 +596,8 @@ def boundary_chern_data(sphere: FixedSphere, lam: int, m: int) -> Residue:
 
 # -- realizability search -----------------------------------------------------
 
+_MAX_SPHERE_WALK = 504**2  # ((p - 1)/2)^s weight tuples: 2 spheres at p = 1009
+
 
 def _point_classes(p: int) -> list[tuple[int, int]]:
     """The canonical point classes, ascending: the least of (a, b), (b, a),
@@ -674,7 +673,7 @@ def search_realizable(
     The prime and the profile are checked by the call itself, before
     the enumeration is first advanced.  So is the size of the sphere
     walk: ((p - 1)/2)^s weight tuples for s spheres may be at most
-    504^2 = 254,016, the walk of two spheres at p = 1009.
+    `_MAX_SPHERE_WALK`, the walk of two spheres at p = 1009.
 
     A result is promised the rotation congruences only, not an integral
     G-signature: at p = 5 the points (1, 1), (1, 1), (1, 1), (1, 3) with
@@ -691,10 +690,10 @@ def search_realizable(
             f"{len(sphere_alphas)} self-intersections given for {n_spheres} spheres"
         )
     half = (p - 1) // 2
-    if half**n_spheres > 504**2:  # two spheres at p = 1009
+    if half**n_spheres > _MAX_SPHERE_WALK:
         raise ValueError(
             f"{n_spheres} spheres at p = {p} walk {half}^{n_spheres} sphere weight tuples, "
-            f"more than {504**2} = 504^2"
+            f"more than {_MAX_SPHERE_WALK} = 504^2"
         )
     return _search(p, n_points, sphere_alphas, sign, euler, b2)
 

@@ -688,9 +688,7 @@ def test_search_composite_p_is_validation_error(capsys):
 def test_search_p_above_the_bound_is_validation_error(monkeypatch, capsys):
     # the class table is built before the first result, so the bound is
     # checked before the search starts; 1013 is the next prime
-    monkeypatch.setattr(
-        congruence, "search_realizable", _forbidden("search started above the bound")
-    )
+    monkeypatch.setattr(cli, "search_realizable", _forbidden("search started above the bound"))
     argv = [
         "search", "--p", "1013", "--points", "1", "--spheres", "1",
         "--alphas", "1", "--sign", "1", "--euler", "3", "--b2", "1", "--limit", "1",

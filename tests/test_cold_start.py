@@ -12,7 +12,6 @@ import pytest
 
 import equibundle
 from equibundle import action_model, congruence, cyclotomic, exact_arith, moduli, series
-from equibundle.cli import _SUBCOMMANDS
 from oracles import ROOT, src_env
 
 D = "demos/documents"
@@ -49,14 +48,14 @@ SUBCOMMANDS = {
 
 # subcommand -> (the modules it must load, the modules it must not)
 LOADS = {
-    "search": (("action_model", "congruence"), ("moduli", "series")),
-    "check": (("action_model", "congruence"), ("moduli", "series")),
-    "check-su2": (("action_model", "congruence"), ("moduli", "series")),
-    "solve": (("action_model", "congruence"), ("moduli", "series")),
-    "sum": (("action_model",), ("congruence", "moduli", "series")),
-    "expand": (("series",), ("action_model", "congruence", "moduli")),
-    "dimension": (("action_model", "congruence", "moduli"), ("series",)),
-    "gsign": (("action_model", "congruence"), ("series",)),
+    "search": ((), ("moduli", "series")),
+    "check": ((), ("moduli", "series")),
+    "check-su2": ((), ("moduli", "series")),
+    "solve": ((), ("moduli", "series")),
+    "sum": ((), ("moduli", "series")),
+    "expand": (("series",), ("moduli",)),
+    "dimension": (("moduli",), ("series",)),
+    "gsign": ((), ("series",)),
 }
 
 
@@ -70,24 +69,8 @@ def test_a_subcommand_loads_only_the_modules_it_uses(name):
     )
     assert got["code"] == 0
     loads, skips = LOADS[name]
-    assert {"cli", "exact_arith", *loads} <= set(got["loaded"])
+    assert {"cli", "action_model", "congruence", "exact_arith", *loads} <= set(got["loaded"])
     assert [m for m in skips if m in got["loaded"]] == []
-
-
-HELP_AND_ERRORS = [["-h"], *([name, "-h"] for name, *_ in _SUBCOMMANDS), ["check", "--bogus"]]
-
-
-@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
-def test_help_and_an_argument_error_load_the_cli_alone(argv):
-    got = _fresh(
-        "import contextlib, io\n"
-        "from equibundle.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    out['code'] = main({argv!r})\n"
-        "out['package'] = sorted(n for n in sys.modules if n.partition('.')[0] == 'equibundle')"
-    )
-    assert got["code"] == (2 if "--bogus" in argv else 0)
-    assert got["package"] == ["equibundle", "equibundle.cli"]
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))

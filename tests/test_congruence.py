@@ -47,6 +47,7 @@ from equibundle.congruence import (
 from equibundle.cyclotomic import (
     NotRational,
     ZeroRotation,
+    _over_units,
     _term,
     eval_point_term,
     eval_sphere_term,
@@ -481,12 +482,12 @@ def test_pascal_transform_matches_binomial_sums():
 
 
 def test_rotation_target_closed_form_matches_the_residue_route():
-    # Sign * (t-1)^2 read through `_residues`, as a component term is:
-    # the term Sign * (t-1)^2 / (t-1)^2, of pole order 2
+    # Sign * (t-1)^2 read through `_residues`, as a component's window is:
+    # the window of the term Sign * (t-1)^2 / (t-1)^2, of pole order 2
     for p in primes(3, 101):
         for sign in range(-3, 4):
-            sign_term = ([(0, sign), (1, -2 * sign), (2, sign)], (), 2)
-            want = [0, 3 * sign % p, 0, 0] + congruence._residues(p, sign_term)
+            window = _over_units(p, [(0, sign), (1, -2 * sign), (2, sign)], ())
+            want = [0, 3 * sign % p, 0, 0] + congruence._residues(p, window)
             assert congruence._rotation_target(p, sign) == want, (p, sign)
 
 
