@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator
+from gettext import gettext
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -468,18 +469,27 @@ class _SubcommandParser(argparse.ArgumentParser):
 
     A call parses one subcommand, so it pays for that one's arguments
     only; the top-level help and the choice of subcommand need only the
-    names and help lines.  argparse hands the subcommand its arguments
-    through `parse_known_args`, which `parse_args` calls too.  The
-    subcommand's own arguments come first, then the `--machine` that
-    every subcommand takes, and its handler is set as a default."""
+    names and help lines, and an unparsed subcommand holds no argument,
+    not even `-h`.  argparse hands the subcommand its arguments through
+    `parse_known_args`, which `parse_args` calls too.  The fill adds
+    `-h` first, as argparse's `add_help` would, then the subcommand's
+    own arguments, then the `--machine` that every subcommand takes,
+    and sets its handler as a default."""
 
     def __init__(self, *args, add_arguments, handler, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, add_help=False, **kwargs)
         self._fill = add_arguments, handler
 
     def parse_known_args(self, args=None, namespace=None):
         if self._fill is not None:
             (add_arguments, handler), self._fill = self._fill, None
+            self.add_argument(
+                "-h",
+                "--help",
+                action="help",
+                default=argparse.SUPPRESS,
+                help=gettext("show this help message and exit"),
+            )
             add_arguments(self)
             self.add_argument("--machine", action="store_true", help="emit one JSON object")
             self.set_defaults(handler=handler)
@@ -492,7 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Congruence checks, bundle solvers and equivariant moduli dimensions "
         "for cyclic actions on four-manifolds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    # prog given: argparse would otherwise format a usage to find it
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog, parser_class=_SubcommandParser
+    )
     for name, help_line, add_arguments, handler in _SUBCOMMANDS:
         sub.add_parser(name, help=help_line, add_arguments=add_arguments, handler=handler)
     return parser

@@ -1012,7 +1012,16 @@ _CORPUS = [
 ] + [
     argv
     for name, (valid, missing, bad) in _CALLS.items()
-    for argv in ([name, "-h"], valid, missing, bad, [*valid, "--bogus"])
+    for argv in (
+        [name, "-h"],
+        [name, "--help"],
+        [name, "--hel"],  # a prefix of --help
+        [*valid, "-h"],
+        valid,
+        missing,
+        bad,
+        [*valid, "--bogus"],
+    )
 ]
 
 
@@ -1045,5 +1054,7 @@ def test_a_call_adds_only_its_own_subcommands_arguments(monkeypatch):
         usages = {parser.prog: parser.format_usage() for parser in built}
         assert sorted(usages) == sorted(f"equibundle {name}" for name in _CALLS)
         parsed = usages.pop(f"equibundle {argv[0]}")
+        assert parsed.startswith(f"usage: equibundle {argv[0]} [-h]")
         assert own in parsed and "--machine" in parsed
-        assert usages == {prog: f"usage: {prog} [-h]\n" for prog in usages}
+        # an unparsed subcommand holds no argument, not even -h
+        assert usages == {prog: f"usage: {prog}\n" for prog in usages}
