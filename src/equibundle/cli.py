@@ -24,7 +24,6 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from gettext import gettext
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -464,17 +463,32 @@ _SUBCOMMANDS = (
 )
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it first parses.
+# a subcommand's arguments, built the first time it parses in this process:
+# prog -> a parser holding -h, its own arguments, --machine and its handler
+_TEMPLATES = {}
 
-    A call parses one subcommand, so it pays for that one's arguments
-    only; the top-level help and the choice of subcommand need only the
-    names and help lines, and an unparsed subcommand holds no argument,
-    not even `-h`.  argparse hands the subcommand its arguments through
-    `parse_known_args`, which `parse_args` calls too.  The fill adds
-    `-h` first, as argparse's `add_help` would, then the subcommand's
-    own arguments, then the `--machine` that every subcommand takes,
-    and sets its handler as a default."""
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that gets its arguments when it first parses.
+
+    The parser is built per call, but a call parses one subcommand, so
+    an unparsed subcommand holds no argument, not even `-h`; the
+    top-level help and the choice of subcommand need only the names and
+    help lines.  argparse hands the subcommand its arguments through
+    `parse_known_args`, which `parse_args` calls too.
+
+    The arguments themselves are built once per process: the first
+    parse of a subcommand builds a template parser in `_TEMPLATES`,
+    with `-h` first, as argparse's `add_help` adds it, then the
+    subcommand's own arguments, then the `--machine` that every
+    subcommand takes, and its handler as a default.  Each parse, the
+    first included, copies the template's actions and defaults into the
+    call's subparser the way `ArgumentParser(parents=...)` does.  That
+    is argparse's own copy: it files each action under the group of the
+    same title, in order, and registers its option strings, so help,
+    usage and errors, written by the call's subparser under its own
+    prog, are the bytes an eager build writes.  The actions are shared,
+    not copied, and a parse never changes an action."""
 
     def __init__(self, *args, add_arguments, handler, **kwargs):
         super().__init__(*args, add_help=False, **kwargs)
@@ -483,16 +497,15 @@ class _SubcommandParser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         if self._fill is not None:
             (add_arguments, handler), self._fill = self._fill, None
-            self.add_argument(
-                "-h",
-                "--help",
-                action="help",
-                default=argparse.SUPPRESS,
-                help=gettext("show this help message and exit"),
-            )
-            add_arguments(self)
-            self.add_argument("--machine", action="store_true", help="emit one JSON object")
-            self.set_defaults(handler=handler)
+            template = _TEMPLATES.get(self.prog)
+            if template is None:
+                template = argparse.ArgumentParser(prog=self.prog)
+                add_arguments(template)
+                template.add_argument("--machine", action="store_true", help="emit one JSON object")
+                template.set_defaults(handler=handler)
+                _TEMPLATES[self.prog] = template
+            self._add_container_actions(template)
+            self._defaults.update(template._defaults)
         return super().parse_known_args(args, namespace)
 
 

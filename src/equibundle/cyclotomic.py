@@ -203,12 +203,17 @@ def _four_sin2(ell: int) -> list[tuple[int, int]]:
     return [(0, 2), (ell, -1), (-ell, -1)]
 
 
+def _zero_rotation(rotations: tuple, where: str = "") -> ZeroRotation:
+    """The refusal of a point's two rotations or a sphere's one."""
+    if len(rotations) == 2:
+        return ZeroRotation(f"rotation numbers {rotations} must be nonzero{where}")
+    return ZeroRotation(f"normal rotation {rotations[0]} must be nonzero{where}")
+
+
 def _check_rotations(p: int, *rotations: int) -> None:
     """A point's two rotations or a sphere's one nonzero mod p."""
     if any(r % p == 0 for r in rotations):
-        if len(rotations) == 2:
-            raise ZeroRotation(f"rotation numbers {rotations} must be nonzero mod {p}")
-        raise ZeroRotation(f"normal rotation {rotations[0]} must be nonzero mod {p}")
+        raise _zero_rotation(rotations, f" mod {p}")
 
 
 def _check(p: int, k: int, *rotations: int) -> None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._poly import cleared, convolve
-from .cyclotomic import ZeroRotation, _boundary, _point, _sphere, _twist
+from .cyclotomic import _boundary, _point, _sphere, _twist, _zero_rotation
 from .exact_arith import _Record
 
 __all__ = [
@@ -130,8 +130,9 @@ def _powers(num, count: int) -> list[int]:
 
 def _expand(terms, order: int) -> PowerSeries:
     """Sum of the terms (num, units, k) times (t-1)^2 through s^order:
-    each numerator divided by prod_r u_r and shifted by s^(2-k).  A zero
-    rotation r is refused even where the numerator cancels.
+    each numerator divided by prod_r u_r and shifted by s^(2-k).  Every
+    unit is nonzero: the `expand_*` functions refuse a zero rotation
+    first, even where the numerator cancels.
 
     A negative unit is u_r = -t^r * u_|r|, so 1/u_r = -t^|r| / u_|r|:
     the factor -t^|r| moves into the numerator and every divisor is the
@@ -142,8 +143,6 @@ def _expand(terms, order: int) -> PowerSeries:
     n = order + 1
     total, total_den = [0] * n, 1
     for num, units, k in terms:
-        if 0 in units:
-            raise ZeroRotation(f"rotation numbers ({', '.join(map(str, units))}) must be nonzero")
         for r in units:
             if r < 0:
                 num = [(e - r, -c) for e, c in num]
@@ -177,17 +176,26 @@ def series_invert_unit(x: PowerSeries) -> PowerSeries:
 # -- the fixed-point expansions ----------------------------------------------
 
 
+def _nonzero(*rotations: int) -> None:
+    """A point's two rotations or a sphere's one nonzero, worded as
+    `cyclotomic` words them mod p."""
+    if 0 in rotations:
+        raise _zero_rotation(rotations)
+
+
 def expand_point_term(a: int, b: int, lam: int, order: int) -> PowerSeries:
     """(t^a+1)(t^b+1) / ((t^a-1)(t^b-1)) * (t-1)^2 * t^lam.
 
     The two s factors cancel the pole, so the result is a genuine
     series; its constant term is 4/(a*b).
     """
+    _nonzero(a, b)
     return _expand([_twist(_point(a, b), [(lam, 1)])], order)
 
 
 def expand_sphere_term(c: int, alpha: int, lam: int, order: int) -> PowerSeries:
     """-4*alpha*t^c / (t^c-1)^2 * (t-1)^2 * t^lam; constant -4*alpha/c^2."""
+    _nonzero(c)
     return _expand([_twist(_sphere(c, alpha), [(lam, 1)])], order)
 
 
@@ -197,11 +205,13 @@ def expand_boundary_term(c: int, m: int, lam: int, order: int) -> PowerSeries:
     One s factor survives, so the constant term is always zero and the
     s^1 coefficient is 4m/c.
     """
+    _nonzero(c)
     return _expand([_twist(_boundary(c, m), [(lam, 1)])], order)
 
 
 def expand_su2_point_term(a: int, b: int, ell: int, order: int) -> PowerSeries:
     """Point term times the rank-two character t^ell + t^(-ell)."""
+    _nonzero(a, b)
     return _expand([_twist(_point(a, b), [(ell, 1), (-ell, 1)])], order)
 
 
@@ -214,6 +224,7 @@ def expand_su2_sphere_term(c: int, alpha: int, m: int, ell: int, order: int) -> 
     The m part carries t^ell - t^-ell = s*(u_ell - u_-ell), so it only
     enters at s^2 and beyond.
     """
+    _nonzero(c)
     terms = [
         _twist(_sphere(c, alpha), [(ell, 1), (-ell, 1)]),
         _twist(_boundary(c, m), [(ell, 1), (-ell, -1)]),

@@ -455,13 +455,18 @@ def test_expand_mod_column(capsys):
 
 
 @pytest.mark.parametrize(
-    "params",
-    [["--kind", "point", "--a", "0", "--b", "1"], ["--kind", "sphere", "--c", "0", "--alpha", "1"]],
+    "params, message",
+    [
+        (["--kind", "point", "--a", "0", "--b", "1"], "rotation numbers (0, 1) must be nonzero"),
+        (["--kind", "sphere", "--c", "0", "--alpha", "1"], "normal rotation 0 must be nonzero"),
+    ],
 )
-def test_expand_zero_rotation_is_a_validation_failure(params, capsys):
+def test_expand_zero_rotation_is_a_validation_failure(params, message, capsys):
     assert main(["expand", *params, "--machine"]) == 3
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["ok"] is False
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"ok": False, "error": message}
+    assert err == f"error: {message}\n"
 
 
 def test_expand_zero_rotation_with_a_cancelled_numerator_exits_3():
@@ -1058,3 +1063,63 @@ def test_a_call_adds_only_its_own_subcommands_arguments(monkeypatch):
         assert own in parsed and "--machine" in parsed
         # an unparsed subcommand holds no argument, not even -h
         assert usages == {prog: f"usage: {prog}\n" for prog in usages}
+
+
+def test_each_parse_copies_the_template_and_answers_as_the_eager_one(monkeypatch, capsys):
+    # from an empty template dict, the first answer builds each template and
+    # the second copies it; both answer as the eager parser does
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    answers = [[(main(argv), *capsys.readouterr()) for argv in _CORPUS] for _ in range(2)]
+    assert sorted(cli._TEMPLATES) == sorted(f"equibundle {name}" for name in _CALLS)
+    monkeypatch.setattr(cli, "_build_parser", _build_parser_eagerly)
+    eager = [(main(argv), *capsys.readouterr()) for argv in _CORPUS]
+    assert answers == [eager, eager]
+
+
+def test_each_subcommand_adds_its_arguments_once_per_process(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    added = {name: 0 for name in _CALLS}
+
+    def counted(name, add_arguments):
+        def add(parser):
+            added[name] += 1
+            add_arguments(parser)
+
+        return add
+
+    monkeypatch.setattr(
+        cli,
+        "_SUBCOMMANDS",
+        tuple((name, h, counted(name, add), handler) for name, h, add, handler in cli._SUBCOMMANDS),
+    )
+    # the top-level help and an unknown subcommand parse no subcommand
+    assert [main(argv) for argv in (["-h"], ["bogus"], ["che", TRIPLE])] == [0, 2, 2]
+    assert cli._TEMPLATES == {} and set(added.values()) == {0}
+    for _ in range(3):
+        for valid, missing, bad in _CALLS.values():
+            for argv in (valid, missing, bad, [valid[0], "-h"]):
+                main(argv)
+    capsys.readouterr()
+    assert added == {name: 1 for name in _CALLS}
+
+
+@pytest.mark.parametrize(
+    "first, then, dest, default",
+    [
+        (["check", TRIPLE, "--mode", "gsign"], ["check", TRIPLE], "mode", "rotation"),
+        ([*EXPAND, "--order", "80"], EXPAND, "order", 4),
+        ([*EXPAND, "--machine"], EXPAND, "machine", False),
+    ],
+)
+def test_a_parse_leaves_the_shared_actions_as_they_were(first, then, dest, default, monkeypatch):
+    # every call's subparser holds the template's actions, not copies of them
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+
+    def parsed(argv):
+        return getattr(cli._build_parser().parse_args(argv), dest)
+
+    for _ in range(2):
+        assert parsed(first) != default
+        assert parsed(then) == default

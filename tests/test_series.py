@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -239,20 +240,23 @@ def test_su2_point_reduces_to_double_point_term_at_zero_weight():
 
 
 @pytest.mark.parametrize(
-    "expand, args",
+    "expand, args, message",
     [
-        (expand_point_term, (0, 1, 0)),
-        (expand_point_term, (1, 0, 0)),
-        (expand_sphere_term, (0, 1, 0)),
-        (expand_boundary_term, (0, 1, 0)),
-        (expand_su2_point_term, (0, 1, 1)),
-        (expand_su2_point_term, (1, 0, 1)),
-        (expand_su2_sphere_term, (0, 1, 1, 1)),
+        (expand_point_term, (0, 1, 0), "rotation numbers (0, 1) must be nonzero"),
+        (expand_point_term, (1, 0, 0), "rotation numbers (1, 0) must be nonzero"),
+        (expand_point_term, (0, 0, 0), "rotation numbers (0, 0) must be nonzero"),
+        (expand_sphere_term, (0, 1, 0), "normal rotation 0 must be nonzero"),
+        (expand_boundary_term, (0, 1, 0), "normal rotation 0 must be nonzero"),
+        (expand_su2_point_term, (0, 1, 1), "rotation numbers (0, 1) must be nonzero"),
+        (expand_su2_point_term, (1, 0, 1), "rotation numbers (1, 0) must be nonzero"),
+        (expand_su2_sphere_term, (0, 1, 1, 1), "normal rotation 0 must be nonzero"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
-def test_expansions_reject_a_zero_rotation(expand, args):
-    with pytest.raises(ZeroRotation):
+def test_expansions_reject_a_zero_rotation(expand, args, message):
+    # a point names its two rotations, a sphere its one normal rotation, as
+    # `cyclotomic` words them mod p
+    with pytest.raises(ZeroRotation, match=f"^{re.escape(message)}$"):
         expand(*args, 3)
 
 
