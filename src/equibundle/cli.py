@@ -77,7 +77,7 @@ MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
 # That two-sphere walk is the search's bound, `congruence._MAX_SPHERE_WALK`.
 MAX_SEARCH_P = 1009
 
-_FREE_SLOT = re.compile(rf"^({'|'.join(_SLOT_FIELDS)})\[(\d+)\]$")
+_FREE_SLOT = re.compile(rf"({'|'.join(_SLOT_FIELDS)})\[([0-9]+)\]")
 
 
 class _Failure(Exception):
@@ -200,7 +200,7 @@ def _cmd_solve(args) -> int:
     action = _validated_action(doc)
     iso = _section(doc, "line_isotropy", line_isotropy_from_dict)
     if args.free is not None:
-        match = _FREE_SLOT.match(args.free)
+        match = _FREE_SLOT.fullmatch(args.free)
         if not match:
             raise _Failure(
                 EXIT_PARSE,

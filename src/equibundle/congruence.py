@@ -3,8 +3,8 @@
 The G-signature check reads the fixed-point signature sum exactly off
 the integral windows of `cyclotomic`, one per fixed component, summed
 once, and builds elements of Q(zeta_p) only to name an irrational
-value.  The rotation battery reduces the same sum mod p, once, and the
-search each component's window, as elements of Z[zeta]/p =
+value.  The rotation battery, of an action or of a hit of the search,
+reduces the same sum mod p, once, as an element of Z[zeta]/p =
 F_p[t]/Phi_p(t) in the basis of zeta powers, at O(p) cost per
 component.  The bundle checks read the order-2 expansion of their
 twisted terms off the relation and weight sums in closed form.  An
@@ -234,22 +234,28 @@ def gsign_value(action: GroupAction) -> Rational:
     coefficients, and r is read off S.  Otherwise S(zeta)/(zeta - 1)^2
     is evaluated once in Q(zeta_p), and NotRational names its zeta part.
     """
-    total = _window_sum(action)
+    total = _window_sum(action.p, _windows(action.p, *_components(action)))
     value = _over_zeta_minus_one_squared(total)
     if value is not None:
         return value
     return _term(action.p, list(enumerate(total)), (), 2).rational_part()
 
 
-def _window_sum(action: GroupAction) -> list[int]:
-    """S: the integral windows (`cyclotomic._over_units`) of the action's
-    point and sphere terms times (t - 1)^2, summed over t^0..t^(p-1); p
-    zeros for an action with no fixed component.  Both halves of the
-    paper read it: `gsign_value` exactly, the battery mod p."""
-    p = action.p
-    terms = [_point(pt.a, pt.b) for pt in action.points]
-    terms += [_sphere(s.c, s.alpha) for s in action.spheres]
-    windows = [_over_units(p, num, units) for num, units, _ in terms]
+def _components(action: GroupAction) -> tuple[list, list]:
+    """The action's points as pairs (a, b) and its spheres as pairs (c, alpha)."""
+    return [(pt.a, pt.b) for pt in action.points], [(s.c, s.alpha) for s in action.spheres]
+
+
+def _windows(p: int, points, spheres) -> list[list[int]]:
+    """The integral window (`cyclotomic._over_units`) of the term times
+    (t - 1)^2 of each point (a, b), then of each sphere (c, alpha)."""
+    terms = [_point(a, b) for a, b in points] + [_sphere(c, alpha) for c, alpha in spheres]
+    return [_over_units(p, num, units) for num, units, _ in terms]
+
+
+def _window_sum(p: int, windows: list[list[int]]) -> list[int]:
+    """S: the integral windows summed over Z, or p zeros; both halves of
+    the paper read it, `gsign_value` exactly and `_battery_sums` mod p."""
     return functools.reduce(_add_lists, windows) if windows else [0] * p
 
 
@@ -295,19 +301,13 @@ def gsignature_check(action: GroupAction) -> CongruenceReport:
     return CongruenceReport._columns(names, [got] * n, [want] * n, [got == want] * n)
 
 
-def _vector_sum(p: int, vectors: list[list[int]]) -> list[int]:
-    """The summed component vectors mod p; p + 3 zeros when there are none."""
-    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * (p + 3)
-
-
 # -- rotation data congruences ---------------------------------------------
-# Each fixed component contributes one F_p vector: its four relation
-# residues, then its signature integrand times (t-1)^2 read in
-# Z[zeta]/p = F_p[t]/Phi_p(t), written in the basis 1, t, ..., t^(p-2).
-# The battery holds iff the vectors of all components sum to the target
-# vector.  Since Phi_p(t) = (t-1)^(p-1) mod p, the same ring is
-# F_p[s]/s^(p-1) with s = t - 1, and `_to_s_basis` turns a vector into
-# the order-(p-2) expansion of `series`, reduced mod p.
+# The battery is p + 3 sums over the fixed components mod p
+# (`_battery_sums`): the four relation residues, then the signature
+# integrand times (t-1)^2 in Z[zeta]/p = F_p[t]/Phi_p(t), in the basis
+# 1, t, ..., t^(p-2), to equal the target.  Since Phi_p(t) = (t-1)^(p-1)
+# mod p, the same ring is F_p[s]/s^(p-1) with s = t - 1, and
+# `_to_s_basis` turns a vector into the order-(p-2) expansion, mod p.
 
 
 def _residues(p: int, window: list[int]) -> list[int]:
@@ -358,11 +358,6 @@ def _point_relations(p: int, a: int, b: int) -> tuple[int, int, int, int]:
     )
 
 
-def _point_vector(p: int, a: int, b: int) -> list[int]:
-    """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
-    return [*_point_relations(p, a, b), *_residues(p, _over_units(p, *_point(a, b)[:2]))]
-
-
 def _sphere_relations(p: int, c: int, alpha: int) -> tuple[int, int, int, int]:
     """The four relation residues of a fixed sphere (c, alpha)."""
     c2 = c * c
@@ -370,10 +365,18 @@ def _sphere_relations(p: int, c: int, alpha: int) -> tuple[int, int, int, int]:
     return tuple(x % p for x in rel)
 
 
-def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
-    """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
-    window = _over_units(p, *_sphere(c, alpha)[:2])
-    return [*_sphere_relations(p, c, alpha), *_residues(p, window)]
+def _relations(p: int, points, spheres) -> list[tuple[int, int, int, int]]:
+    """The four relation residues of each point (a, b), then of each sphere (c, alpha)."""
+    rels = [_point_relations(p, a, b) for a, b in points]
+    return rels + [_sphere_relations(p, c, alpha) for c, alpha in spheres]
+
+
+def _battery_sums(p: int, points, spheres, windows: list[list[int]]) -> list[int]:
+    """The battery's p + 3 sums for points (a, b) and spheres (c, alpha)
+    of integral windows `windows`: the relation residues summed mod p,
+    then the windows summed over Z (`_window_sum`) and reduced once."""
+    total = [sum(col) % p for col in zip((0, 0, 0, 0), *_relations(p, points, spheres))]
+    return total + _residues(p, _window_sum(p, windows))
 
 
 def _rotation_target(p: int, sign: int) -> list[int]:
@@ -393,10 +396,11 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     (t-1)^(p-1) is congruent to Phi_p(t) mod p, so higher terms are
     invisible to the congruence.  The components' integral windows are
     summed over Z (`_window_sum`, as for `gsign_value`), folded by
-    t^(p-1), reduced mod p once and compared with the target in the
-    zeta-power basis of Z[zeta]/p.  The change to powers of s is a
-    bijection, so a sum equal to the target reads as the target's s
-    coefficients; only a differing sum is turned into them, for its records.
+    t^(p-1), reduced mod p once (`_battery_sums`, as for each hit of the
+    search) and compared with the target in the zeta-power basis of
+    Z[zeta]/p.  The change to powers of s is a bijection, so a sum equal
+    to the target reads as the target's s coefficients; only a differing
+    sum is turned into them, for its records.
 
     The report holds the summed and target lists as they are, as its
     lhs and required columns, under the names relation_1 .. relation_4
@@ -405,10 +409,8 @@ def check_rotation_relations(action: GroupAction) -> CongruenceReport:
     """
     p = action.p
     _require_odd(p)
-    rels = [_point_relations(p, pt.a, pt.b) for pt in action.points]
-    rels += [_sphere_relations(p, s.c, s.alpha) for s in action.spheres]
-    total = [sum(col) % p for col in zip((0, 0, 0, 0), *rels)]
-    total += _residues(p, _window_sum(action))
+    points, spheres = _components(action)
+    total = _battery_sums(p, points, spheres, _windows(p, points, spheres))
     sign = action.signature % p
     # Sign * s^2 in the s basis, through s^(p-2): zero when p = 3
     target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
@@ -450,8 +452,7 @@ def _series(action: GroupAction, w1: int, w2: int) -> list[int]:
     so the sum is [4r1, 4(r1+w1), (r1+r2)/3 + 2w1 + 2w2], r1 and r2 the
     first two relation sums; the s^2 entry exists only when p > 3."""
     p = action.p
-    rels = [_point_relations(p, pt.a, pt.b) for pt in action.points]
-    rels += [_sphere_relations(p, s.c, s.alpha) for s in action.spheres]
+    rels = _relations(p, *_components(action))
     r1, r2 = sum(r[0] for r in rels), sum(r[1] for r in rels)
     total = [4 * r1, 4 * (r1 + w1), (r1 + r2) * pow(3, -1, p) + 2 * (w1 + w2) if p > 3 else 0]
     return [x % p for x in total[: min(2, p - 2) + 1]]
@@ -642,14 +643,14 @@ def search_realizable(
     sum to.  For each multiset of all but the last point (the prefix),
     its summed residues are kept as four ints, and one lookup per sphere
     choice finds the only class that can complete it, at O(1) cost per
-    prefix and choice.  Only a hit builds the O(p) vectors of its
-    components (see `check_rotation_relations`), each point class and
-    each sphere at most once per call, and it is accepted iff their
-    summed vector equals the target.  The sums are compared in the
-    basis of zeta powers: the change to powers of s = t - 1 is a
-    bijection, so this is exactly `check_rotation_relations(...).ok`,
-    with no change of basis.  Prefixes come in lexicographic order, and
-    the hits of one prefix in order of (last class, sphere choice).
+    prefix and choice.  Only a hit builds the O(p) integral windows of
+    its components, each point class and each sphere at most once per
+    call, and it is accepted iff its battery sums (`_battery_sums`, as
+    in `check_rotation_relations`) equal the target in the basis of zeta
+    powers: the change to powers of s = t - 1 is a bijection, so this is
+    exactly `check_rotation_relations(...).ok`, with no change of basis.
+    Prefixes come in lexicographic order, and the hits of one prefix in
+    order of (last class, sphere choice).
 
     With a point, only one member of each orbit of g -> g^u is looked
     up.  Replacing the generator g by g^u, for a unit u mod p,
@@ -667,7 +668,7 @@ def search_realizable(
     and -u give the same classes): points to their `IsolatedPoint`
     class, sphere weights to |u*c| mod p, spheres of equal alpha
     re-sorted as in the sphere choices.  The images whose first point
-    is not (1, x) are deduplicated, sorted and yielded with no vector
+    is not (1, x) are deduplicated, sorted and yielded with no battery
     sum.  With no point, every sphere choice is looked up.
 
     The prime and the profile are checked by the call itself, before
@@ -706,25 +707,23 @@ def _search(
     choices = list(_sphere_choices(p, sphere_alphas))
     needs = []  # the four relation residues the points must sum to, per sphere choice
     for ws in choices:
-        spheres = [_sphere_relations(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        spheres = _relations(p, (), zip(ws, sphere_alphas))
         needs.append(tuple((t - sum(col)) % p for t, *col in zip(target[:4], *spheres)))
     # the first point is one of the classes (1, x), the first p - 1 classes
     classes = _point_classes(p) if n_points > 1 else [(1, b) for b in range(1, p)]
 
     @functools.cache
-    def vector(build, *component):
-        """The vector of a point class or sphere, built on its first hit."""
-        return build(p, *component)
+    def window(term, *component):
+        """The window of a point class or sphere (see `_windows`), built on its first hit."""
+        return _over_units(p, *term(*component)[:2])
 
     def accepted(hits):
         """The hits (point indices, choice index), in order, whose
-        components' vectors sum to the target, as (point classes, choice index)."""
+        battery sums equal the target, as (point classes, choice index)."""
         for idx, k in sorted(hits):
-            ws = choices[k]
-            pts = tuple(classes[i] for i in idx)
-            vecs = [vector(_point_vector, *pt) for pt in pts]
-            vecs += [vector(_sphere_vector, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-            if _vector_sum(p, vecs) == target:
+            pts, spheres = tuple(classes[i] for i in idx), list(zip(choices[k], sphere_alphas))
+            windows = [window(_point, *pt) for pt in pts] + [window(_sphere, *s) for s in spheres]
+            if _battery_sums(p, pts, spheres, windows) == target:
                 yield pts, k
 
     def action(pts, k):
@@ -740,7 +739,7 @@ def _search(
 
     def walk():
         """The results whose first point is one of the classes (1, x), in order."""
-        rels = [_point_relations(p, a, b) for a, b in classes]
+        rels = _relations(p, classes, ())
         last_class = {rel: j for j, rel in enumerate(rels)}
         if n_points == 1:
             hits = [((last_class[need],), k) for k, need in enumerate(needs) if need in last_class]

@@ -55,6 +55,9 @@ from equibundle.congruence import (
     NotSolvable,
     RelationRecord,
     _point_classes,
+    _point_relations,
+    _residues,
+    _sphere_relations,
     boundary_chern_data,
     check_rotation_relations,
     solve_theorem_a,
@@ -65,6 +68,7 @@ from equibundle.cyclotomic import (
     _boundary,
     _check,
     _four_sin2,
+    _over_units,
     _point,
     _reduce,
     _sphere,
@@ -577,16 +581,32 @@ def _binomial_sums(p, v):
     return [y % p for y in out]
 
 
+def _point_vector(p: int, a: int, b: int) -> list[int]:
+    """Relation residues and (t^a+1)(t^b+1)/(u_a u_b) of an isolated point (a, b)."""
+    return [*_point_relations(p, a, b), *_residues(p, _over_units(p, *_point(a, b)[:2]))]
+
+
+def _sphere_vector(p: int, c: int, alpha: int) -> list[int]:
+    """Relation residues and -4*alpha*t^c/u_c^2 of a fixed sphere (c, alpha)."""
+    window = _over_units(p, *_sphere(c, alpha)[:2])
+    return [*_sphere_relations(p, c, alpha), *_residues(p, window)]
+
+
+def _vector_sum(p: int, vectors: list[list[int]]) -> list[int]:
+    """The summed component vectors mod p; p + 3 zeros when there are none."""
+    return [sum(col) % p for col in zip(*vectors)] if vectors else [0] * (p + 3)
+
+
 def _battery_by_expansion(action):
     """The records of `check_rotation_relations`, with the series part
     summed from the GF(p) oracle's expansions through s^(p-2)."""
     p, n = action.p, action.p - 2
     vectors = [
-        congruence._point_vector(p, pt.a, pt.b)[:4] + _gf(p, expand_point_term, pt.a, pt.b, 0, n)
+        _point_vector(p, pt.a, pt.b)[:4] + _gf(p, expand_point_term, pt.a, pt.b, 0, n)
         for pt in action.points
     ]
     vectors += [
-        congruence._sphere_vector(p, s.c, s.alpha)[:4]
+        _sphere_vector(p, s.c, s.alpha)[:4]
         + _gf(p, expand_sphere_term, s.c, s.alpha, 0, n)
         for s in action.spheres
     ]
@@ -604,9 +624,9 @@ def _battery_by_vectors(action):
     own (`_point_vector`, `_sphere_vector`), the p + 3 columns summed, and
     the series part always read in powers of s."""
     p = action.p
-    vectors = [congruence._point_vector(p, pt.a, pt.b) for pt in action.points]
-    vectors += [congruence._sphere_vector(p, s.c, s.alpha) for s in action.spheres]
-    total = congruence._vector_sum(p, vectors)
+    vectors = [_point_vector(p, pt.a, pt.b) for pt in action.points]
+    vectors += [_sphere_vector(p, s.c, s.alpha) for s in action.spheres]
+    total = _vector_sum(p, vectors)
     total[4:] = congruence._to_s_basis(p, total[4:])
     sign = action.signature % p
     target = [0, 3 * sign % p, 0, 0] + [0, 0, sign, *[0] * (p - 4)][: p - 1]
@@ -674,17 +694,16 @@ def _sphere_choices_with_vectors(p, sphere_alphas):
     """`_sphere_choices` with the summed vector of each choice's spheres:
     the eager sphere choices that the residue-only ones replaced."""
     for ws in _sphere_choices(p, sphere_alphas):
-        vecs = [congruence._sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
-        yield ws, congruence._vector_sum(p, vecs)
+        vecs = [_sphere_vector(p, w, alpha) for w, alpha in zip(ws, sphere_alphas)]
+        yield ws, _vector_sum(p, vecs)
 
 
 def _search_by_relation_1(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
     """The search that reads the last point from a bucket keyed by its
     relation-1 residue and adds a partial vector for every prefix: the
     O(p)-per-prefix search that the residue lookup replaced."""
-    _point_classes, _point_vector = congruence._point_classes, congruence._point_vector
+    _point_classes = congruence._point_classes
     _rotation_target = congruence._rotation_target
-    _vector_sum = congruence._vector_sum
     classes = _point_classes(p)
     target = _rotation_target(p, sign)
     # what the points must sum to, for each sphere choice
@@ -738,8 +757,6 @@ def _search_by_prefix(p, n_points, n_spheres, sphere_alphas, sign, euler, b2):
     member of."""
     _rotation_target, _sphere_choices = congruence._rotation_target, congruence._sphere_choices
     _point_relations, _sphere_relations = congruence._point_relations, congruence._sphere_relations
-    _point_vector, _sphere_vector = congruence._point_vector, congruence._sphere_vector
-    _vector_sum = congruence._vector_sum
     target = _rotation_target(p, sign)
     choices = list(_sphere_choices(p, sphere_alphas))
     needs = []  # the four relation residues the points must sum to, per sphere choice

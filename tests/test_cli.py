@@ -397,6 +397,13 @@ def test_solve_error_paths(tmp_path):
     assert main(["solve", path]) == 3
 
 
+@pytest.mark.parametrize("slot", ["m[0]\n", "m[٠]"])  # a trailing newline; Arabic-Indic 0
+def test_solve_free_takes_only_a_whole_ascii_slot_name(slot, capsys):
+    assert main(["solve", _demo("cp2_solve_m.json"), "--free", slot, "--machine"]) == 2
+    message = f"--free must look like lambda[i], lambda_sphere[j] or m[j], got {slot!r}"
+    assert message in capsys.readouterr().err
+
+
 def test_solve_not_solvable(tmp_path):
     from equibundle.action_model import FixedSphere, GroupAction, IsolatedPoint
 

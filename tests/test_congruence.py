@@ -48,6 +48,7 @@ from equibundle.cyclotomic import (
     NotRational,
     ZeroRotation,
     _over_units,
+    _point,
     _term,
     eval_point_term,
     eval_sphere_term,
@@ -74,12 +75,14 @@ from oracles import (
     _gf_expand,
     _gsign_in_the_field,
     _point_class,
+    _point_vector,
     _search_by_filtering,
     _search_by_prefix,
     _search_by_relation_1,
     _series_records_by_gf,
     _solve_by_scan,
     _solver_round_trips,
+    _sphere_vector,
     fixed_models,
     primes,
     replace,
@@ -426,17 +429,18 @@ def test_rotation_relations_need_odd_prime():
 
 
 # -- the battery in the zeta-power basis ------------------------------------
-# Each component's vector holds its term in Z[zeta]/p in the basis
-# 1, t, ..., t^(p-2); the Pascal transform to s = t - 1 must give the
-# expansion through s^(p-2) that the GF(p) oracle computes.
+# Each component's vector (the oracles' `_point_vector`, `_sphere_vector`)
+# holds its term in Z[zeta]/p in the basis 1, t, ..., t^(p-2); the Pascal
+# transform to s = t - 1 must give the expansion through s^(p-2) that the
+# GF(p) oracle computes.
 
 
 def _point_series(p, a, b):
-    return congruence._to_s_basis(p, congruence._point_vector(p, a, b)[4:])
+    return congruence._to_s_basis(p, _point_vector(p, a, b)[4:])
 
 
 def _sphere_series(p, c, alpha):
-    return congruence._to_s_basis(p, congruence._sphere_vector(p, c, alpha)[4:])
+    return congruence._to_s_basis(p, _sphere_vector(p, c, alpha)[4:])
 
 
 @pytest.mark.parametrize("p", primes(3, 23))
@@ -464,8 +468,8 @@ def test_zeta_basis_is_a_ring_homomorphism_image(case):
     p, a, b, alpha = case
     n = p - 2
     square = _term(p, [(0, 1), (1, -2), (2, 1)], (), 0)  # (zeta - 1)^2
-    point = congruence._point_vector(p, a, b)[4:]
-    sphere = congruence._sphere_vector(p, a, alpha)[4:]
+    point = _point_vector(p, a, b)[4:]
+    sphere = _sphere_vector(p, a, alpha)[4:]
     assert point == _field_mod_p(square * eval_point_term(p, 1, a, b))
     assert sphere == _field_mod_p(square * eval_sphere_term(p, 1, a, alpha))
     assert congruence._to_s_basis(p, point) == _gf(p, expand_point_term, a, b, 0, n)
@@ -1106,35 +1110,73 @@ def test_search_results_are_closed_under_every_unit(profile):
         assert image.data_key() in keys
 
 
-def test_search_sums_vectors_only_for_hits(monkeypatch):
-    """The O(p) work of a search is one vector sum, compared once, per
-    lookup hit; each point class and sphere vector is built at most once.
-    With a point, only data whose first point is (1, x) are looked up;
-    the rest are their images under g -> g^u, and no vector is summed
-    for them.  Every hit is a result in both runs.  The relation-1 bucket search
-    made 24,091 sums for the 3 points, one partial vector for every
-    prefix, and the walk over every prefix one sum for each of the 80
-    results; the eager sphere choices made 2,500 sums and 5,000 sphere
-    vectors for the 2 spheres, two for every choice."""
+def test_search_sums_the_battery_only_for_hits(monkeypatch):
+    """The O(p) work of a search is one battery sum, compared once, per
+    lookup hit; each point class's and sphere's window is built at most
+    once per call.  With a point, only data whose first point is (1, x)
+    are looked up; the rest are their images under g -> g^u, and no
+    window is built or summed for them.  Every hit is a result in both
+    runs.  The relation-1 bucket search made 24,091 sums for the 3
+    points, one partial vector for every prefix, and the walk over every
+    prefix one sum for each of the 80 results; the eager sphere choices
+    made 2,500 sums and 5,000 sphere vectors for the 2 spheres, two for
+    every choice."""
     battery = congruence.check_rotation_relations
     no_battery = _forbidden("the search called the battery")
     monkeypatch.setattr(congruence, "check_rotation_relations", no_battery)
-    sums, built, spheres = (
-        _count_calls(monkeypatch, name, [congruence])
-        for name in ("_vector_sum", "_point_vector", "_sphere_vector")
+    sums, windows = (
+        _count_calls(monkeypatch, name, [congruence]) for name in ("_battery_sums", "_over_units")
     )
+
+    def built():
+        """The windows built so far, each named by its term (numerator, units)."""
+        return [(tuple(num), tuple(units)) for _, num, units in windows]
+
     found = list(search_realizable(31, 3, 0, [], 1, 3, 1))
     assert len(found) == 80
-    assert len(sums) == sum(act.points[0].a == 1 for act in found) == 15
-    assert len(built) == len(set(built))
+    looked_up = [act for act in found if act.points[0].a == 1]
+    assert len(sums) == len(looked_up) == 15
+    assert len(built()) == len(set(built()))
+    terms = (_point(pt.a, pt.b) for act in looked_up for pt in act.points)
+    assert set(built()) == {(tuple(num), units) for num, units, _ in terms}
     assert all(battery(act).ok for act in found)
     sums.clear()
+    windows.clear()
     found = list(search_realizable(101, 0, 2, [1, -1], 0, 4, 2))
     assert len(found) == 50
     assert len(sums) <= len(found)
-    assert len(spheres) <= 2 * len(found)
-    assert len(spheres) == len(set(spheres))
+    assert len(built()) <= 2 * len(found)
+    assert len(built()) == len(set(built()))
     assert all(battery(act).ok for act in found)
+
+
+def test_the_battery_and_the_search_share_one_battery_sum(monkeypatch):
+    """`check_rotation_relations` and the search's hit check both call
+    `_battery_sums`, on the same components and windows, and each call
+    reduces one window sum mod p (`_residues`): no component is reduced
+    on its own.  The per-component vectors live only in the oracles."""
+    for name in ("_point_vector", "_sphere_vector", "_vector_sum"):
+        assert not hasattr(congruence, name), name
+    sums, reductions = (
+        _count_calls(monkeypatch, name, [congruence]) for name in ("_battery_sums", "_residues")
+    )
+    found = list(search_realizable(31, 3, 0, [], 1, 3, 1))
+    hits = list(sums)
+    assert len(hits) == len(reductions) == 15
+    for (p, pts, spheres, windows), act in zip(hits, found):
+        assert p == 31 and list(pts) == congruence._components(act)[0] and spheres == []
+        assert windows == congruence._windows(p, pts, spheres)
+        sums.clear()
+        reductions.clear()
+        assert check_rotation_relations(act).ok
+        assert sums == [(p, *congruence._components(act), windows)]
+        assert len(reductions) == 1
+    failing = replace(linear_s4(97, 5, 7), signature=1)
+    for act in (linear_cp2(31, 11, 0), triple_cp2_bar_action(), failing):
+        sums.clear()
+        reductions.clear()
+        check_rotation_relations(act)
+        assert len(sums) == len(reductions) == 1
 
 
 @pytest.mark.parametrize("p", primes(3, 101))
@@ -1144,7 +1186,7 @@ def test_point_classes_are_the_canonical_representatives(p):
     # (r1, r2) fixes the class, so a residue lookup finds at most one
     rels = [congruence._point_relations(p, a, b) for a, b in classes]
     assert len({rel[:2] for rel in rels}) == len(classes)
-    assert rels == [tuple(congruence._point_vector(p, a, b)[:4]) for a, b in classes]
+    assert rels == [tuple(_point_vector(p, a, b)[:4]) for a, b in classes]
 
 
 @pytest.mark.parametrize("n_points, alphas", [(3, ()), (1, (-1,)), (2, (1,)), (0, (1, -2))])
