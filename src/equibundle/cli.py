@@ -71,13 +71,14 @@ EXIT_PIPE = 141  # stdout closed early; the shell's status for SIGPIPE
 MAX_ORDER = 1000
 MAX_EXPAND_BITS = 12_000  # (order + 1) * bit lengths, r once per unit u_r
 MAX_EXPAND_WORK = 100_000  # (order + 1) * sum of min(|r|, order + 1) over units
-# At p = 1009, whole process, median of 3 (2-vCPU VM, Python 3.11), 504 results
-# each: 1 point + 1 sphere reads only the p - 1 point classes (1, x), 0.10 s and
-# 19 MB; 2 spheres and no point walk every sphere choice, 2.2 s and 94 MB.
-# That two-sphere walk is the search's bound, `congruence._MAX_SPHERE_WALK`.
+# At p = 1009, whole process, median of 5 (2-vCPU VM, Python 3.11), 504 results
+# each in about 0.1 s and 18 MB: 1 point + 1 sphere reads the p - 1 point classes
+# (1, x), 2 spheres and no point the 504 choices whose first weight is 1.  Two
+# spheres at this p are `congruence._MAX_SPHERE_WALK`, the sphere choices' bound.
 MAX_SEARCH_P = 1009
 
 _FREE_SLOT = re.compile(rf"({'|'.join(_SLOT_FIELDS)})\[([0-9]+)\]")
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # every integer option; int() also takes " 1_3" and "٤"
 
 
 class _Failure(Exception):
@@ -328,12 +329,10 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    alphas = []
-    if args.alphas:
-        try:
-            alphas = [int(x) for x in args.alphas.split(",")]
-        except ValueError:
-            raise _Failure(EXIT_PARSE, f"--alphas must be comma-separated integers: {args.alphas!r}")
+    try:
+        alphas = [_int(x) for x in args.alphas.split(",")] if args.alphas else []
+    except ValueError:
+        raise _Failure(EXIT_PARSE, f"--alphas must be comma-separated integers: {args.alphas!r}")
     if args.p > MAX_SEARCH_P:
         raise _Failure(EXIT_VALIDATION, f"--p must be an odd prime <= {MAX_SEARCH_P}, got {args.p}")
     gen = search_realizable(
@@ -356,13 +355,15 @@ def _cmd_search(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer >= low and, if high is given, <= high,
-    so bad values exit 2 at parse time."""
+def _int_in(low: int | None = None, high: int | None = None):
+    """argparse type: an integer matching `_INTEGER`, and >= low and <=
+    high where they are given, so bad values exit 2 at parse time."""
 
     def parse(text: str) -> int:
+        if not _INTEGER.fullmatch(text):
+            raise ValueError(text)
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
@@ -372,10 +373,13 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+_int = _int_in()
+
+
 def _prime(text: str) -> int:
     """argparse type: a prime, so a composite modulus exits 2 at parse time.
     A value too large for `is_prime` to decide is an invalid value too."""
-    value = int(text)
+    value = _int(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"must be a prime, got {value}")
     return value
@@ -414,9 +418,9 @@ def _add_expand(p_exp):
         choices=sorted(_EXPAND),
     )
     for flag in ("a", "b", "c", "alpha"):
-        p_exp.add_argument(f"--{flag}", type=int, default=None)
+        p_exp.add_argument(f"--{flag}", type=_int, default=None)
     for flag in ("m", "ell", "lam"):  # a twist or degree left out is 0
-        p_exp.add_argument(f"--{flag}", type=int, default=0)
+        p_exp.add_argument(f"--{flag}", type=_int, default=0)
     p_exp.add_argument("--order", type=_int_in(0, MAX_ORDER), default=4)
     p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
 
@@ -429,12 +433,12 @@ def _add_gsign(p_gsign):
 def _add_sum(p_sum):
     p_sum.add_argument("file_a")
     p_sum.add_argument("file_b")
-    p_sum.add_argument("--points", nargs=2, type=int, metavar=("I", "J"))
-    p_sum.add_argument("--spheres", nargs=2, type=int, metavar=("I", "J"))
+    p_sum.add_argument("--points", nargs=2, type=_int, metavar=("I", "J"))
+    p_sum.add_argument("--spheres", nargs=2, type=_int, metavar=("I", "J"))
 
 
 def _add_search(p_search):
-    p_search.add_argument("--p", type=int, required=True)
+    p_search.add_argument("--p", type=_int, required=True)
     p_search.add_argument(
         "--points", type=_int_in(0), required=True, help="number of isolated points"
     )
@@ -444,8 +448,8 @@ def _add_search(p_search):
     p_search.add_argument(
         "--alphas", default="", help="comma-separated self-intersections, one per sphere"
     )
-    p_search.add_argument("--sign", type=int, required=True)
-    p_search.add_argument("--euler", type=int, required=True)
+    p_search.add_argument("--sign", type=_int, required=True)
+    p_search.add_argument("--euler", type=_int, required=True)
     p_search.add_argument("--b2", type=_int_in(0), required=True)
     p_search.add_argument("--limit", type=_int_in(0), default=None)
 

@@ -597,6 +597,8 @@ def boundary_chern_data(sphere: FixedSphere, lam: int, m: int) -> Residue:
 
 # -- realizability search -----------------------------------------------------
 
+# The bound stays, though a walk with no point reads only the choices whose
+# first weight is 1: with a point, every sphere choice is looked up per prefix.
 _MAX_SPHERE_WALK = 504**2  # ((p - 1)/2)^s weight tuples: 2 spheres at p = 1009
 
 
@@ -607,18 +609,21 @@ def _point_classes(p: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, p) for b in range(a, p - a + 1)]
 
 
+def _sort_ties(ws: Sequence[int], sphere_alphas: Sequence[int]) -> tuple[int, ...]:
+    """`ws` with the weights of spheres of equal alpha in ascending order:
+    the least tuple of its multiset of (weight, alpha) pairs."""
+    ws = list(ws)
+    for i, j in itertools.combinations(range(len(ws)), 2):  # a selection sort
+        if sphere_alphas[i] == sphere_alphas[j] and ws[i] > ws[j]:
+            ws[i], ws[j] = ws[j], ws[i]
+    return tuple(ws)
+
+
 def _sphere_choices(p: int, sphere_alphas: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Each distinct assignment of weights 1..(p-1)/2 to the spheres, in
-    lexicographic order: the least tuple of each multiset of (weight,
-    alpha) pairs, the one in which spheres of equal alpha take
-    non-decreasing weights."""
-    ties = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(sphere_alphas)), 2)
-        if sphere_alphas[i] == sphere_alphas[j]
-    ]
+    lexicographic order: the tuples that `_sort_ties` keeps."""
     for ws in itertools.product(range(1, (p - 1) // 2 + 1), repeat=len(sphere_alphas)):
-        if all(ws[i] <= ws[j] for i, j in ties):
+        if _sort_ties(ws, sphere_alphas) == ws:
             yield ws
 
 
@@ -642,34 +647,35 @@ def search_realizable(
     choice keeps only the four relation residues that the points must
     sum to.  For each multiset of all but the last point (the prefix),
     its summed residues are kept as four ints, and one lookup per sphere
-    choice finds the only class that can complete it, at O(1) cost per
-    prefix and choice.  Only a hit builds the O(p) integral windows of
-    its components, each point class and each sphere at most once per
-    call, and it is accepted iff its battery sums (`_battery_sums`, as
-    in `check_rotation_relations`) equal the target in the basis of zeta
+    choice finds the only class that can complete it (with no point,
+    the lookup asks that the need be 0), at O(1) cost per prefix and
+    choice.  Only a hit builds the O(p) integral windows of its
+    components, each point class and each sphere at most once per call,
+    and it is accepted iff its battery sums (`_battery_sums`, as in
+    `check_rotation_relations`) equal the target in the basis of zeta
     powers: the change to powers of s = t - 1 is a bijection, so this is
     exactly `check_rotation_relations(...).ok`, with no change of basis.
     Prefixes come in lexicographic order, and the hits of one prefix in
-    order of (last class, sphere choice).
+    order of (last class, sphere weights).
 
-    With a point, only one member of each orbit of g -> g^u is looked
-    up.  Replacing the generator g by g^u, for a unit u mod p,
-    multiplies every rotation number by u and keeps Sign, chi, b2 and
-    each alpha, and it keeps the battery.  The relation residues are
-    homogeneous in the rotation numbers, of degrees -2, 0, 2 and 4, with
-    targets 0, 3*Sign, 0 and 0.  The series part under u is sigma_u of
-    the same identity in Z[zeta]/p, divided by the square of the
+    Only one member of each orbit of g -> g^u is looked up.  Replacing
+    the generator g by g^u, for a unit u mod p, multiplies every
+    rotation number, sphere weights included, by u and keeps Sign, chi,
+    b2 and each alpha, and it keeps the battery.  The relation residues
+    are homogeneous in the rotation numbers, of degrees -2, 0, 2 and 4,
+    with targets 0, 3*Sign, 0 and 0.  The series part under u is sigma_u
+    of the same identity in Z[zeta]/p, divided by the square of the
     cyclotomic unit (zeta^u - 1)/(zeta - 1).  So the results are a
-    union of orbits, and u = a^-1 takes a first point (a, b) to (1, x).
-    The prefix walk therefore covers only data whose first point is a
-    class (1, x), the first p - 1 classes; these results stream first,
-    as they come, and a limit stops the walk as early as it would stop
-    the full walk.  Then each of them is mapped by u = 2..(p-1)/2 (u
-    and -u give the same classes): points to their `IsolatedPoint`
-    class, sphere weights to |u*c| mod p, spheres of equal alpha
-    re-sorted as in the sphere choices.  The images whose first point
-    is not (1, x) are deduplicated, sorted and yielded with no battery
-    sum.  With no point, every sphere choice is looked up.
+    union of orbits.  u = a^-1 takes a first point (a, b) to (1, x), one
+    of the first p - 1 classes; with no point, u = c^-1 takes the first
+    sphere's weight c to 1, the least of its tie group.  The walk
+    therefore covers only data whose first rotation number is 1, which
+    come first in lexicographic order; they stream as they come, and a
+    limit stops the walk as early as it would stop the full walk.  Then
+    each is mapped by u = 2..(p-1)/2 (u and -u give the same classes):
+    points to their `IsolatedPoint` class, sphere weights to |u*c| mod
+    p and re-sorted by `_sort_ties`.  The images the walk did not yield
+    are deduplicated, sorted and yielded with no battery sum.
 
     The prime and the profile are checked by the call itself, before
     the enumeration is first advanced.  So is the size of the sphere
@@ -702,15 +708,18 @@ def search_realizable(
 def _search(
     p: int, n_points: int, sphere_alphas: Sequence[int], sign: int, euler: int, b2: int
 ) -> Iterator[GroupAction]:
-    """The enumeration of `search_realizable`, on a checked profile."""
+    """The enumeration of `search_realizable`, on a checked profile: the
+    walk over one member of each orbit of g -> g^u, then the images."""
     target = _rotation_target(p, sign)
-    choices = list(_sphere_choices(p, sphere_alphas))
+    # with no point, the walk reads only the first choices, those whose first weight is 1
+    choices = _sphere_choices(p, sphere_alphas)
+    choices = list(itertools.takewhile(lambda ws: n_points or ws[0] == 1, choices))
     needs = []  # the four relation residues the points must sum to, per sphere choice
     for ws in choices:
         spheres = _relations(p, (), zip(ws, sphere_alphas))
         needs.append(tuple((t - sum(col)) % p for t, *col in zip(target[:4], *spheres)))
-    # the first point is one of the classes (1, x), the first p - 1 classes
-    classes = _point_classes(p) if n_points > 1 else [(1, b) for b in range(1, p)]
+    # the first point is one of the classes (1, x), the first p - 1 classes, if any
+    classes = _point_classes(p) if n_points > 1 else [(1, b) for b in range(1, p) if n_points]
 
     @functools.cache
     def window(term, *component):
@@ -718,32 +727,27 @@ def _search(
         return _over_units(p, *term(*component)[:2])
 
     def accepted(hits):
-        """The hits (point indices, choice index), in order, whose
-        battery sums equal the target, as (point classes, choice index)."""
-        for idx, k in sorted(hits):
-            pts, spheres = tuple(classes[i] for i in idx), list(zip(choices[k], sphere_alphas))
+        """The hits (point indices, weights), in order, whose battery sums
+        equal the target, as (point classes, weights)."""
+        for idx, ws in sorted(hits):
+            pts, spheres = tuple(classes[i] for i in idx), list(zip(ws, sphere_alphas))
             windows = [window(_point, *pt) for pt in pts] + [window(_sphere, *s) for s in spheres]
             if _battery_sums(p, pts, spheres, windows) == target:
-                yield pts, k
+                yield pts, ws
 
-    def action(pts, k):
-        """The action of point classes `pts` and sphere choice `k`."""
-        return GroupAction(
-            p,
-            tuple(IsolatedPoint(p, a, b) for a, b in pts),
-            tuple(FixedSphere(p, w, alpha) for w, alpha in zip(choices[k], sphere_alphas)),
-            sign,
-            euler,
-            b2,
-        )
+    def action(pts, ws):
+        """The action of point classes `pts` and sphere weights `ws`."""
+        points = tuple(IsolatedPoint(p, a, b) for a, b in pts)
+        spheres = tuple(FixedSphere(p, w, alpha) for w, alpha in zip(ws, sphere_alphas))
+        return GroupAction(p, points, spheres, sign, euler, b2)
 
     def walk():
-        """The results whose first point is one of the classes (1, x), in order."""
+        """The results whose first rotation number is 1, in order."""
         rels = _relations(p, classes, ())
-        last_class = {rel: j for j, rel in enumerate(rels)}
-        if n_points == 1:
-            hits = [((last_class[need],), k) for k, need in enumerate(needs) if need in last_class]
-            yield from accepted(hits)
+        # the last point's indices, by the residues they sum to; no point sums to 0
+        last = {rel: (j,) for j, rel in enumerate(rels)} if n_points else {(0, 0, 0, 0): ()}
+        if n_points < 2:
+            yield from accepted((last[n], ws) for ws, n in zip(choices, needs) if n in last)
             return
         # each prefix is a head of n_points - 2 classes and then a tail class
         m = len(classes)
@@ -755,29 +759,21 @@ def _search(
                 r1, r2, r3, r4 = rels[i]
                 hits = []
                 for k, (n1, n2, n3, n4) in enumerate(rest):
-                    j = last_class.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
-                    if j is not None and j >= i:
-                        hits.append(((*head, i, j), k))
+                    j = last.get(((n1 - r1) % p, (n2 - r2) % p, (n3 - r3) % p, (n4 - r4) % p))
+                    if j is not None and j >= (i,):
+                        hits.append(((*head, i, *j), choices[k]))
                 if hits:
                     yield from accepted(hits)
 
-    if n_points == 0:
-        for pts, k in accepted(((), k) for k, need in enumerate(needs) if not any(need)):
-            yield action(pts, k)
-        return
     base = []
-    for pts, k in walk():
-        base.append((pts, k))
-        yield action(pts, k)
+    for pts, ws in walk():
+        base.append((pts, ws))
+        yield action(pts, ws)
     # the rest are images under g -> g^u; u and -u give the same classes
-    # each sphere choice by its multiset of (weight, alpha)
-    choice = {tuple(sorted(zip(ws, sphere_alphas))): k for k, ws in enumerate(choices)}
     images = set()
-    for pts, k in base:
+    for pts, ws in base:
         for u in range(2, (p + 1) // 2):
-            img = sorted(_point_class(p, u * a, u * b) for a, b in pts)
-            if img[0][0] > 1:
-                ws = (_weight_class(p, u * w) for w in choices[k])
-                images.add((tuple(img), choice[tuple(sorted(zip(ws, sphere_alphas)))]))
-    for pts, k in sorted(images):
-        yield action(pts, k)
+            img = tuple(sorted(_point_class(p, u * a, u * b) for a, b in pts))
+            images.add((img, _sort_ties([_weight_class(p, u * w) for w in ws], sphere_alphas)))
+    for pts, ws in sorted(images.difference(base)):
+        yield action(pts, ws)

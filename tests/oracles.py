@@ -48,6 +48,7 @@ from equibundle.cli import (
     _cmd_search,
     _cmd_solve,
     _cmd_sum,
+    _int,
     _int_in,
     _prime,
 )
@@ -979,9 +980,9 @@ def _build_parser_eagerly() -> argparse.ArgumentParser:
         choices=sorted(_EXPAND),
     )
     for flag in ("a", "b", "c", "alpha"):
-        p_exp.add_argument(f"--{flag}", type=int, default=None)
+        p_exp.add_argument(f"--{flag}", type=_int, default=None)
     for flag in ("m", "ell", "lam"):  # a twist or degree left out is 0
-        p_exp.add_argument(f"--{flag}", type=int, default=0)
+        p_exp.add_argument(f"--{flag}", type=_int, default=0)
     p_exp.add_argument("--order", type=_int_in(0, MAX_ORDER), default=4)
     p_exp.add_argument("--p", type=_prime, default=None, help="also print mod-p reductions")
     add_machine(p_exp)
@@ -995,13 +996,13 @@ def _build_parser_eagerly() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("sum", help="equivariant connected sum of two documents")
     p_sum.add_argument("file_a")
     p_sum.add_argument("file_b")
-    p_sum.add_argument("--points", nargs=2, type=int, metavar=("I", "J"))
-    p_sum.add_argument("--spheres", nargs=2, type=int, metavar=("I", "J"))
+    p_sum.add_argument("--points", nargs=2, type=_int, metavar=("I", "J"))
+    p_sum.add_argument("--spheres", nargs=2, type=_int, metavar=("I", "J"))
     add_machine(p_sum)
     p_sum.set_defaults(handler=_cmd_sum)
 
     p_search = sub.add_parser("search", help="enumerate realizable rotation data")
-    p_search.add_argument("--p", type=int, required=True)
+    p_search.add_argument("--p", type=_int, required=True)
     p_search.add_argument(
         "--points", type=_int_in(0), required=True, help="number of isolated points"
     )
@@ -1011,8 +1012,8 @@ def _build_parser_eagerly() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--alphas", default="", help="comma-separated self-intersections, one per sphere"
     )
-    p_search.add_argument("--sign", type=int, required=True)
-    p_search.add_argument("--euler", type=int, required=True)
+    p_search.add_argument("--sign", type=_int, required=True)
+    p_search.add_argument("--euler", type=_int, required=True)
     p_search.add_argument("--b2", type=_int_in(0), required=True)
     p_search.add_argument("--limit", type=_int_in(0), default=None)
     add_machine(p_search)

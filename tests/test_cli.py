@@ -1012,6 +1012,31 @@ _CALLS = {
     ),
     "search": ([*SEARCH, "--b2", "1"], SEARCH, [*SEARCH, "--b2", "-1"]),
 }
+# one per integer option, last: a value `int()` takes (surrounding whitespace,
+# underscores, other scripts' digits) that `[+-]?[0-9]+` does not; each exits 2
+_SPHERE_SEARCH = ["search", "--p", "5", "--points", "1", "--spheres", "1", "--alphas", "1"]
+_SPHERE_SEARCH += ["--sign", "1", "--euler", "3", "--b2", "1"]
+_NOT_INTEGERS = [
+    [*SEARCH, "--b2", "1", "--p", " 1_3"],  # the last --p given counts
+    [*SEARCH, "--b2", "1", "--points", "٣"],
+    [*_SPHERE_SEARCH, "--spheres", "0_1"],
+    [*_SPHERE_SEARCH, "--alphas", "١"],
+    [*SEARCH, "--b2", "1", "--sign", "1 "],
+    [*SEARCH, "--b2", "1", "--euler", "３"],
+    [*SEARCH, "--b2", "\t1"],
+    [*SEARCH, "--b2", "1", "--limit", "1_0"],
+    [*EXPAND, "--a", "٣"],
+    [*EXPAND, "--b", "2_0"],
+    ["expand", "--kind", "sphere", "--alpha", "1", "--c", "1 "],
+    ["expand", "--kind", "sphere", "--c", "1", "--alpha", "٢"],
+    ["expand", "--kind", "boundary", "--c", "1", "--m", " 2"],
+    ["expand", "--kind", "su2-point", "--a", "1", "--b", "2", "--ell", "1\n"],
+    [*EXPAND, "--lam", "+1_0"],
+    [*EXPAND, "--order", "٤"],
+    [*EXPAND, "--p", " 5"],
+    ["sum", _demo("cp2_fixed_line.json"), M0, "--points", "0", "0_0"],
+    ["sum", M0, M0, "--spheres", "0", "٠"],
+]
 _CORPUS = [
     [],
     ["-h"],
@@ -1034,7 +1059,7 @@ _CORPUS = [
         bad,
         [*valid, "--bogus"],
     )
-]
+] + _NOT_INTEGERS
 
 
 @pytest.mark.parametrize("argv", _CORPUS, ids=" ".join)
@@ -1043,6 +1068,18 @@ def test_the_parser_answers_as_the_eager_one(argv, monkeypatch, capsys):
     lazy = main(argv), *capsys.readouterr()
     monkeypatch.setattr(cli, "_build_parser", _build_parser_eagerly)
     assert (main(argv), *capsys.readouterr()) == lazy
+
+
+@pytest.mark.parametrize("argv", _NOT_INTEGERS, ids=repr)
+def test_an_integer_option_takes_only_ascii_digits(argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    code, out, err = main(argv), *capsys.readouterr()
+    value = argv[-1]
+    assert (code, out) == (2, "")
+    if argv[-2] == "--alphas":
+        assert err == f"error: --alphas must be comma-separated integers: {value!r}\n"
+    else:
+        assert err.endswith(f": invalid int value: {value!r}\n")
 
 
 def test_a_call_adds_only_its_own_subcommands_arguments(monkeypatch):

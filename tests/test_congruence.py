@@ -49,6 +49,7 @@ from equibundle.cyclotomic import (
     ZeroRotation,
     _over_units,
     _point,
+    _sphere,
     _term,
     eval_point_term,
     eval_sphere_term,
@@ -82,6 +83,7 @@ from oracles import (
     _series_records_by_gf,
     _solve_by_scan,
     _solver_round_trips,
+    _sphere_choices,
     _sphere_vector,
     fixed_models,
     primes,
@@ -1025,6 +1027,23 @@ def test_search_results_canonical_and_valid():
     assert any(act.same_data(triple) for act in found)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-1, 1)), max_size=5))
+def test_sort_ties_picks_the_least_tuple_of_each_multiset(pairs):
+    """An image's weights and the sphere choices follow one tie rule: of
+    the weight tuples with the same multiset of (weight, alpha) pairs,
+    the least."""
+    ws, alphas = [w for w, _ in pairs], [alpha for _, alpha in pairs]
+    same = [ts for ts in itertools.permutations(ws) if sorted(zip(ts, alphas)) == sorted(pairs)]
+    assert congruence._sort_ties(ws, alphas) == min(same)
+
+
+@pytest.mark.parametrize("alphas", [(), (1,), (1, -2), (0, 0), (1, 1, -2), (-2, 1, 1), (1, -1, 1, -1)])
+def test_sphere_choices_are_the_first_of_each_multiset(alphas):
+    for p in (3, 5, 7, 11):
+        assert list(congruence._sphere_choices(p, alphas)) == list(_sphere_choices(p, alphas))
+
+
 # (points, sphere self-intersections, largest p); the filtering oracle
 # takes seconds for 4 points above p = 7
 SEARCH_PROFILES = [
@@ -1038,6 +1057,10 @@ SEARCH_PROFILES = [
     (0, (0, 0), 13),
     (1, (1, -1, 1), 7),
     (2, (2, 2), 7),
+    # spheres of equal alpha, first, last and interleaved: an image's weights are re-sorted
+    (0, (1, 1, -2), 13),
+    (0, (-2, 1, 1), 13),
+    (0, (1, -1, 1, -1), 7),
 ]
 
 
@@ -1113,14 +1136,16 @@ def test_search_results_are_closed_under_every_unit(profile):
 def test_search_sums_the_battery_only_for_hits(monkeypatch):
     """The O(p) work of a search is one battery sum, compared once, per
     lookup hit; each point class's and sphere's window is built at most
-    once per call.  With a point, only data whose first point is (1, x)
-    are looked up; the rest are their images under g -> g^u, and no
-    window is built or summed for them.  Every hit is a result in both
-    runs.  The relation-1 bucket search made 24,091 sums for the 3
-    points, one partial vector for every prefix, and the walk over every
-    prefix one sum for each of the 80 results; the eager sphere choices
-    made 2,500 sums and 5,000 sphere vectors for the 2 spheres, two for
-    every choice."""
+    once per call.  Only data whose first rotation number is 1 are
+    looked up: a first point (1, x), or with no point a first sphere
+    weight 1.  The rest are their images under g -> g^u, and no window
+    is built or summed for them.  Every hit is a result in both runs.
+    The relation-1 bucket search made 24,091 sums for the 3 points, one
+    partial vector for every prefix, and the walk over every prefix one
+    sum for each of the 80 results; the eager sphere choices made 2,500
+    sums and 5,000 sphere vectors for the 2 spheres, two for every
+    choice, and the walk over every choice one sum for each of the 50
+    results."""
     battery = congruence.check_rotation_relations
     no_battery = _forbidden("the search called the battery")
     monkeypatch.setattr(congruence, "check_rotation_relations", no_battery)
@@ -1144,8 +1169,11 @@ def test_search_sums_the_battery_only_for_hits(monkeypatch):
     windows.clear()
     found = list(search_realizable(101, 0, 2, [1, -1], 0, 4, 2))
     assert len(found) == 50
-    assert len(sums) <= len(found)
-    assert len(built()) <= 2 * len(found)
+    looked_up = [act for act in found if act.spheres[0].c == 1]
+    assert len(sums) == len(looked_up) == 1
+    assert len(built()) <= 2 * len(looked_up)
+    terms = (_sphere(s.c, s.alpha) for act in looked_up for s in act.spheres)
+    assert set(built()) == {(tuple(num), units) for num, units, _ in terms}
     assert len(built()) == len(set(built()))
     assert all(battery(act).ok for act in found)
 
